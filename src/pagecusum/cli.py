@@ -9,6 +9,7 @@ error (one-line diagnostic on stderr), 1 runtime failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -61,7 +62,7 @@ def _read_config(path, schema) -> dict:
 
 
 def _read_series_csv(path) -> np.ndarray:
-    """Single column of decimal values, optional header 'x'."""
+    """Single column of finite decimal values, optional header 'x'."""
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
         for i, row in enumerate(csv.reader(fh)):
@@ -71,10 +72,13 @@ def _read_series_csv(path) -> np.ndarray:
             if i == 0 and cell.lower() == "x":
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValidationError(
                     f"{path}: non-numeric value '{cell}'") from None
+            _require(math.isfinite(value),
+                     f"{path}: non-finite value '{cell}'")
+            values.append(value)
     _require(len(values) > 0, f"{path}: no data values")
     return np.asarray(values)
 

@@ -66,27 +66,81 @@ def generate_garch11(spec: Garch11Spec, n: int,
     return eps[spec.burn_in:]
 
 
+# time steps per piece of generation: each path's normals are drawn this many
+# at a time, and replication studies generate and scan their streams in
+# pieces of this length (chunked Philox draws equal one long draw)
+CHUNK = 512
+
+
+class GarchCarry:
+    """Where a batch of GARCH(1,1) paths stopped: one generator per path
+    and the last (sig2, eps) of each. Empty until the first
+    generate_garch11_batch call that is given it."""
+
+    __slots__ = ("rngs", "sig2", "e_prev")
+
+    def __init__(self):
+        self.rngs = None
+        self.sig2 = None
+        self.e_prev = None
+
+
 def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
-                           first_stream: int = 0) -> np.ndarray:
+                           first_stream: int = 0,
+                           carry: GarchCarry | None = None) -> np.ndarray:
     """(n_paths, n) array of independent paths with per-path RNG streams.
 
     Row i reproduces generate_garch11(spec, n, rng_stream(seed,
     first_stream + i)) exactly, so batching never changes the data.
+
+    Passing the same carry to successive calls generates the paths piece by
+    piece: the first call starts the streams, each later call continues the
+    recursion where the previous one stopped. Every call draws spec.burn_in
+    values before the n it returns and discards them, so a continuation
+    passes a spec with burn_in=0; the pieces then concatenate to the output
+    of one call for their total length.
     """
     _require(n >= 1, "n must be positive")
     _require(n_paths >= 1, "n_paths must be positive")
+    if carry is None:
+        carry = GarchCarry()
+    if carry.rngs is None:
+        carry.rngs = [rng_stream(seed, first_stream + i)
+                      for i in range(n_paths)]
+        carry.sig2 = np.full(n_paths, spec.unconditional_variance)
+        carry.e_prev = np.zeros(n_paths)
+    _require(len(carry.rngs) == n_paths, "carry holds a different path count")
+    # coefficients as arrays: ufuncs on two arrays dispatch faster than on an
+    # array and a Python float, and the products are the same
+    omega, alpha_g, beta_g = (np.full(n_paths, v) for v in
+                              (spec.omega, spec.alpha_g, spec.beta_g))
     total = spec.burn_in + n
-    z = np.empty((n_paths, total))
-    for i in range(n_paths):
-        z[i] = rng_stream(seed, first_stream + i).standard_normal(total)
-    eps = np.empty_like(z)
-    sig2 = np.full(n_paths, spec.unconditional_variance)
-    e_prev = np.zeros(n_paths)
-    for i in range(total):
-        sig2 = spec.omega + spec.alpha_g * e_prev * e_prev + spec.beta_g * sig2
-        e_prev = np.sqrt(sig2) * z[:, i]
-        eps[:, i] = e_prev
-    return eps[:, spec.burn_in:]
+    out = np.empty((n_paths, n))
+    z = np.empty((n_paths, min(CHUNK, total)))
+    eps = np.empty((z.shape[1], n_paths))  # time-major: one row per step
+    tmp = np.empty(n_paths)
+    sig2, e_prev = carry.sig2, carry.e_prev
+    for t0 in range(0, total, CHUNK):
+        length = min(CHUNK, total - t0)
+        for i, rng in enumerate(carry.rngs):
+            rng.standard_normal(out=z[i, :length])
+        rows = eps[:length]
+        rows[...] = z[:, :length].T
+        for row in rows:
+            # sig2 = (omega + (alpha_g*e)*e) + beta_g*sig2; eps = sqrt(sig2)*z
+            np.multiply(e_prev, alpha_g, out=tmp)
+            np.multiply(tmp, e_prev, out=tmp)
+            np.add(tmp, omega, out=tmp)
+            np.multiply(sig2, beta_g, out=sig2)
+            np.add(sig2, tmp, out=sig2)
+            np.multiply(row, np.sqrt(sig2, out=tmp), out=row)
+            e_prev = row
+        carry.e_prev = e_prev = e_prev.copy()
+        skip = max(spec.burn_in - t0, 0)  # burn-in rows in this piece
+        if skip < length:
+            first = t0 + skip - spec.burn_in
+            out[:, first:first + length - skip] = rows[skip:].T
+    return out
 
 
 @dataclass(frozen=True)

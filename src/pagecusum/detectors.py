@@ -45,12 +45,15 @@ class TrainingSummary:
 def summarize_training(x) -> TrainingSummary:
     """Sample mean and standard deviation (ddof=1) of the training data.
 
-    Raises DegenerateTrainingError when all observations are equal.
+    Raises ValidationError on non-finite values and DegenerateTrainingError
+    when all observations are equal.
     """
     arr = np.asarray(x, dtype=float)
     _require(arr.ndim == 1, "training data must be one-dimensional")
     m = int(arr.size)
     _require(m >= 2, "training period needs at least 2 observations")
+    _require(bool(np.isfinite(arr).all()),
+             "training data contain a non-finite value")
     mean = float(arr.mean())
     sigma_hat = float(arr.std(ddof=1))
     if not sigma_hat > 0.0:
@@ -129,27 +132,76 @@ class StoppingResult:
     detector_path: tuple | None = None
 
 
+class ScanCarry:
+    """Running (q, q_min, q_max) of each path after the steps scanned so far.
+
+    All three start at Q(m, 0) = 0. q_min is kept only when the page
+    statistic is scanned and q_max only for the two-sided page statistic, so
+    one carry serves one (side, detectors) combination.
+    """
+
+    __slots__ = ("q", "q_min", "q_max")
+
+    def __init__(self, n_paths: int):
+        self.q = np.zeros(n_paths)
+        self.q_min = np.zeros(n_paths)
+        self.q_max = np.zeros(n_paths)
+
+
+def scan_chunk(x: np.ndarray, mean: np.ndarray, carry: ScanCarry,
+               side: str, detectors):
+    """Statistics of the named detectors over one chunk of every path.
+
+    x is a (paths, L) array of the next L monitored observations of each
+    path and mean the (paths,) training means; carry holds each path's state
+    before the chunk and is advanced past it. Returns one (paths, L) array
+    per name in detectors.
+    """
+    paths, length = x.shape
+    buf = np.empty((paths, length + 1))
+    buf[:, 0] = carry.q
+    np.subtract(x, mean[:, None], out=buf[:, 1:])
+    # cumsum([q, y_1, ..., y_L]) adds in the order of one cumsum over the
+    # whole stream, so chunking never changes a bit (q + cumsum(y) would)
+    q = np.cumsum(buf, axis=1, out=buf)[:, 1:]
+    carry.q = q[:, -1].copy()
+    stats = {}
+    if "page" in detectors:
+        q_min = np.minimum.accumulate(q, axis=1)
+        np.minimum(q_min, carry.q_min[:, None], out=q_min)
+        carry.q_min = q_min[:, -1].copy()
+        page = q - q_min
+        if side == "two_sided":
+            # max_i |Q(k) - Q(i)| is attained at the running min or max
+            q_max = np.maximum.accumulate(q, axis=1)
+            np.maximum(q_max, carry.q_max[:, None], out=q_max)
+            carry.q_max = q_max[:, -1].copy()
+            page = np.maximum(page, q_max - q)
+        stats["page"] = page
+    if "ordinary" in detectors:
+        stats["ordinary"] = np.abs(q) if side == "two_sided" else q
+    return tuple(stats[d] for d in detectors)
+
+
+def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Column of the first stat >= thresh in each row, -1 where none."""
+    hit = stat >= thresh
+    j = hit.argmax(axis=1)
+    return np.where(hit[np.arange(hit.shape[0]), j], j, -1)
+
+
 def _scan_array(x: np.ndarray, training: TrainingSummary,
                 params: MonitoringParams, c: float):
-    """Vectorized first-crossing scan over a fully materialized stream."""
-    q = np.cumsum(x - training.mean)
-    if params.detector == "ordinary":
-        stat = np.abs(q) if params.side == "two_sided" else q
-    else:
-        prev = np.concatenate(([0.0], q))
-        q_min = np.minimum.accumulate(prev)[1:]
-        if params.side == "two_sided":
-            q_max = np.maximum.accumulate(prev)[1:]
-            stat = np.maximum(q - q_min, q_max - q)
-        else:
-            stat = q - q_min
+    """First-crossing scan over a fully materialized stream: the chunk
+    kernel on one row and one chunk."""
+    (stat,) = scan_chunk(x[None, :], np.array([training.mean]), ScanCarry(1),
+                         params.side, (params.detector,))
     k = np.arange(1, x.size + 1)
     thresh = training.sigma_hat * c * boundary_g(params.m, k, params.gamma)
-    hits = np.nonzero(stat >= thresh)[0]
-    if hits.size == 0:
+    j = int(first_crossings(stat, thresh[None, :])[0])
+    if j < 0:
         return None, None, None
-    j = int(hits[0])
-    return j + 1, float(stat[j]), float(thresh[j])
+    return j + 1, float(stat[0, j]), float(thresh[j])
 
 
 def run_monitor(training, stream, params: MonitoringParams, c: float,
@@ -159,7 +211,8 @@ def run_monitor(training, stream, params: MonitoringParams, c: float,
     training is the raw training sample (length params.m) or a precomputed
     TrainingSummary. stream may be a sequence (scanned vectorized) or any
     iterable (consumed lazily, one observation at a time). At most
-    params.horizon observations are read.
+    params.horizon observations are read; a non-finite one among them raises
+    ValidationError (a NaN would never cross the threshold).
     """
     _require(c > 0.0, "critical value c must be positive")
     if isinstance(training, TrainingSummary):
@@ -173,6 +226,8 @@ def run_monitor(training, stream, params: MonitoringParams, c: float,
     if isinstance(stream, (np.ndarray, list, tuple)) and not record_path:
         x = np.asarray(stream, dtype=float)[:horizon]
         _require(x.size >= 1, "stream yields no observations")
+        _require(bool(np.isfinite(x).all()),
+                 "stream contains a non-finite value")
         tau, stat, thresh = _scan_array(x, summary, params, c)
         if tau is None:
             return StoppingResult(stopped=False, tau=None)
@@ -182,7 +237,11 @@ def run_monitor(training, stream, params: MonitoringParams, c: float,
     state = DetectorState()
     path = [] if record_path else None
     for x_new in itertools.islice(iter(stream), horizon):
-        state = step_detector(state, float(x_new), summary)
+        x_new = float(x_new)
+        if not math.isfinite(x_new):
+            raise ValidationError(
+                f"stream value {state.k + 1} is not finite: {x_new}")
+        state = step_detector(state, x_new, summary)
         stat = detector_stat(state, params)
         thresh = summary.sigma_hat * c * boundary_g(params.m, state.k,
                                                     params.gamma)

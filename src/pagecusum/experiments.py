@@ -17,16 +17,16 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .asymptotics import compute_b_m, compute_normalization, solve_a_m
-from .datagen import Garch11Spec, generate_garch11_batch
-from .detectors import boundary_g
+from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
+from .detectors import ScanCarry, boundary_g, first_crossings, scan_chunk
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, resolve_kstar, validate_scenario)
+from .rng import _map_blocks
 
 _BLOCK = 125  # replications per work unit (fixed: batching never changes data)
 
@@ -47,19 +47,48 @@ class ReplicationRecord:
     nu_tilde: float | None
 
 
-def _stats_for_side(q: np.ndarray, side: str):
-    """(page_stat, ordinary_stat) paths from a Q path (vectorized)."""
-    prev = np.concatenate(([0.0], q))
-    q_min = np.minimum.accumulate(prev)[1:]
-    if side == "two_sided":
-        q_max = np.maximum.accumulate(prev)[1:]
-        return np.maximum(q - q_min, q_max - q), np.abs(q)
-    return q - q_min, q
+def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
+                seed: int, start: int, count: int, rules, shift=None):
+    """First crossings of each (detector, c) rule on replications
+    [start, start + count).
 
-
-def _first_crossing(stat: np.ndarray, thresh: np.ndarray) -> int | None:
-    hits = np.nonzero(stat >= thresh)[0]
-    return int(hits[0]) + 1 if hits.size else None
+    shift is (kstar, delta) or None for change-free streams. Returns one
+    int array per rule with each path's 1-based stopping time, 0 when the
+    path did not stop or its training sample is constant. The streams are
+    generated and scanned CHUNK steps at a time, and generation ends as soon
+    as every path has stopped under every rule.
+    """
+    m, horizon = params.m, params.horizon
+    g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
+    carry = GarchCarry()
+    train = mu + generate_garch11_batch(garch, m, count, seed,
+                                        first_stream=start, carry=carry)
+    # one 1-D reduction per path: an axis= reduction sums in another order
+    mean = np.array([row.mean() for row in train])
+    sd = np.array([row.std(ddof=1) for row in train])
+    degenerate = ~(sd > 0.0)
+    detectors = tuple(d for d, _ in rules)
+    sd_c = [(sd * c)[:, None] for _, c in rules]
+    taus = [np.zeros(count, dtype=np.int64) for _ in rules]
+    scan = ScanCarry(count)
+    stream_garch = replace(garch, burn_in=0)
+    for k0 in range(0, horizon, CHUNK):
+        length = min(CHUNK, horizon - k0)
+        x = mu + generate_garch11_batch(stream_garch, length, count, seed,
+                                        first_stream=start, carry=carry)
+        if shift is not None:
+            kstar, delta = shift
+            x[:, max(kstar - 1 - k0, 0):] += delta
+        stats = scan_chunk(x, mean, scan, params.side, detectors)
+        for tau, stat, thresh_scale in zip(taus, stats, sd_c):
+            j = first_crossings(stat, thresh_scale * g[k0:k0 + length])
+            new = (tau == 0) & (j >= 0)
+            tau[new] = k0 + 1 + j[new]
+        if all(np.all((tau > 0) | degenerate) for tau in taus):
+            break
+    for tau in taus:
+        tau[degenerate] = 0
+    return taus
 
 
 def _replication_block(args):
@@ -67,25 +96,14 @@ def _replication_block(args):
     (params, scenario, garch, mu, c_page, c_q, norms, seed, start,
      count) = args
     a_page, b_page, a_q, b_q = norms
-    m, horizon = params.m, params.horizon
-    n = m + horizon
-    g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
-    eps = generate_garch11_batch(garch, n, count, seed, first_stream=start)
+    taus_page, taus_q = _block_taus(
+        params, garch, mu, seed, start, count,
+        (("page", c_page), ("ordinary", c_q)),
+        shift=(scenario.kstar, scenario.delta))
     out = []
-    shift_at = m + scenario.kstar - 1  # 0-based position of the first shifted point
     for i in range(count):
-        x = mu + eps[i]
-        if shift_at < n:
-            x[shift_at:] += scenario.delta
-        train, stream = x[:m], x[m:]
-        sd = float(train.std(ddof=1))
-        if not sd > 0.0:
-            out.append(ReplicationRecord(start + i, None, None, None, None, None))
-            continue
-        q = np.cumsum(stream - train.mean())
-        stat_page, stat_q = _stats_for_side(q, params.side)
-        tau_page = _first_crossing(stat_page, sd * c_page * g)
-        tau_q = _first_crossing(stat_q, sd * c_q * g)
+        tau_page = int(taus_page[i]) or None
+        tau_q = int(taus_q[i]) or None
         nu_page = (tau_page - a_page) / b_page if tau_page is not None else None
         nu_q = (tau_q - a_q) / b_q if tau_q is not None else None
         nu_tilde = (tau_q - a_page) / b_page if tau_q is not None else None
@@ -117,11 +135,7 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     norms = (a_page, b_page, a_q, b_q)
     blocks = [(params, scenario, garch, mu, c_page, c_q, norms, seed, start,
                min(_BLOCK, reps - start)) for start in range(0, reps, _BLOCK)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_replication_block, blocks))
-    else:
-        parts = [_replication_block(b) for b in blocks]
+    parts = _map_blocks(_replication_block, blocks, threads)
     records = [rec for part in parts for rec in part]
     records.sort(key=lambda r: r.rep)
     return records
@@ -130,23 +144,9 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
 def _size_block(args):
     """Number of null-hypothesis stops among replications [start, start+count)."""
     params, garch, mu, c, seed, start, count = args
-    m, horizon = params.m, params.horizon
-    n = m + horizon
-    g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
-    eps = generate_garch11_batch(garch, n, count, seed, first_stream=start)
-    stopped = 0
-    for i in range(count):
-        x = mu + eps[i]
-        train, stream = x[:m], x[m:]
-        sd = float(train.std(ddof=1))
-        if not sd > 0.0:
-            continue
-        q = np.cumsum(stream - train.mean())
-        stat_page, stat_q = _stats_for_side(q, params.side)
-        stat = stat_page if params.detector == "page" else stat_q
-        if np.any(stat >= sd * c * g):
-            stopped += 1
-    return stopped
+    (taus,) = _block_taus(params, garch, mu, seed, start, count,
+                          ((params.detector, c),))
+    return int(np.count_nonzero(taus))
 
 
 def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
@@ -162,12 +162,7 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
     _require(c > 0.0, "critical value must be positive")
     blocks = [(params, garch, mu, c, seed, start, min(_BLOCK, reps - start))
               for start in range(0, reps, _BLOCK)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(_size_block, blocks))
-    else:
-        counts = [_size_block(b) for b in blocks]
-    return sum(counts) / reps
+    return sum(_map_blocks(_size_block, blocks, threads)) / reps
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Counter-based RNG streams for reproducible (parallel) Monte Carlo."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 _UINT64 = 1 << 64
@@ -19,3 +21,15 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     """
     key = (seed % _UINT64) * _UINT64 + (index % _UINT64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _map_blocks(fn, blocks, threads: int) -> list:
+    """[fn(b) for b in blocks], over `threads` worker processes when > 1.
+
+    Each block draws from its own streams, so the result, in block order, is
+    the same for any thread count.
+    """
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(b) for b in blocks]

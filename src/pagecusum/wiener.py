@@ -15,13 +15,12 @@ since t**(-gamma) amplifies the missing fine structure near t = 0).
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DETECTORS, SIDES, ValidationError, _require
-from .rng import BOOTSTRAP_STREAM, rng_stream
+from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 
 _BLOCK = 256  # paths per work unit; fixed so batching never affects results
 
@@ -143,12 +142,7 @@ def simulate_functional_values(gamma: float, side: str, detector: str,
     _require(reps >= 1, "reps must be positive")
     blocks = [(seed, start, min(_BLOCK, reps - start), T, gamma, side, detector)
               for start in range(0, reps, _BLOCK)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_simulate_block, blocks))
-    else:
-        parts = [_simulate_block(b) for b in blocks]
-    return np.concatenate(parts)
+    return np.concatenate(_map_blocks(_simulate_block, blocks, threads))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,24 @@ class TestMonitorCommand:
                                "--stream", str(stream), "--gamma", "0.1")
         assert code == 2 and "critvals" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["train", "stream"])
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, bad, where):
+        rng = np.random.default_rng(4)
+        files = {"train": tmp_path / "train.csv",
+                 "stream": tmp_path / "stream.csv"}
+        write_series(files["train"], rng.standard_normal(50))
+        write_series(files["stream"], rng.standard_normal(30))
+        lines = files[where].read_text().splitlines()
+        lines[10] = bad
+        files[where].write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "monitor", "--train",
+                                 str(files["train"]), "--stream",
+                                 str(files["stream"]), "--critical-value",
+                                 "1.7")
+        assert code == 2 and out == ""
+        assert "non-finite" in err and bad in err
+
 
 class TestGenerateCommand:
     CONFIG = ("omega = 0.5\nalpha = 0.2\nbeta = 0.3\nburn_in = 50\n"

@@ -63,6 +63,13 @@ class TestTraining:
         with pytest.raises(ValidationError):
             summarize_training([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_not_reported_constant(self, bad):
+        x = [1.0, 2.0, bad, 4.0]
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            summarize_training(x)
+        assert not isinstance(info.value, DegenerateTrainingError)
+
 
 class TestStepDetector:
     def test_tiny_examples(self):
@@ -241,6 +248,42 @@ class TestRunMonitor:
         train, stream = self.make_data(11)
         with pytest.raises(ValidationError):
             run_monitor(train, stream, MonitoringParams(m=49), c=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_training_rejected(self, bad):
+        train, stream = self.make_data(12)
+        train[7] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            run_monitor(train, stream, MonitoringParams(m=50), c=1.7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_stream_rejected(self, bad):
+        # a NaN never crosses the threshold, so it must not pass silently
+        train, stream = self.make_data(13)
+        stream[99] = bad
+        params = MonitoringParams(m=50, detector="page")
+        with pytest.raises(ValidationError, match="non-finite"):
+            run_monitor(train, stream, params, c=50.0)
+        # values past the horizon are never read
+        short = MonitoringParams(m=50, horizon_factor=1.0)
+        assert not run_monitor(train, stream, short, c=50.0).stopped
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lazy_stream_rejected_when_read(self, bad):
+        train, stream = self.make_data(14)
+        values = stream.tolist()
+        values[99] = bad
+        seen = []
+
+        def gen():
+            for v in values:
+                seen.append(v)
+                yield v
+
+        params = MonitoringParams(m=50, detector="ordinary")
+        with pytest.raises(ValidationError, match="value 100 is not finite"):
+            run_monitor(train, gen(), params, c=50.0)
+        assert len(seen) == 100
 
     def test_degenerate_training_propagates(self):
         params = MonitoringParams(m=5)

@@ -7,6 +7,8 @@ from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        ValidationError, emit_table1, empirical_size,
                        generate_garch11, kde, rng_stream, run_monitor,
                        run_replications)
+from pagecusum import experiments
+from pagecusum.datagen import CHUNK, generate_garch11_batch
 from pagecusum.experiments import (densities_from_records, read_records_csv,
                                    simulate_to_dir, write_records_csv)
 
@@ -80,6 +82,23 @@ class TestRunReplications:
                 assert r.nu_q == pytest.approx((r.tau_q - a_q) / b_q)
                 assert r.nu_tilde == pytest.approx((r.tau_q - a_p) / b_p)
 
+    def test_generation_stops_once_every_path_decided(self, monkeypatch):
+        # with a huge shift at kstar = 1 both rules stop at k = 1, so each
+        # path needs burn-in + m + one chunk of samples, not the horizon
+        params, scenario = small_setup(delta=1e6, horizon_factor=40.0)
+        assert params.horizon > 4 * CHUNK
+        drawn = []
+
+        def counting(spec, n, n_paths, *args, **kwargs):
+            drawn.append(n_paths * (spec.burn_in + n))
+            return generate_garch11_batch(spec, n, n_paths, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_garch11_batch", counting)
+        recs = run_replications(params, scenario, GARCH, 10, 1.69, 1.64,
+                                seed=2)
+        assert all(r.tau_page == 1 and r.tau_q == 1 for r in recs)
+        assert sum(drawn) == 10 * (GARCH.burn_in + params.m + CHUNK)
+
     def test_thread_count_does_not_change_records(self):
         params, scenario = small_setup(delta=0.7, kstar=15)
         one = run_replications(params, scenario, GARCH, 300, 1.7, 1.65,
@@ -130,6 +149,25 @@ class TestEmpiricalSize:
             sizes.append(empirical_size(params, GARCH, 150, c=1.69236,
                                         seed=9))
         assert sizes[0] <= sizes[1] <= sizes[2]
+
+    @pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("detector", ["page", "ordinary"])
+    def test_matches_run_monitor_stop_count(self, detector, side):
+        # horizon 5.9 * 120 = 708 crosses one chunk edge and is not a
+        # multiple of the chunk length
+        params = MonitoringParams(m=120, gamma=0.25, side=side,
+                                  detector=detector, horizon_factor=5.9)
+        assert params.horizon > CHUNK and params.horizon % CHUNK != 0
+        reps, c, seed, mu = 60, 1.1, 17, 0.75
+        size = empirical_size(params, GARCH, reps, c, seed=seed, mu=mu)
+        stops = 0
+        for r in range(reps):
+            x = mu + generate_garch11(GARCH, params.m + params.horizon,
+                                      rng_stream(seed, r))
+            res = run_monitor(x[:params.m], x[params.m:], params, c)
+            stops += res.stopped
+        assert 0 < stops < reps
+        assert size == stops / reps
 
     def test_threads_do_not_change_size(self):
         params = MonitoringParams(m=100, detector="ordinary",
