@@ -9,19 +9,18 @@ tau is centered and scaled by deterministic sequences
 so that (tau - a)/b converges to a regime-dependent law: standard normal for
 the ordinary detector, and for the page detector Psi(x) = 1 - Psi_bar(-x)
 with Psi_bar the distribution function of a Brownian supremum whose time
-interval depends on the regime (see model.CaseLabel).
+interval depends on the regime (see model.CaseLabel). Every regime's Psi_bar
+is evaluated in closed form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .model import (CaseLabel, ChangeScenario, ValidationError, _require,
                     classify_case)
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # relative residual allowed on the fixed point a = K*a**gamma + kstar
 RESIDUAL_BOUND = 1e-10
@@ -203,36 +202,21 @@ class LimitLaw:
         return cls(CaseLabel(variant=variant, eta=math.nan, d1=d1))
 
 
-def _psi_bar_knife_edge(x: float, d1: float) -> float:
-    """P(sup over (d1, 1) of W <= x) by conditioning on W(d1) = w:
-
-        integral over w <= x of phi(w; var d1) * [2*Phi((x-w)/sqrt(1-d1)) - 1].
-
-    Adaptive quadrature to absolute tolerance 1e-8; the w-range is truncated
-    at -10 standard deviations (tail mass < 1e-22).
-    """
-    sd0 = math.sqrt(d1)
-    s = math.sqrt(1.0 - d1)
-    lo = -10.0 * sd0
-    if x <= lo:
-        return 0.0
-
-    def integrand(w):
-        dens = math.exp(-0.5 * (w / sd0) ** 2) / (sd0 * _SQRT2PI)
-        return dens * (2.0 * special.ndtr((x - w) / s) - 1.0)
-
-    pts = [p for p in (x - 5.0 * s, 0.0) if lo < p < x]
-    val, _ = integrate.quad(integrand, lo, x, epsabs=1e-8, limit=200,
-                            points=pts or None)
-    return min(max(val, 0.0), 1.0)
-
-
 def limit_cdf_upper(x, law: LimitLaw):
     """Psi_bar(x): distribution function of the limiting Brownian supremum.
 
-    Regime I: Phi(x). Regime II: P(sup over (d1, 1) of W <= x) by quadrature.
-    Regime III: 0 for x < 0 and 2*Phi(x) - 1 for x >= 0. Accepts scalars or
-    arrays.
+    Regime I: Phi(x). Regime III: 0 for x < 0 and 2*Phi(x) - 1 for x >= 0.
+    Regime II: P(sup over (d1, 1) of W <= x) in closed form,
+
+        Psi_bar(x) = Phi(x) - 2*T(x, sqrt((1 - d1)/d1)),
+
+    with T Owen's T function (Owen 1956, Ann. Math. Statist. 27). By the
+    reflection principle, Psi_bar(x) = 2*Phi2(x/sqrt(d1), x; sqrt(d1))
+    - Phi(x/sqrt(d1)), Phi2 the standard bivariate normal CDF with the
+    correlation sqrt(d1) of W(d1) and W(1); Owen's identity for Phi2 leaves
+    one T term, as the other has argument 0. The formula tends to regime I
+    as d1 -> 1 and to regime III as d1 -> 0, and Psi_bar(0) =
+    asin(sqrt(d1))/pi. Accepts scalars or arrays.
     """
     arr = np.asarray(x, dtype=float)
     if law.variant == "I":
@@ -240,7 +224,9 @@ def limit_cdf_upper(x, law: LimitLaw):
     elif law.variant == "III":
         out = np.where(arr < 0.0, 0.0, 2.0 * special.ndtr(arr) - 1.0)
     else:
-        out = np.vectorize(lambda xi: _psi_bar_knife_edge(xi, law.d1))(arr)
+        a = math.sqrt((1.0 - law.d1) / law.d1)
+        out = np.clip(special.ndtr(arr) - 2.0 * special.owens_t(arr, a),
+                      0.0, 1.0)
     return float(out) if np.isscalar(x) else out
 
 

@@ -32,10 +32,10 @@ _GENERATE_KEYS = {
     "m": int, "length": int,
 }
 _SIMULATE_KEYS = {
-    "m": int, "gamma": float, "alpha": float, "side": str, "detector": str,
+    "m": int, "gamma": float, "alpha": float, "side": str,
     "delta": float, "mu": float, "theta": float, "beta_exp": float,
     "kstar": int, "horizon_factor": float, "reps": int, "seed": int,
-    "grid": int, "omega": float, "alpha_garch": float, "beta_garch": float,
+    "omega": float, "alpha_garch": float, "beta_garch": float,
     "burn_in": int, "c_page": float, "c_q": float,
 }
 
@@ -191,7 +191,6 @@ def _cmd_simulate(args) -> int:
     params = MonitoringParams(
         m=m, gamma=cfg.get("gamma", 0.0), alpha=cfg.get("alpha", 0.1),
         side=cfg.get("side", "one_sided"),
-        detector=cfg.get("detector", "page"),
         horizon_factor=cfg.get("horizon_factor", 20.0))
     if "kstar" in cfg:
         _require("beta_exp" not in cfg,
@@ -222,10 +221,7 @@ def _cmd_density(args) -> int:
                                                    points=args.points)
     _require(len(densities) > 0, "no stopped replications to estimate from")
     os.makedirs(args.out, exist_ok=True)
-    for name, est in densities.items():
-        fname = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",
-                 "nu_tilde": "density_tilde.csv"}[name]
-        experiments.write_density_csv(est, os.path.join(args.out, fname))
+    experiments.write_densities(densities, args.out)
     print(f"wrote {len(densities)} density files to {args.out}")
     return 0
 

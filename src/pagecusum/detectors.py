@@ -82,27 +82,25 @@ class DetectorState:
 
     q is Q(m, k); q_min / q_max are the running extremes of Q(m, i) over
     0 <= i <= k (Q(m, 0) = 0 participates, so q_min <= 0 <= q_max).
-    comp carries the Kahan compensation of the q accumulation so that very
-    long streams do not drift.
     """
 
     k: int = 0
     q: float = 0.0
     q_min: float = 0.0
     q_max: float = 0.0
-    comp: float = 0.0
 
 
 def step_detector(state: DetectorState, x_new: float,
                   training: TrainingSummary) -> DetectorState:
-    """Advance the detector by one observation (compensated summation)."""
-    term = (x_new - training.mean) - state.comp
-    q = state.q + term
-    comp = (q - state.q) - term
+    """Advance the detector by one observation.
+
+    q adds the centered observations in the order of scan_chunk's cumsum, so
+    the lazy and array paths of run_monitor give the same bits.
+    """
+    q = state.q + (x_new - training.mean)
     return DetectorState(k=state.k + 1, q=q,
                          q_min=min(state.q_min, q),
-                         q_max=max(state.q_max, q),
-                         comp=comp)
+                         q_max=max(state.q_max, q))
 
 
 def detector_stat(state: DetectorState, params: MonitoringParams) -> float:

@@ -181,7 +181,7 @@ def kde(samples, grid_lo: float, grid_hi: float,
 
     Falls back to 0.9*sd*n**(-1/5) when the IQR is zero. Rejects samples with
     zero spread. The grid must cover (essentially) all the mass for the
-    density to integrate to ~1 over it.
+    density's area over it to be ~1.
     """
     x = np.asarray(samples, dtype=float)
     _require(x.ndim == 1 and x.size >= 2, "need at least 2 samples")
@@ -320,6 +320,16 @@ def write_density_csv(est: DensityEstimate, path) -> None:
             writer.writerow([repr(float(x)), repr(float(d))])
 
 
+_DENSITY_FILES = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",
+                  "nu_tilde": "density_tilde.csv"}
+
+
+def write_densities(densities, out_dir) -> None:
+    """Write each estimate of densities_from_records to its density_*.csv."""
+    for name, est in densities.items():
+        write_density_csv(est, os.path.join(out_dir, _DENSITY_FILES[name]))
+
+
 def densities_from_records(records, points: int = 401):
     """KDE estimates for nu_page / nu_q / nu_tilde, skipping no-stop records."""
     out = {}
@@ -334,18 +344,14 @@ def densities_from_records(records, points: int = 401):
 
 def simulate_to_dir(params: MonitoringParams, scenario: ChangeScenario,
                     garch: Garch11Spec, reps: int, c_page: float, c_q: float,
-                    seed: int, out_dir, mu: float = 0.0, threads: int = 1,
-                    density_points: int = 401) -> dict:
+                    seed: int, out_dir, mu: float = 0.0,
+                    threads: int = 1) -> dict:
     """Full replication study: records.csv, density_*.csv and meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     records = run_replications(params, scenario, garch, reps, c_page, c_q,
                                seed, mu=mu, threads=threads)
     write_records_csv(records, os.path.join(out_dir, "records.csv"))
-    densities = densities_from_records(records, points=density_points)
-    for name, est in densities.items():
-        fname = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",
-                 "nu_tilde": "density_tilde.csv"}[name]
-        write_density_csv(est, os.path.join(out_dir, fname))
+    write_densities(densities_from_records(records), out_dir)
     norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
     norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
     meta = {

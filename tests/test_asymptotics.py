@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from pagecusum import (ChangeScenario, LimitLaw, ValidationError, compute_N,
                        compute_b_m, compute_d2, compute_normalization,
@@ -33,6 +33,28 @@ def sample_sup_after(d1, n_paths, seed, cells=16):
     u = rng.random((n_paths, cells))
     cell_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * h * np.log(u)))
     return cell_max.max(axis=1)
+
+
+def psi_bar_by_quadrature(x, d1):
+    """Reference Psi_bar for regime II: condition on W(d1) = w, so that
+    P(sup over (d1, 1) of W <= x) = integral over w <= x of
+    phi(w; var d1) * (2*Phi((x - w)/sqrt(1 - d1)) - 1)."""
+    sd, s = math.sqrt(d1), math.sqrt(1.0 - d1)
+    lo = -10.0 * sd  # tail mass below is < 1e-22
+    if x <= lo:
+        return 0.0
+
+    def integrand(w):
+        dens = math.exp(-0.5 * (w / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        return dens * (2.0 * special.ndtr((x - w) / s) - 1.0)
+
+    pts = [p for p in (x - 5.0 * s, 0.0) if lo < p < x]
+    val, _ = integrate.quad(integrand, lo, x, epsabs=1e-10, limit=200,
+                            points=pts or None)
+    return val
+
+
+KNIFE_EDGE_D1 = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
 
 
 class TestSolveAm:
@@ -299,6 +321,39 @@ class TestLimitCdfs:
             cdf = limit_cdf(xs, law)
             assert np.all(np.diff(cdf) >= -1e-12)
 
+    @pytest.mark.parametrize("d1", KNIFE_EDGE_D1)
+    def test_case_two_closed_form_matches_quadrature(self, d1):
+        law = LimitLaw.for_variant("II", d1=d1)
+        xs = np.linspace(-8.0, 8.0, 321)
+        ref = np.array([psi_bar_by_quadrature(x, d1) for x in xs])
+        assert np.max(np.abs(limit_cdf_upper(xs, law) - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("d1", KNIFE_EDGE_D1)
+    def test_case_two_at_zero_is_arcsine(self, d1):
+        # asin(sqrt(d1)) loses digits as d1 -> 1 (slope ~ 1/sqrt(1 - d1))
+        law = LimitLaw.for_variant("II", d1=d1)
+        assert limit_cdf_upper(0.0, law) == pytest.approx(
+            math.asin(math.sqrt(d1)) / math.pi, abs=1e-13)
+
+    @pytest.mark.parametrize("d1, variant", [(1.0 - 1e-12, "I"),
+                                             (1e-12, "III")])
+    def test_case_two_tends_to_cases_one_and_three(self, d1, variant):
+        xs = np.linspace(-8.0, 8.0, 321)
+        gap = limit_cdf_upper(xs, LimitLaw.for_variant("II", d1=d1)) \
+            - limit_cdf_upper(xs, LimitLaw.for_variant(variant))
+        assert np.max(np.abs(gap)) <= 1e-6
+
+    def test_array_input_equals_scalar_input(self):
+        xs = np.linspace(-5.0, 5.0, 41)
+        for law in (LimitLaw.for_variant("I"),
+                    LimitLaw.for_variant("II", d1=0.3714),
+                    LimitLaw.for_variant("III")):
+            scalars = [limit_cdf_upper(float(x), law) for x in xs]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(limit_cdf_upper(xs, law), scalars)
+            assert np.array_equal(limit_cdf(xs, law),
+                                  [limit_cdf(float(x), law) for x in xs])
+
     def test_case_two_quadrature_matches_exact_mc_oracle(self):
         d1 = solve_d1(1.6925, 1.0, 1.0, 0.0)
         law = LimitLaw.for_variant("II", d1=d1)
@@ -311,7 +366,7 @@ class TestLimitCdfs:
     def test_case_two_degenerate_interval_approaches_normal(self):
         # as d1 -> 1 the supremum interval collapses and the law tends to Phi;
         # at d1 = 0.9999 the exact gap is ~0.0019 (phi(1)*E[sup of a short
-        # bridge]), which the quadrature must reproduce
+        # bridge]), which the closed form must reproduce
         law = LimitLaw.for_variant("II", d1=0.999999)
         assert limit_cdf_upper(1.0, law) == \
             pytest.approx(stats.norm.cdf(1.0), abs=1e-3)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pagecusum
 from pagecusum.cli import dispatch
 from pagecusum.wiener import CriticalValueEstimate, save_estimate
 
@@ -16,6 +20,16 @@ def run_cli(capsys, *argv):
 def write_series(path, values, header=True):
     lines = (["x"] if header else []) + [repr(float(v)) for v in values]
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_import_leaves_out_scipy_integrate():
+    # every CLI call pays for what `import pagecusum` pulls in
+    code = "import sys, pagecusum; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(pagecusum.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 class TestLimitCdfCommand:
@@ -248,6 +262,14 @@ class TestSimulateCommand:
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["c_page"] == 2.5
         assert meta["c_q"] == pytest.approx(1.64485)  # falls back to reference
+
+    @pytest.mark.parametrize("line", ["grid = 500", "detector = page"])
+    def test_unused_keys_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + line + "\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--out", str(tmp_path / "out"))
+        assert code == 2 and "unknown key" in err
 
     def test_delta_zero_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
