@@ -40,7 +40,7 @@ def _check_common(c, m, kstar, delta, sigma, gamma):
 
 
 def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
-              gamma: float = 0.0, max_iter: int = 200) -> float:
+              gamma: float = 0.0) -> float:
     """Centering sequence a_m(c); always >= kstar.
 
     gamma = 0 has the closed form sigma*c*sqrt(m)/|delta| + kstar. Otherwise
@@ -56,7 +56,7 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
         return K + kstar
     p = 1.0 / (1.0 - gamma)
     x = max(float(kstar), K ** p)
-    for _ in range(max_iter):
+    for _ in range(200):
         x_next = (K + kstar / x ** gamma) ** p
         if abs(x_next - x) <= 1e-12 * x_next:
             return x_next
@@ -165,11 +165,9 @@ class AsymptoticNormalization:
 
 
 def compute_normalization(c: float, m: int, scenario: ChangeScenario,
-                          gamma: float, delta_regime: str = "fixed",
-                          rate: float = 0.0) -> AsymptoticNormalization:
+                          gamma: float) -> AsymptoticNormalization:
     """Assemble a_m, b_m and the regime label for one scenario."""
-    case = classify_case(scenario, gamma, delta_regime=delta_regime,
-                         rate=rate, c=c)
+    case = classify_case(scenario, gamma, c=c)
     a = solve_a_m(c, m, scenario.kstar, scenario.delta, scenario.sigma, gamma)
     res = a_m_residual(a, c, m, scenario.kstar, scenario.delta,
                        scenario.sigma, gamma)

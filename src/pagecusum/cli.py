@@ -25,18 +25,30 @@ from .rng import rng_stream
 
 _SIDE_FLAG = {"one": "one_sided", "two": "two_sided"}
 
+
+def _finite(text: str) -> float:
+    """float(text) for flags and config values; nan and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # config schemas: key -> caster
 _GENERATE_KEYS = {
-    "omega": float, "alpha": float, "beta": float, "burn_in": int,
-    "mu": float, "delta": float, "theta": float, "beta_exp": float,
+    "omega": _finite, "alpha": _finite, "beta": _finite, "burn_in": int,
+    "mu": _finite, "delta": _finite, "theta": _finite, "beta_exp": _finite,
     "m": int, "length": int,
 }
 _SIMULATE_KEYS = {
-    "m": int, "gamma": float, "alpha": float, "side": str,
-    "delta": float, "mu": float, "theta": float, "beta_exp": float,
-    "kstar": int, "horizon_factor": float, "reps": int, "seed": int,
-    "omega": float, "alpha_garch": float, "beta_garch": float,
-    "burn_in": int, "c_page": float, "c_q": float,
+    "m": int, "gamma": _finite, "alpha": _finite, "side": str,
+    "delta": _finite, "mu": _finite, "theta": _finite, "beta_exp": _finite,
+    "kstar": int, "horizon_factor": _finite, "reps": int, "seed": int,
+    "omega": _finite, "alpha_garch": _finite, "beta_garch": _finite,
+    "burn_in": int, "c_page": _finite, "c_q": _finite,
 }
 
 
@@ -55,7 +67,7 @@ def _read_config(path, schema) -> dict:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
             try:
                 cfg[key] = schema[key](val)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValidationError(
                     f"{path}:{lineno}: bad value for '{key}': {exc}") from None
     return cfg
@@ -87,14 +99,9 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _side_from_flag(flag: str) -> str:
-    _require(flag in _SIDE_FLAG, "side must be 'one' or 'two'")
-    return _SIDE_FLAG[flag]
-
-
 def _cmd_critvals(args) -> int:
     est = wiener.estimate_critical_value(
-        gamma=args.gamma, alpha=args.alpha, side=_side_from_flag(args.side),
+        gamma=args.gamma, alpha=args.alpha, side=_SIDE_FLAG[args.side],
         detector=args.detector, reps=args.reps, T=args.grid, seed=args.seed,
         threads=args.threads)
     if args.out:
@@ -231,7 +238,7 @@ def _cmd_monitor(args) -> int:
     stream = _read_series_csv(args.stream)
     params = MonitoringParams(m=train.size, gamma=args.gamma,
                               alpha=args.alpha,
-                              side=_side_from_flag(args.side),
+                              side=_SIDE_FLAG[args.side],
                               detector=args.detector,
                               horizon_factor=args.horizon_factor)
     c = args.critical_value
@@ -269,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critvals",
                        help="simulate a critical value c(gamma, alpha)")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--side", choices=("one", "two"), default="one")
     p.add_argument("--detector", choices=("page", "ordinary"), default="page")
     p.add_argument("--reps", type=int, default=100_000)
@@ -284,21 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics",
                        help="centering/scaling sequences and regime label")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--kstar", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--x", type=float, default=None,
+    p.add_argument("--theta", type=_finite, default=None)
+    p.add_argument("--beta", type=_finite, default=None)
+    p.add_argument("--delta", type=_finite, required=True)
+    p.add_argument("--sigma", type=_finite, default=1.0)
+    p.add_argument("--c", type=_finite, required=True)
+    p.add_argument("--x", type=_finite, default=None,
                    help="also report the delay-quantile index N(m, x)")
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("limit-cdf", help="limit CDF of the normalized delay")
     p.add_argument("--case", choices=("I", "II", "III"), required=True)
-    p.add_argument("--d1", type=float, default=None)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--d1", type=_finite, default=None)
+    p.add_argument("--x", type=_finite, required=True)
     p.set_defaults(func=_cmd_limit_cdf)
 
     p = sub.add_parser("generate",
@@ -329,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="run one monitoring pass over CSV data")
     p.add_argument("--train", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--gamma", type=_finite, default=0.0)
+    p.add_argument("--alpha", type=_finite, default=0.1)
     p.add_argument("--side", choices=("one", "two"), default="one")
     p.add_argument("--detector", choices=("page", "ordinary"), default="page")
-    p.add_argument("--critical-value", type=float, default=None)
-    p.add_argument("--horizon-factor", type=float, default=20.0)
+    p.add_argument("--critical-value", type=_finite, default=None)
+    p.add_argument("--horizon-factor", type=_finite, default=20.0)
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_monitor)
 
     p = sub.add_parser("table1",
                        help="normalization table over the canonical scenarios")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=_finite, default=0.1)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import CHUNK
 from .model import MonitoringParams, ValidationError, _require
 
 
@@ -188,14 +189,21 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     return np.where(hit[np.arange(hit.shape[0]), j], j, -1)
 
 
+def _thresholds(training: TrainingSummary, params: MonitoringParams,
+                c: float, k0: int, n: int) -> np.ndarray:
+    """sigma_hat * c * g(m, k) for k = k0+1 .. k0+n; g is elementwise, so
+    any split of the indices gives the same bits."""
+    return training.sigma_hat * c * boundary_g(
+        params.m, np.arange(k0 + 1, k0 + n + 1), params.gamma)
+
+
 def _scan_array(x: np.ndarray, training: TrainingSummary,
                 params: MonitoringParams, c: float):
     """First-crossing scan over a fully materialized stream: the chunk
     kernel on one row and one chunk."""
     (stat,) = scan_chunk(x[None, :], np.array([training.mean]), ScanCarry(1),
                          params.side, (params.detector,))
-    k = np.arange(1, x.size + 1)
-    thresh = training.sigma_hat * c * boundary_g(params.m, k, params.gamma)
+    thresh = _thresholds(training, params, c, 0, x.size)
     j = int(first_crossings(stat, thresh[None, :])[0])
     if j < 0:
         return None, None, None
@@ -239,10 +247,12 @@ def run_monitor(training, stream, params: MonitoringParams, c: float,
         if not math.isfinite(x_new):
             raise ValidationError(
                 f"stream value {state.k + 1} is not finite: {x_new}")
+        if state.k % CHUNK == 0:
+            block = _thresholds(summary, params, c, state.k,
+                                min(CHUNK, horizon - state.k)).tolist()
         state = step_detector(state, x_new, summary)
         stat = detector_stat(state, params)
-        thresh = summary.sigma_hat * c * boundary_g(params.m, state.k,
-                                                    params.gamma)
+        thresh = block[(state.k - 1) % CHUNK]
         if record_path:
             path.append((state.k, stat, thresh))
         if stat >= thresh:

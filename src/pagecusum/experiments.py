@@ -223,9 +223,9 @@ TABLE1_COLUMNS = ("rule", "gamma", "m", "kstar", "a_page", "b_page",
 
 def emit_table1(alpha: float, gammas, scenarios, m_values,
                 c_page_by_gamma: dict, c_q_by_gamma: dict,
-                delta: float = 1.0, sigma: float = 1.0,
                 out_path=None) -> list[dict]:
-    """Normalization table rows for both stopping rules.
+    """Normalization table rows for both stopping rules, for a unit shift
+    and unit noise scale (delta = sigma = 1).
 
     scenarios is a sequence of (label, kind, value, applicable_gammas) rules
     (kind "fixed": kstar = value; kind "power": kstar = floor(m**value)), or
@@ -248,8 +248,8 @@ def emit_table1(alpha: float, gammas, scenarios, m_values,
                        "kstar": kstar}
                 for tag, c in (("page", c_page_by_gamma[gamma]),
                                ("q", c_q_by_gamma[gamma])):
-                    a = solve_a_m(c, m, kstar, delta, sigma, gamma)
-                    b = compute_b_m(a, delta, sigma, gamma, kstar)
+                    a = solve_a_m(c, m, kstar, 1.0, 1.0, gamma)
+                    b = compute_b_m(a, 1.0, 1.0, gamma, kstar)
                     row[f"a_{tag}"] = a
                     row[f"b_{tag}"] = b
                 rows.append(row)
@@ -306,12 +306,6 @@ def read_records_csv(path) -> list[ReplicationRecord]:
     return records
 
 
-def _density_grid(values):
-    lo = float(np.min(values)) - 1.0
-    hi = float(np.max(values)) + 1.0
-    return lo, hi
-
-
 def write_density_csv(est: DensityEstimate, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -337,8 +331,8 @@ def densities_from_records(records, points: int = 401):
         vals = np.array([getattr(r, name) for r in records
                          if getattr(r, name) is not None])
         if vals.size >= 2 and vals.std(ddof=1) > 0.0:
-            lo, hi = _density_grid(vals)
-            out[name] = kde(vals, lo, hi, points)
+            out[name] = kde(vals, float(vals.min()) - 1.0,
+                            float(vals.max()) + 1.0, points)
     return out
 
 
@@ -347,9 +341,9 @@ def simulate_to_dir(params: MonitoringParams, scenario: ChangeScenario,
                     seed: int, out_dir, mu: float = 0.0,
                     threads: int = 1) -> dict:
     """Full replication study: records.csv, density_*.csv and meta.json."""
-    os.makedirs(out_dir, exist_ok=True)
     records = run_replications(params, scenario, garch, reps, c_page, c_q,
                                seed, mu=mu, threads=threads)
+    os.makedirs(out_dir, exist_ok=True)
     write_records_csv(records, os.path.join(out_dir, "records.csv"))
     write_densities(densities_from_records(records), out_dir)
     norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)

@@ -8,7 +8,7 @@ is the change time and gamma the boundary tuning parameter:
     II  (eta = 0, knife edge):    limit is a Brownian supremum over (d1, 1),
     III (eta > 0, late change):   limit is a Brownian supremum over (0, 1).
 
-For shifts decaying like m**(-r) the same trichotomy applies to eta - r.
+A local shift delta * m**(-rate), rate > 0, is classified by eta - rate.
 """
 
 import math
@@ -60,7 +60,8 @@ class MonitoringParams:
         _require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
         _require(self.side in SIDES, f"side must be one of {SIDES}")
         _require(self.detector in DETECTORS, f"detector must be one of {DETECTORS}")
-        _require(self.horizon_factor > 0.0, "horizon_factor must be positive")
+        _require(0.0 < self.horizon_factor < math.inf,
+                 "horizon_factor must be positive and finite")
 
     @property
     def horizon(self) -> int:
@@ -88,8 +89,8 @@ class ChangeScenario:
     theta and beta record how kstar scales with the training length
     (kstar = floor(theta * m**beta)); scenarios built from an explicit kstar
     use beta = 0 and theta = kstar. sigma is the long-run noise scale of the
-    errors. c_tilde1 / c1 optionally override the limit constants of the
-    knife-edge regime (by default they are inferred from delta and theta).
+    errors. delta is the shift itself; a shift that shrinks with m is
+    described by the rate passed to classify_case, not by the scenario.
     """
 
     delta: float
@@ -97,34 +98,29 @@ class ChangeScenario:
     sigma: float = 1.0
     theta: float = 1.0
     beta: float = 0.0
-    c_tilde1: float | None = None
-    c1: float | None = None
 
     def __post_init__(self):
-        _require(self.delta != 0.0, "delta must be nonzero")
+        _require(math.isfinite(self.delta) and self.delta != 0.0,
+                 "delta must be finite and nonzero")
         _require(int(self.kstar) == self.kstar and self.kstar >= 1,
                  "kstar must be a positive integer")
         _require(self.sigma > 0.0, "sigma must be positive")
         _require(self.theta > 0.0, "theta must be positive")
         _require(0.0 <= self.beta < 1.0, "beta must lie in [0, 1)")
-        if self.c_tilde1 is not None:
-            _require(self.c_tilde1 > 0.0, "c_tilde1 must be positive")
-        if self.c1 is not None:
-            _require(self.c1 > 0.0, "c1 must be positive")
 
     @classmethod
     def from_exponent(cls, delta: float, theta: float, beta: float, m: int,
-                      sigma: float = 1.0, **kwargs) -> "ChangeScenario":
+                      sigma: float = 1.0) -> "ChangeScenario":
         """Scenario with kstar resolved from (theta, beta) at training length m."""
         return cls(delta=delta, kstar=resolve_kstar(theta, beta, m),
-                   sigma=sigma, theta=theta, beta=beta, **kwargs)
+                   sigma=sigma, theta=theta, beta=beta)
 
     @classmethod
-    def at_kstar(cls, delta: float, kstar: int, sigma: float = 1.0,
-                 **kwargs) -> "ChangeScenario":
+    def at_kstar(cls, delta: float, kstar: int,
+                 sigma: float = 1.0) -> "ChangeScenario":
         """Scenario with a fixed change time (beta = 0, theta = kstar)."""
         return cls(delta=delta, kstar=kstar, sigma=sigma,
-                   theta=float(kstar), beta=0.0, **kwargs)
+                   theta=float(kstar), beta=0.0)
 
 
 def validate_scenario(scenario: ChangeScenario, m: int) -> None:
@@ -178,36 +174,25 @@ class CaseLabel:
             _require(self.d1 is None, "d1 applies to regime II only")
 
 
-def classify_case(scenario: ChangeScenario, gamma: float,
-                  delta_regime: str = "fixed", rate: float = 0.0,
-                  c: float | None = None) -> CaseLabel:
+def classify_case(scenario: ChangeScenario, gamma: float, *,
+                  rate: float = 0.0, c: float | None = None) -> CaseLabel:
     """Classify a scenario into regime I, II or III.
 
-    delta_regime "fixed" means the shift does not shrink with m; "local_rate"
-    means delta_m = delta * m**(-rate) with rate >= 0. The decision is the
-    sign of eta (fixed) or eta - rate (local), with |.| < ETA_TOL treated as
-    the knife edge. For regime II the constant c1 = theta**(1-gamma) *
-    c_tilde1 is reported, and d1 is solved when a critical value c is given.
+    rate 0 means a fixed shift delta; rate > 0 a local shift
+    delta_m = delta * m**(-rate). The decision is the sign of eta - rate,
+    with |eta - rate| < ETA_TOL treated as the knife edge. For regime II the
+    constant c1 = theta**(1-gamma) * |delta| is reported, and d1 is solved
+    when a critical value c is given.
 
     The variant never depends on theta (theta only rescales c1), and for a
     fixed shift every beta < (1/2-gamma)/(1-gamma) lands in regime I.
     """
-    _require(delta_regime in ("fixed", "local_rate"),
-             "delta_regime must be 'fixed' or 'local_rate'")
-    if delta_regime == "fixed":
-        _require(rate == 0.0, "rate applies to delta_regime='local_rate' only")
-    else:
-        _require(rate >= 0.0, "rate must be >= 0")
+    _require(rate >= 0.0, "rate must be >= 0")
     eta = compute_eta(gamma, scenario.beta)
     effective = eta - rate
     if abs(effective) < ETA_TOL:
-        c_tilde1 = scenario.c_tilde1
-        if c_tilde1 is None:
-            # m**eta * |delta_m| -> |delta| for both supported shift regimes
-            c_tilde1 = abs(scenario.delta)
-        c1 = scenario.c1
-        if c1 is None:
-            c1 = scenario.theta ** (1.0 - gamma) * c_tilde1
+        # m**eta * |delta_m| -> |delta| for fixed and local shifts alike
+        c1 = scenario.theta ** (1.0 - gamma) * abs(scenario.delta)
         _require(c1 > 0.0, "regime II requires a positive limit constant c1")
         d1 = None
         if c is not None:

@@ -4,6 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .model import _require
+
 _UINT64 = 1 << 64
 
 # stream index reserved for bootstrap resampling inside estimate_critical_value;
@@ -24,12 +26,14 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _map_blocks(fn, blocks, threads: int) -> list:
-    """[fn(b) for b in blocks], over `threads` worker processes when > 1.
+    """[fn(b) for b in blocks], over min(threads, len(blocks)) processes.
 
     Each block draws from its own streams, so the result, in block order, is
     the same for any thread count.
     """
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    _require(threads >= 1, "threads must be >= 1")
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, blocks))
     return [fn(b) for b in blocks]

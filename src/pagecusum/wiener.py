@@ -86,8 +86,6 @@ def _functional_batch(w: np.ndarray, gamma: float, side: str,
         r_max = np.maximum.accumulate(r, axis=1)
         dev = np.maximum(dev, (1.0 - t[:-1]) * r_max[:, 1:] - w[:, :-1])
     last = np.abs(w[:, -1]) if side == "two_sided" else w[:, -1]
-    if T == 1:
-        return last
     return np.maximum((dev * weight[:-1]).max(axis=1), last)
 
 
@@ -169,12 +167,11 @@ class CriticalValueEstimate:
 def estimate_critical_value(gamma: float, alpha: float, side: str,
                             detector: str, reps: int = 100_000,
                             T: int = 10_000, seed: int = 0,
-                            threads: int = 1,
-                            n_boot: int = 200) -> CriticalValueEstimate:
+                            threads: int = 1) -> CriticalValueEstimate:
     """Empirical (1-alpha)-quantile of the chosen functional over reps paths.
 
     The quantile uses linear interpolation of order statistics (type 7); the
-    standard error comes from a nonparametric bootstrap with n_boot resamples
+    standard error comes from a nonparametric bootstrap with 200 resamples
     drawn from a dedicated RNG stream. Deterministic given (seed, reps, T)
     for any thread count.
     """
@@ -184,8 +181,8 @@ def estimate_critical_value(gamma: float, alpha: float, side: str,
                                       threads=threads)
     c = float(np.quantile(vals, 1.0 - alpha))
     boot_rng = rng_stream(seed, BOOTSTRAP_STREAM)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(200)
+    for b in range(200):
         idx = boot_rng.integers(0, reps, size=reps)
         boots[b] = np.quantile(vals[idx], 1.0 - alpha)
     std_err = float(boots.std(ddof=1))

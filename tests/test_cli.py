@@ -319,3 +319,30 @@ class TestDispatch:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "table1")
         assert code == 2
+
+
+ASYM = ["asymptotics", "--m", "100", "--kstar", "1", "--c", "1.9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-cdf", "--case", "I", "--x", "nan"],
+    ASYM + ["--gamma", "0", "--delta", "1", "--x", "nan"],
+    ASYM + ["--gamma", "0", "--delta", "inf"],
+    ASYM + ["--gamma", "0.25", "--delta", "nan"],
+    ["monitor", "--train", "{train}", "--stream", "{stream}",
+     "--horizon-factor", "inf"],
+    ["simulate", "--config", "{sim}", "--out", "{out}"],
+    ["generate", "--spec", "{gen}", "--out", "{out}"],
+])
+def test_non_finite_flag_or_config_value_exits_2(capsys, tmp_path, argv):
+    rng = np.random.default_rng(5)
+    paths = {name: str(tmp_path / name)
+             for name in ("train", "stream", "sim", "gen", "out")}
+    write_series(tmp_path / "train", rng.standard_normal(50))
+    write_series(tmp_path / "stream", rng.standard_normal(30))
+    (tmp_path / "sim").write_text(SIM_CONFIG.replace(
+        "horizon_factor = 4", "horizon_factor = inf"))
+    (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG.replace(
+        "delta = 1.0", "delta = nan"))
+    code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""

@@ -9,6 +9,8 @@ from pagecusum import (DegenerateTrainingError, DetectorState,
                        MonitoringParams, TrainingSummary, ValidationError,
                        boundary_g, detector_stat, rng_stream, run_monitor,
                        step_detector, summarize_training)
+from pagecusum import detectors
+from pagecusum.datagen import CHUNK
 
 
 def brute_force_q(train, stream, k):
@@ -224,6 +226,36 @@ class TestRunMonitor:
         k, stat, thr = res.detector_path[-1]
         assert k == res.tau and stat >= thr
 
+    def test_lazy_thresholds_equal_the_vectorized_schedule(self):
+        rng = rng_stream(21, 0)
+        train = rng.standard_normal(1000)
+        stream = rng.standard_normal(3000)
+        params = MonitoringParams(m=1000, gamma=0.25, horizon_factor=3.0)
+        res = run_monitor(train, iter(stream.tolist()), params, c=50.0,
+                          record_path=True)
+        assert not res.stopped
+        sigma_hat = summarize_training(train).sigma_hat
+        expected = sigma_hat * 50.0 * boundary_g(1000, np.arange(1, 3001),
+                                                 0.25)
+        assert [thr for _, _, thr in res.detector_path] == expected.tolist()
+
+    def test_lazy_run_evaluates_the_boundary_once_per_chunk(self,
+                                                            monkeypatch):
+        calls = []
+
+        def counting(m, k, gamma):
+            calls.append(np.size(k))
+            return boundary_g(m, k, gamma)
+
+        monkeypatch.setattr(detectors, "boundary_g", counting)
+        train, _ = self.make_data(15)
+        params = MonitoringParams(m=50, horizon_factor=30.0)
+        stream = rng_stream(15, 1).standard_normal(params.horizon)
+        res = run_monitor(train, iter(stream.tolist()), params, c=100.0)
+        assert not res.stopped
+        assert len(calls) <= math.ceil(params.horizon / CHUNK)
+        assert sum(calls) == params.horizon
+
     def test_generator_consumed_lazily_up_to_horizon(self):
         train, _ = self.make_data(9)
         params = MonitoringParams(m=50, horizon_factor=1.0)
@@ -302,8 +334,9 @@ class TestRunMonitor:
        side=st.sampled_from(["one_sided", "two_sided"]))
 def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
                                             kstar, gamma, detector, side):
-    """Both run_monitor paths add Q(m, k) in the same order, so they stop at
-    the same tau with the same stat bits, whatever the offset and scale."""
+    """Both run_monitor paths add Q(m, k) in the same order and share one
+    threshold schedule, so they stop at the same tau with the same stat and
+    threshold bits, whatever the offset and scale."""
     rng = rng_stream(seed, 0)
     train = offset + scale * rng.standard_normal(m)
     stream = offset + scale * rng.standard_normal(4 * m)
@@ -315,4 +348,4 @@ def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
     assert vec.tau == lazy.tau
     assert vec.stat == lazy.stat
     if vec.stopped:
-        assert vec.threshold == pytest.approx(lazy.threshold, rel=1e-15)
+        assert vec.threshold == lazy.threshold

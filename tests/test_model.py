@@ -20,6 +20,8 @@ class TestMonitoringParams:
         dict(m=100, side="both"),
         dict(m=100, detector="cusum2"),
         dict(m=100, horizon_factor=0.0),
+        dict(m=100, horizon_factor=float("inf")),
+        dict(m=100, horizon_factor=float("nan")),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):
@@ -84,6 +86,9 @@ class TestChangeScenario:
             ChangeScenario(delta=1.0, kstar=0)
         with pytest.raises(ValidationError):
             ChangeScenario(delta=1.0, kstar=1, sigma=0.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                ChangeScenario(delta=bad, kstar=1)
 
     def test_weak_shift_warns(self):
         s = ChangeScenario.at_kstar(0.05, 1)
@@ -129,13 +134,11 @@ class TestClassifyCase:
     def test_local_rate_regimes(self):
         s = ChangeScenario.from_exponent(1.0, 1.0, 0.5, 400)
         eta = compute_eta(0.25, 0.5)
-        assert classify_case(s, 0.25, "local_rate", rate=eta).variant == "II"
-        assert classify_case(s, 0.25, "local_rate", rate=eta + 0.1).variant == "I"
-        assert classify_case(s, 0.25, "local_rate", rate=eta - 0.1).variant == "III"
+        assert classify_case(s, 0.25, rate=eta).variant == "II"
+        assert classify_case(s, 0.25, rate=eta + 0.1).variant == "I"
+        assert classify_case(s, 0.25, rate=eta - 0.1).variant == "III"
 
     def test_regime_flag_validation(self):
         s = ChangeScenario.at_kstar(1.0, 3)
         with pytest.raises(ValidationError):
-            classify_case(s, 0.1, "shrinking")
-        with pytest.raises(ValidationError):
-            classify_case(s, 0.1, "fixed", rate=0.5)
+            classify_case(s, 0.1, rate=-0.1)

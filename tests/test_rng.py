@@ -1,0 +1,56 @@
+import pytest
+
+from pagecusum import ValidationError, rng
+from pagecusum.cli import dispatch
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.started = []
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", FakePool)
+    return FakePool.started
+
+
+@pytest.mark.parametrize("threads, n_blocks, started", [
+    (8, 3, [3]), (2, 5, [2]), (8, 1, []), (1, 4, []),
+])
+def test_workers_capped_at_block_count(fake_pool, threads, n_blocks, started):
+    blocks = list(range(n_blocks))
+    assert rng._map_blocks(lambda b: b * b, blocks, threads) == \
+        [b * b for b in blocks]
+    assert fake_pool == started
+
+
+def test_threads_below_one_rejected(fake_pool, capsys, tmp_path):
+    with pytest.raises(ValidationError, match="threads"):
+        rng._map_blocks(abs, [1, 2], 0)
+    code = dispatch(["critvals", "--gamma", "0", "--alpha", "0.1", "--reps",
+                     "100", "--grid", "10", "--threads", "0"])
+    assert code == 2 and capsys.readouterr().out == ""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("m = 60\ndelta = 1.5\nkstar = 2\nreps = 10\n"
+                   "omega = 0.5\n")
+    out_dir = tmp_path / "out"
+    code = dispatch(["simulate", "--config", str(cfg), "--out", str(out_dir),
+                     "--threads", "0"])
+    assert code == 2 and capsys.readouterr().out == ""
+    assert not out_dir.exists()  # a rejected study leaves no directory
+    assert fake_pool == []
