@@ -1,20 +1,29 @@
-"""Golden outputs: pinned bytes of the demo-04 late-change study.
+"""Golden outputs: pinned bytes of the demo-04 late-change study and of
+critvals cache files.
 
 tests/golden/late_change_study/ holds the five files demos/04_replication_study.py
 writes. Rerunning its configuration must reproduce them byte for byte, for
 any worker count: any change to data generation, the detector scan or the
 output format that moves a single bit shows here.
+
+tests/golden/critvals/ holds `pagecusum critvals --out` files for gamma in
+{0, 0.45} x {ordinary, page} x {one, two}-sided, at 1000 reps on a grid of
+600 (not a power of two) with seed 17; each names its own configuration.
 """
 
+import json
 import os
 
 import pytest
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        resolve_critical_value, simulate_to_dir)
+from pagecusum.cli import dispatch
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden",
                           "late_change_study")
+CRITVALS_DIR = os.path.join(os.path.dirname(__file__), "golden", "critvals")
+CRITVALS_FILES = sorted(os.listdir(CRITVALS_DIR))
 GOLDEN_FILES = ("density_page.csv", "density_q.csv", "density_tilde.csv",
                 "meta.json", "records.csv")
 
@@ -37,3 +46,29 @@ def test_demo04_late_change_study_matches_golden(tmp_path, threads):
     assert sorted(os.listdir(tmp_path)) == sorted(GOLDEN_FILES)
     for name in GOLDEN_FILES:
         assert _read(tmp_path, name) == _read(GOLDEN_DIR, name), name
+
+
+def test_critvals_golden_covers_both_detectors_sides_and_gammas():
+    configs = set()
+    for name in CRITVALS_FILES:
+        d = json.loads(_read(CRITVALS_DIR, name))
+        configs.add((d["gamma"], d["detector"], d["side"]))
+    assert configs == {(g, det, side) for g in (0.0, 0.45)
+                       for det in ("ordinary", "page")
+                       for side in ("one_sided", "two_sided")}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", CRITVALS_FILES)
+def test_critvals_matches_golden(tmp_path, capsys, name, threads):
+    d = json.loads(_read(CRITVALS_DIR, name))
+    out = tmp_path / name
+    code = dispatch(["critvals", "--gamma", repr(d["gamma"]),
+                     "--alpha", repr(d["alpha"]),
+                     "--side", d["side"].split("_")[0],
+                     "--detector", d["detector"], "--reps", str(d["reps"]),
+                     "--grid", str(d["grid"]), "--seed", str(d["seed"]),
+                     "--threads", str(threads), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _read(tmp_path, name) == _read(CRITVALS_DIR, name)
