@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .model import (CaseLabel, ChangeScenario, ValidationError, _require,
-                    classify_case)
+                    _require_gamma, classify_case)
 
 # relative residual allowed on the fixed point a = K*a**gamma + kstar
 RESIDUAL_BOUND = 1e-10
@@ -36,7 +35,7 @@ def _check_common(c, m, kstar, delta, sigma, gamma):
     _require(kstar >= 1, "kstar must be >= 1")
     _require(delta != 0.0, "delta must be nonzero")
     _require(sigma > 0.0, "sigma must be positive")
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
 
 
 def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
@@ -87,7 +86,7 @@ def compute_b_m(a_m: float, delta: float, sigma: float, gamma: float,
     _require(a_m >= kstar, "a_m must be >= kstar")
     _require(delta != 0.0, "delta must be nonzero")
     _require(sigma > 0.0, "sigma must be positive")
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     return sigma * math.sqrt(a_m) / abs(delta) \
         / (1.0 - gamma * (1.0 - kstar / a_m))
 
@@ -102,7 +101,7 @@ def solve_d1(c: float, sigma: float, c1: float, gamma: float) -> float:
     _require(c > 0.0, "c must be positive")
     _require(sigma > 0.0, "sigma must be positive")
     _require(c1 > 0.0, "c1 must be positive")
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     ratio = c * sigma / c1
     lo, hi = 0.0, 1.0
     mid = 0.5
@@ -124,7 +123,7 @@ def compute_d2(c: float, sigma: float, c1: float, gamma: float,
     (sigma*c/c1 + d1**gamma)**(1/(1-gamma))."""
     _require(0.0 < d1 < 1.0, "d1 must lie in (0, 1)")
     _require(c > 0.0 and sigma > 0.0 and c1 > 0.0, "c, sigma, c1 must be positive")
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     return (sigma * c / c1 + d1 ** gamma) ** (1.0 / (1.0 - gamma))
 
 
@@ -216,6 +215,9 @@ def limit_cdf_upper(x, law: LimitLaw):
     as d1 -> 1 and to regime III as d1 -> 0, and Psi_bar(0) =
     asin(sqrt(d1))/pi. Accepts scalars or arrays.
     """
+    # imported on first use: scipy.special dominates `import pagecusum`
+    from scipy import special
+
     arr = np.asarray(x, dtype=float)
     if law.variant == "I":
         out = special.ndtr(arr)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import CHUNK
-from .model import MonitoringParams, ValidationError, _require
+from .model import (MonitoringParams, ValidationError, _require,
+                    _require_gamma)
 
 
 class DegenerateTrainingError(ValidationError):
@@ -69,7 +70,7 @@ def boundary_g(m: int, k, gamma: float):
     Strictly increasing in k for fixed (m, gamma). Accepts a scalar k or an
     array of monitoring indices.
     """
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     _require(m >= 1, "m must be positive")
     karr = np.asarray(k, dtype=float)
     _require(bool(np.all(karr >= 1)), "k must be >= 1")

@@ -31,6 +31,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _require_gamma(gamma: float) -> None:
+    """The boundary tuning exponent must lie in [0, 0.5)."""
+    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+
+
 @dataclass(frozen=True)
 class MonitoringParams:
     """Configuration of one open-end monitoring run.
@@ -56,7 +61,7 @@ class MonitoringParams:
     def __post_init__(self):
         _require(int(self.m) == self.m and self.m >= 2,
                  "m must be an integer >= 2 (sample variance needs two points)")
-        _require(0.0 <= self.gamma < 0.5, "gamma must lie in [0, 0.5)")
+        _require_gamma(self.gamma)
         _require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
         _require(self.side in SIDES, f"side must be one of {SIDES}")
         _require(self.detector in DETECTORS, f"detector must be one of {DETECTORS}")
@@ -74,7 +79,7 @@ def resolve_kstar(theta: float, beta: float, m: int) -> int:
     Evaluated in plain floating point, so e.g. beta = 1/3, m = 1000 resolves
     to 9 (1000**(1/3) rounds just below 10).
     """
-    _require(theta > 0.0, "theta must be positive")
+    _require(0.0 < theta < math.inf, "theta must be positive and finite")
     _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
     _require(m >= 1, "m must be positive")
     kstar = math.floor(theta * m ** beta)
@@ -104,8 +109,10 @@ class ChangeScenario:
                  "delta must be finite and nonzero")
         _require(int(self.kstar) == self.kstar and self.kstar >= 1,
                  "kstar must be a positive integer")
-        _require(self.sigma > 0.0, "sigma must be positive")
-        _require(self.theta > 0.0, "theta must be positive")
+        _require(0.0 < self.sigma < math.inf,
+                 "sigma must be positive and finite")
+        _require(0.0 < self.theta < math.inf,
+                 "theta must be positive and finite")
         _require(0.0 <= self.beta < 1.0, "beta must lie in [0, 1)")
 
     @classmethod
@@ -139,14 +146,14 @@ def validate_scenario(scenario: ChangeScenario, m: int) -> None:
 
 def compute_eta(gamma: float, beta: float) -> float:
     """Regime exponent eta(gamma, beta) = beta*(1-gamma) - 1/2 + gamma."""
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
     return beta * (1.0 - gamma) - 0.5 + gamma
 
 
 def eta_zero_beta(gamma: float) -> float:
     """The change-time exponent at which eta vanishes: (1/2-gamma)/(1-gamma)."""
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     return (0.5 - gamma) / (1.0 - gamma)
 
 

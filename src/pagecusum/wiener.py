@@ -10,6 +10,13 @@ Critical values c(gamma, alpha) are (1-alpha)-quantiles of these suprema,
 estimated here on a uniform grid of size T. Grid suprema underestimate the
 continuous supremum slightly (the bias shrinks with T and grows with gamma,
 since t**(-gamma) amplifies the missing fine structure near t = 0).
+
+Paths are simulated in blocks of _BLOCK, one Philox stream per path. Each
+path's normals are drawn into one reused row, scaled and summed in place,
+and scored while the row is still in cache, so a worker needs O(T) memory
+rather than O(_BLOCK * T). The values are bit-identical to scoring a whole
+(paths, T) block at once: every elementwise operation and its order are
+kept, and running extremes and maxima are exact in floating point.
 """
 
 import json
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DETECTORS, SIDES, ValidationError, _require
+from .model import DETECTORS, SIDES, ValidationError, _require, _require_gamma
 from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 
 _BLOCK = 256  # paths per work unit; fixed so batching never affects results
@@ -63,39 +70,61 @@ def refine_wiener_path(path: WienerPath, rng: np.random.Generator) -> WienerPath
     return WienerPath(grid_size=2 * T, values=values)
 
 
-def _functional_batch(w: np.ndarray, gamma: float, side: str,
-                      detector: str) -> np.ndarray:
-    """Grid suprema for a (paths, T) array of W values at t = 1/T .. 1."""
-    T = w.shape[1]
-    t = np.arange(1, T + 1) / T
-    weight = t ** (-gamma)
-    if detector == "ordinary":
-        x = np.abs(w) if side == "two_sided" else w
-        return (x * weight).max(axis=1)
+def _functional_values(rows, T: int, gamma: float, side: str,
+                       detector: str) -> np.ndarray:
+    """Grid suprema of each row of T values of W at t = 1/T .. 1.
 
-    # page: factor the inner infimum, inf_s ((1-t)/(1-s)) W(s)
-    #   = (1-t) * running-min of r(s) = W(s)/(1-s) over s = 0 .. (T-1)/T,
-    # evaluated at t = 1/T .. (T-1)/T; at t = 1 only the W(1) term survives.
-    s_frac = np.arange(T) / T
-    r = np.empty_like(w)
-    r[:, 0] = 0.0
-    r[:, 1:] = w[:, :-1] / (1.0 - s_frac[1:])
-    r_min = np.minimum.accumulate(r, axis=1)
-    dev = w[:, :-1] - (1.0 - t[:-1]) * r_min[:, 1:]
-    if side == "two_sided":
-        r_max = np.maximum.accumulate(r, axis=1)
-        dev = np.maximum(dev, (1.0 - t[:-1]) * r_max[:, 1:] - w[:, :-1])
-    last = np.abs(w[:, -1]) if side == "two_sided" else w[:, -1]
-    return np.maximum((dev * weight[:-1]).max(axis=1), last)
+    Each row is scored as soon as `rows` yields it, in a few reused length-T
+    scratch rows; rows are only read. 1 - j/T serves as both 1 - s and
+    1 - t, and at gamma = 0 the weight t**(-gamma) is 1.0, so its multiply,
+    which would change no bit, is skipped.
+
+    page: factor the inner infimum, inf_s ((1-t)/(1-s)) W(s)
+      = (1-t) * running-min of r(s) = W(s)/(1-s) over s = 0 .. (T-1)/T,
+    evaluated at t = 1/T .. (T-1)/T; at t = 1 only the W(1) term survives.
+    """
+    t = np.arange(1, T + 1) / T
+    weight = t ** (-gamma) if gamma else None
+    one_minus = 1.0 - t[:-1]
+    two_sided = side == "two_sided"
+    sup, last = [], []
+    x = np.empty(T)
+    r = np.zeros(T)
+    dev = np.empty(T - 1)
+    dev2 = np.empty(T - 1)
+    for w in rows:
+        last.append(w[-1])
+        if detector == "ordinary":
+            row = np.abs(w, out=x) if two_sided else w
+            if weight is not None:
+                row = np.multiply(row, weight, out=x)
+            sup.append(row.max())
+            continue
+        np.divide(w[:-1], one_minus, out=r[1:])
+        np.minimum.accumulate(r, out=x)
+        np.multiply(one_minus, x[1:], out=dev)
+        np.subtract(w[:-1], dev, out=dev)
+        if two_sided:
+            np.maximum.accumulate(r, out=x)
+            np.multiply(one_minus, x[1:], out=dev2)
+            np.subtract(dev2, w[:-1], out=dev2)
+            np.maximum(dev, dev2, out=dev)
+        if weight is not None:
+            np.multiply(dev, weight[:-1], out=dev)
+        sup.append(dev.max())
+    sup, last = np.array(sup), np.array(last)
+    if detector == "ordinary":
+        return sup
+    return np.maximum(sup, np.abs(last) if two_sided else last)
 
 
 def functional_ordinary(path: WienerPath, gamma: float,
                         side: str = "one_sided") -> float:
     """Grid supremum of W(t)/t**gamma (one-sided) or |W(t)|/t**gamma."""
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
-    return float(_functional_batch(path.values[None, 1:], gamma, side,
-                                   "ordinary")[0])
+    return float(_functional_values([path.values[1:]], path.grid_size, gamma,
+                                    side, "ordinary")[0])
 
 
 def functional_page(path: WienerPath, gamma: float,
@@ -107,22 +136,30 @@ def functional_page(path: WienerPath, gamma: float,
     analogue of the two-sided detector, sup_t t**(-gamma) *
     sup_{s<=t} |W(t) - ((1-t)/(1-s)) W(s)|.
     """
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
-    return float(_functional_batch(path.values[None, 1:], gamma, side,
-                                   "page")[0])
+    return float(_functional_values([path.values[1:]], path.grid_size, gamma,
+                                    side, "page")[0])
 
 
 def _simulate_block(args) -> np.ndarray:
-    """Functional values for paths [start, start + count); order-stable."""
+    """Functional values for paths [start, start + count); order-stable.
+
+    Each path's normals are drawn into one reused row, turned into W in
+    place and scored before the next path is drawn.
+    """
     seed, start, count, T, gamma, side, detector = args
     sqdt = math.sqrt(1.0 / T)
-    w = np.empty((count, T))
-    for i in range(count):
-        z = rng_stream(seed, start + i).standard_normal(T)
-        z *= sqdt
-        np.cumsum(z, out=w[i])
-    return _functional_batch(w, gamma, side, detector)
+    w = np.empty(T)
+
+    def paths():
+        for i in range(count):
+            rng_stream(seed, start + i).standard_normal(out=w)
+            np.multiply(w, sqdt, out=w)
+            np.cumsum(w, out=w)
+            yield w
+
+    return _functional_values(paths(), T, gamma, side, detector)
 
 
 def simulate_functional_values(gamma: float, side: str, detector: str,
@@ -133,7 +170,7 @@ def simulate_functional_values(gamma: float, side: str, detector: str,
     The result depends only on (seed, reps, T, gamma, side, detector), never
     on threads or batching.
     """
-    _require(0.0 <= gamma < 0.5, "gamma must lie in [0, 0.5)")
+    _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
     _require(detector in DETECTORS, f"detector must be one of {DETECTORS}")
     _require(T >= 2, "T must be >= 2")

@@ -22,14 +22,23 @@ def write_series(path, values, header=True):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_import_leaves_out_scipy_integrate():
+def imported_by_pagecusum(module):
+    """Whether `import pagecusum` in a fresh interpreter loads `module`."""
     # every CLI call pays for what `import pagecusum` pulls in
-    code = "import sys, pagecusum; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, pagecusum; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(pagecusum.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_leaves_out_scipy_integrate():
+    assert not imported_by_pagecusum("scipy.integrate")
+
+
+def test_import_leaves_out_scipy_special():
+    assert not imported_by_pagecusum("scipy.special")
 
 
 class TestLimitCdfCommand:

@@ -90,6 +90,20 @@ class TestChangeScenario:
             with pytest.raises(ValidationError, match="finite"):
                 ChangeScenario(delta=bad, kstar=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma_and_theta(self, bad):
+        builders = [
+            lambda: ChangeScenario(delta=1.0, kstar=3, sigma=bad),
+            lambda: ChangeScenario(delta=1.0, kstar=3, theta=bad),
+            lambda: ChangeScenario.at_kstar(1.0, 3, sigma=bad),
+            lambda: ChangeScenario.from_exponent(1.0, 1.0, 0.5, 100,
+                                                 sigma=bad),
+            lambda: ChangeScenario.from_exponent(1.0, bad, 0.5, 100),
+        ]
+        for build in builders:
+            with pytest.raises(ValidationError):
+                build()
+
     def test_weak_shift_warns(self):
         s = ChangeScenario.at_kstar(0.05, 1)
         with pytest.warns(UserWarning, match="too weak"):

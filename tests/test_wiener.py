@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pagecusum import wiener
 from pagecusum import (REFERENCE_CRITICAL_VALUES, ValidationError, WienerPath,
                        estimate_critical_value, functional_ordinary,
                        functional_page, refine_wiener_path,
@@ -13,6 +16,31 @@ from pagecusum.wiener import (CriticalValueEstimate, load_estimate,
 class _ZeroRng:
     def standard_normal(self, n):
         return np.zeros(n)
+
+
+def functional_batch_oracle(w, gamma, side, detector):
+    """The former (paths, T) kernel, kept verbatim as the bitwise reference."""
+    T = w.shape[1]
+    t = np.arange(1, T + 1) / T
+    weight = t ** (-gamma)
+    if detector == "ordinary":
+        x = np.abs(w) if side == "two_sided" else w
+        return (x * weight).max(axis=1)
+
+    # page: factor the inner infimum, inf_s ((1-t)/(1-s)) W(s)
+    #   = (1-t) * running-min of r(s) = W(s)/(1-s) over s = 0 .. (T-1)/T,
+    # evaluated at t = 1/T .. (T-1)/T; at t = 1 only the W(1) term survives.
+    s_frac = np.arange(T) / T
+    r = np.empty_like(w)
+    r[:, 0] = 0.0
+    r[:, 1:] = w[:, :-1] / (1.0 - s_frac[1:])
+    r_min = np.minimum.accumulate(r, axis=1)
+    dev = w[:, :-1] - (1.0 - t[:-1]) * r_min[:, 1:]
+    if side == "two_sided":
+        r_max = np.maximum.accumulate(r, axis=1)
+        dev = np.maximum(dev, (1.0 - t[:-1]) * r_max[:, 1:] - w[:, :-1])
+    last = np.abs(w[:, -1]) if side == "two_sided" else w[:, -1]
+    return np.maximum((dev * weight[:-1]).max(axis=1), last)
 
 
 def brute_force_page(values, gamma, side):
@@ -98,6 +126,47 @@ class TestFunctionals:
                     functional_ordinary(path, gamma) - 1e-12
                 assert functional_page(fine, gamma) >= \
                     functional_page(path, gamma) - 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(T=st.integers(2, 700), n_rows=st.integers(1, 3),
+       gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)),
+       side=st.sampled_from(["one_sided", "two_sided"]),
+       offset=st.floats(-1e6, 1e6), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(T=2, n_rows=2, gamma=0.0, side="two_sided", offset=0.0,
+         log_scale=0.0, seed=0)
+def test_one_pass_kernel_matches_batch_oracle_bitwise(T, n_rows, gamma, side,
+                                                      offset, log_scale, seed):
+    z = np.random.default_rng(seed).standard_normal((n_rows, T))
+    w = offset + 10.0 ** log_scale * np.cumsum(z, axis=1)
+    for detector in ("ordinary", "page"):
+        want = functional_batch_oracle(w, gamma, side, detector)
+        got = wiener._functional_values(iter(w), T, gamma, side, detector)
+        assert got.tobytes() == want.tobytes()
+    for row in w:
+        path = WienerPath(T, np.concatenate([[0.0], row]))
+        ordinary = functional_ordinary(path, gamma, side)
+        page = functional_page(path, gamma, side)
+        want = [functional_batch_oracle(row[None, :], gamma, side, d)[0]
+                for d in ("ordinary", "page")]
+        assert np.array([ordinary, page]).tobytes() == \
+            np.array(want).tobytes()
+        assert page >= ordinary
+
+
+def test_simulation_draws_one_stream_per_path(monkeypatch):
+    calls = []
+
+    def counting_stream(seed, index):
+        calls.append(index)
+        return rng_stream(seed, index)
+
+    monkeypatch.setattr(wiener, "rng_stream", counting_stream)
+    vals = simulate_functional_values(0.25, "two_sided", "page", 300, 16,
+                                      seed=7)
+    assert vals.shape == (300,)
+    assert sorted(calls) == list(range(300))
 
 
 class TestEstimates:
