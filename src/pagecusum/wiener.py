@@ -143,11 +143,7 @@ def functional_page(path: WienerPath, gamma: float,
 
 
 def _simulate_block(args) -> np.ndarray:
-    """Functional values for paths [start, start + count); order-stable.
-
-    Each path's normals are drawn into one reused row, turned into W in
-    place and scored before the next path is drawn.
-    """
+    """Functional values for paths [start, start + count); order-stable."""
     seed, start, count, T, gamma, side, detector = args
     sqdt = math.sqrt(1.0 / T)
     w = np.empty(T)
