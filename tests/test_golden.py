@@ -9,6 +9,9 @@ output format that moves a single bit shows here.
 tests/golden/critvals/ holds `pagecusum critvals --out` files for gamma in
 {0, 0.45} x {ordinary, page} x {one, two}-sided, at 1000 reps on a grid of
 600 (not a power of two) with seed 17; each names its own configuration.
+
+tests/golden/table1/table1.csv is `pagecusum table1 --alpha 0.1 --out`, which
+pins the asymptotics solvers (a_m and b_m) over the canonical scenarios.
 """
 
 import json
@@ -23,6 +26,7 @@ from pagecusum.cli import dispatch
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden",
                           "late_change_study")
 CRITVALS_DIR = os.path.join(os.path.dirname(__file__), "golden", "critvals")
+TABLE1_DIR = os.path.join(os.path.dirname(__file__), "golden", "table1")
 CRITVALS_FILES = sorted(os.listdir(CRITVALS_DIR))
 GOLDEN_FILES = ("density_page.csv", "density_q.csv", "density_tilde.csv",
                 "meta.json", "records.csv")
@@ -72,3 +76,11 @@ def test_critvals_matches_golden(tmp_path, capsys, name, threads):
     capsys.readouterr()
     assert code == 0
     assert _read(tmp_path, name) == _read(CRITVALS_DIR, name)
+
+
+def test_table1_matches_golden(tmp_path, capsys):
+    out = tmp_path / "table1.csv"
+    code = dispatch(["table1", "--alpha", "0.1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _read(tmp_path, "table1.csv") == _read(TABLE1_DIR, "table1.csv")
