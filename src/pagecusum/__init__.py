@@ -12,10 +12,9 @@ from .asymptotics import (AsymptoticNormalization, ConvergenceError, LimitLaw,
                           compute_normalization, limit_cdf, limit_cdf_upper,
                           solve_a_m, solve_d1)
 from .datagen import Garch11Spec, StreamSpec, generate_garch11, generate_stream
-from .detectors import (DegenerateTrainingError, DetectorState,
-                        StoppingResult, TrainingSummary, boundary_g,
-                        detector_stat, run_monitor, step_detector,
-                        summarize_training)
+from .detectors import (DegenerateTrainingError, Monitor, StoppingResult,
+                        TrainingSummary, boundary_g, detector_stat,
+                        run_monitor, summarize_training)
 from .experiments import (DensityEstimate, ReplicationRecord, emit_table1,
                           empirical_size, kde, run_replications,
                           simulate_to_dir)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticNormalization", "CaseLabel", "ChangeScenario",
     "ConvergenceError", "CriticalValueEstimate", "DegenerateTrainingError",
-    "DensityEstimate", "DetectorState", "Garch11Spec", "LimitLaw",
+    "DensityEstimate", "Garch11Spec", "LimitLaw", "Monitor",
     "MonitoringParams", "REFERENCE_CRITICAL_VALUES", "ReplicationRecord",
     "StoppingResult", "StreamSpec", "TrainingSummary", "ValidationError",
     "WienerPath", "boundary_g", "classify_case", "compute_N", "compute_b_m",
@@ -45,6 +44,5 @@ __all__ = [
     "limit_cdf_upper", "refine_wiener_path", "resolve_critical_value",
     "resolve_kstar", "rng_stream", "run_monitor", "run_replications",
     "sample_wiener_path", "simulate_functional_values", "simulate_to_dir",
-    "solve_a_m", "solve_d1", "step_detector", "summarize_training",
-    "validate_scenario",
+    "solve_a_m", "solve_d1", "summarize_training", "validate_scenario",
 ]

@@ -30,12 +30,16 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_common(c, m, kstar, delta, sigma, gamma):
-    _require(c > 0.0, "critical value c must be positive")
+    _require(0.0 < c < math.inf, "critical value c must be positive and finite")
     _require(m >= 1, "m must be positive")
     _require(kstar >= 1, "kstar must be >= 1")
-    _require(delta != 0.0, "delta must be nonzero")
-    _require(sigma > 0.0, "sigma must be positive")
+    _check_delta_sigma(delta, sigma)
     _require_gamma(gamma)
+
+
+def _check_delta_sigma(delta, sigma):
+    _require(0.0 < abs(delta) < math.inf, "delta must be nonzero and finite")
+    _require(0.0 < sigma < math.inf, "sigma must be positive and finite")
 
 
 def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
@@ -84,8 +88,7 @@ def compute_b_m(a_m: float, delta: float, sigma: float, gamma: float,
     """Scaling sequence b_m(c) evaluated at the centering value a_m."""
     _require(kstar >= 1, "kstar must be >= 1")
     _require(a_m >= kstar, "a_m must be >= kstar")
-    _require(delta != 0.0, "delta must be nonzero")
-    _require(sigma > 0.0, "sigma must be positive")
+    _check_delta_sigma(delta, sigma)
     _require_gamma(gamma)
     return sigma * math.sqrt(a_m) / abs(delta) \
         / (1.0 - gamma * (1.0 - kstar / a_m))
@@ -98,8 +101,8 @@ def solve_d1(c: float, sigma: float, c1: float, gamma: float) -> float:
     f(0+) = 1 and f(1) < 0, so the root is unique; bisection runs until
     |f| <= 1e-12.
     """
-    _require(c > 0.0, "c must be positive")
-    _require(sigma > 0.0, "sigma must be positive")
+    _require(0.0 < c < math.inf, "c must be positive and finite")
+    _require(0.0 < sigma < math.inf, "sigma must be positive and finite")
     _require(c1 > 0.0, "c1 must be positive")
     _require_gamma(gamma)
     ratio = c * sigma / c1
@@ -122,7 +125,8 @@ def compute_d2(c: float, sigma: float, c1: float, gamma: float,
     """Limiting ratio a_m/kstar in the knife-edge regime:
     (sigma*c/c1 + d1**gamma)**(1/(1-gamma))."""
     _require(0.0 < d1 < 1.0, "d1 must lie in (0, 1)")
-    _require(c > 0.0 and sigma > 0.0 and c1 > 0.0, "c, sigma, c1 must be positive")
+    _require(0.0 < c < math.inf and 0.0 < sigma < math.inf and c1 > 0.0,
+             "c and sigma must be positive and finite, c1 positive")
     _require_gamma(gamma)
     return (sigma * c / c1 + d1 ** gamma) ** (1.0 / (1.0 - gamma))
 

@@ -13,6 +13,12 @@ updated in O(1) per observation. The four detector statistics are
 
 and monitoring stops at the first k >= 1 with statistic >= sigma_hat * c *
 g(m, k). Ties count as a stop (the comparison is >=).
+
+Monitor is the streaming form: a mutable object whose update(x) advances
+(q, q_min, q_max) by one observation and tells whether to stop. scan_chunk
+is the array form, which scans many paths a chunk at a time. run_monitor
+uses scan_chunk for a materialized stream and a Monitor for any other
+iterable; both give the same tau, statistic and threshold bits.
 """
 
 import itertools
@@ -78,35 +84,12 @@ def boundary_g(m: int, k, gamma: float):
     return float(val) if np.isscalar(k) else val
 
 
-@dataclass(frozen=True)
-class DetectorState:
-    """Detector state after k monitored observations.
+def detector_stat(state, params: MonitoringParams) -> float:
+    """Current detector statistic for the configured detector/side.
 
-    q is Q(m, k); q_min / q_max are the running extremes of Q(m, i) over
-    0 <= i <= k (Q(m, 0) = 0 participates, so q_min <= 0 <= q_max).
+    state is any object with q, q_min and q_max (Q(m, k) and its running
+    extremes), such as a Monitor.
     """
-
-    k: int = 0
-    q: float = 0.0
-    q_min: float = 0.0
-    q_max: float = 0.0
-
-
-def step_detector(state: DetectorState, x_new: float,
-                  training: TrainingSummary) -> DetectorState:
-    """Advance the detector by one observation.
-
-    q adds the centered observations in the order of scan_chunk's cumsum, so
-    the lazy and array paths of run_monitor give the same bits.
-    """
-    q = state.q + (x_new - training.mean)
-    return DetectorState(k=state.k + 1, q=q,
-                         q_min=min(state.q_min, q),
-                         q_max=max(state.q_max, q))
-
-
-def detector_stat(state: DetectorState, params: MonitoringParams) -> float:
-    """Current detector statistic for the configured detector/side."""
     if params.detector == "ordinary":
         return abs(state.q) if params.side == "two_sided" else state.q
     if params.side == "two_sided":
@@ -211,55 +194,100 @@ def _scan_array(x: np.ndarray, training: TrainingSummary,
     return j + 1, float(stat[0, j]), float(thresh[j])
 
 
+class Monitor:
+    """Streaming detector: feed one observation at a time with update(x).
+
+    After k observations, q is Q(m, k) and q_min / q_max are the running
+    extremes of Q(m, i) over 0 <= i <= k (Q(m, 0) = 0 participates, so
+    q_min <= 0 <= q_max); stat and threshold are the statistic and
+    sigma_hat * c * g(m, k) at k (None before the first update). All are
+    plain floats. q adds the centered observations in the order of
+    scan_chunk's cumsum, and the thresholds come from _thresholds CHUNK
+    indices at a time, so a Monitor gives the array path's bits.
+
+    training is the raw training sample (length params.m) or a
+    TrainingSummary. At most params.horizon observations can be fed.
+    """
+
+    __slots__ = ("training", "params", "c", "k", "q", "q_min", "q_max",
+                 "stat", "threshold", "_mean", "_horizon", "_block")
+
+    def __init__(self, training, params: MonitoringParams, c: float):
+        _require(c > 0.0, "critical value c must be positive")
+        if not isinstance(training, TrainingSummary):
+            training = summarize_training(training)
+        _require(training.m == params.m,
+                 f"training length {training.m} does not match params.m "
+                 f"{params.m}")
+        self.training, self.params, self.c = training, params, c
+        self.k = 0
+        self.q = self.q_min = self.q_max = 0.0
+        self.stat = self.threshold = None
+        self._mean = training.mean
+        self._horizon = params.horizon
+        self._block = None
+
+    def update(self, x) -> bool:
+        """Advance by one observation; True when the statistic reaches the
+        threshold (ties count). Raises ValidationError on a non-finite x or
+        once params.horizon observations have been fed."""
+        k = self.k
+        if k >= self._horizon:
+            raise ValidationError(
+                f"the horizon of {self._horizon} observations is reached")
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValidationError(f"stream value {k + 1} is not finite: {x}")
+        i = k % CHUNK
+        if i == 0:
+            self._block = _thresholds(self.training, self.params, self.c, k,
+                                      min(CHUNK, self._horizon - k)).tolist()
+        self.k = k + 1
+        q = self.q + (x - self._mean)
+        self.q = q
+        if q < self.q_min:
+            self.q_min = q
+        elif q > self.q_max:
+            self.q_max = q
+        self.stat = stat = detector_stat(self, self.params)
+        self.threshold = thresh = self._block[i]
+        return stat >= thresh
+
+
 def run_monitor(training, stream, params: MonitoringParams, c: float,
                 record_path: bool = False) -> StoppingResult:
     """Monitor a stream until the detector crosses sigma_hat * c * g(m, k).
 
     training is the raw training sample (length params.m) or a precomputed
     TrainingSummary. stream may be a sequence (scanned vectorized) or any
-    iterable (consumed lazily, one observation at a time). At most
+    iterable (fed to a Monitor one observation at a time). At most
     params.horizon observations are read; a non-finite one among them raises
     ValidationError (a NaN would never cross the threshold).
     """
-    _require(c > 0.0, "critical value c must be positive")
-    if isinstance(training, TrainingSummary):
-        summary = training
-    else:
-        summary = summarize_training(training)
-    _require(summary.m == params.m,
-             f"training length {summary.m} does not match params.m {params.m}")
-
+    mon = Monitor(training, params, c)
     horizon = params.horizon
     if isinstance(stream, (np.ndarray, list, tuple)) and not record_path:
         x = np.asarray(stream, dtype=float)[:horizon]
         _require(x.size >= 1, "stream yields no observations")
         _require(bool(np.isfinite(x).all()),
                  "stream contains a non-finite value")
-        tau, stat, thresh = _scan_array(x, summary, params, c)
+        tau, stat, thresh = _scan_array(x, mon.training, params, c)
         if tau is None:
             return StoppingResult(stopped=False, tau=None)
         return StoppingResult(stopped=True, tau=tau, stat=stat,
                               threshold=thresh)
 
-    state = DetectorState()
     path = [] if record_path else None
-    for x_new in itertools.islice(iter(stream), horizon):
-        x_new = float(x_new)
-        if not math.isfinite(x_new):
-            raise ValidationError(
-                f"stream value {state.k + 1} is not finite: {x_new}")
-        if state.k % CHUNK == 0:
-            block = _thresholds(summary, params, c, state.k,
-                                min(CHUNK, horizon - state.k)).tolist()
-        state = step_detector(state, x_new, summary)
-        stat = detector_stat(state, params)
-        thresh = block[(state.k - 1) % CHUNK]
+    stopped = False
+    for x_new in itertools.islice(stream, horizon):
+        stopped = mon.update(x_new)
         if record_path:
-            path.append((state.k, stat, thresh))
-        if stat >= thresh:
-            return StoppingResult(stopped=True, tau=state.k, stat=stat,
-                                  threshold=thresh,
-                                  detector_path=tuple(path) if record_path else None)
-    _require(state.k >= 1, "stream yields no observations")
-    return StoppingResult(stopped=False, tau=None,
-                          detector_path=tuple(path) if record_path else None)
+            path.append((mon.k, mon.stat, mon.threshold))
+        if stopped:
+            break
+    _require(mon.k >= 1, "stream yields no observations")
+    path = tuple(path) if record_path else None
+    if not stopped:
+        return StoppingResult(stopped=False, tau=None, detector_path=path)
+    return StoppingResult(stopped=True, tau=mon.k, stat=mon.stat,
+                          threshold=mon.threshold, detector_path=path)

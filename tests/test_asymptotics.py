@@ -167,6 +167,47 @@ class TestD1D2:
         assert devs[2] <= 0.02
 
 
+class TestNonFiniteInputs:
+    """A non-finite c, sigma or delta must raise, not return inf or a
+    meaningless root."""
+
+    BAD = (math.inf, -math.inf, math.nan)
+
+    def test_solve_a_m(self):
+        with pytest.raises(ValidationError, match="sigma"):
+            solve_a_m(1.7, 100, 3, 1.0, sigma=math.inf)
+        for bad in self.BAD:
+            for args in ((bad, 100, 3, 1.0, 1.0), (1.7, 100, 3, bad, 1.0),
+                         (1.7, 100, 3, 1.0, bad)):
+                with pytest.raises(ValidationError):
+                    solve_a_m(*args)
+
+    def test_compute_b_m(self):
+        with pytest.raises(ValidationError, match="sigma"):
+            compute_b_m(10.0, 1.0, math.inf, 0.25, 3)
+        for bad in self.BAD:
+            for args in ((10.0, bad, 1.0, 0.25, 3), (10.0, 1.0, bad, 0.25, 3)):
+                with pytest.raises(ValidationError):
+                    compute_b_m(*args)
+
+    def test_compute_d2(self):
+        with pytest.raises(ValidationError):
+            compute_d2(math.inf, 1.0, 1.0, 0.25, 0.5)
+        for bad in self.BAD:
+            for args in ((bad, 1.0, 1.0, 0.25, 0.5),
+                         (1.0, bad, 1.0, 0.25, 0.5)):
+                with pytest.raises(ValidationError):
+                    compute_d2(*args)
+
+    def test_solve_d1(self):
+        with pytest.raises(ValidationError, match="sigma"):
+            solve_d1(1.7, math.inf, 1.0, 0.25)
+        for bad in self.BAD:
+            for args in ((bad, 1.0, 1.0, 0.25), (1.7, bad, 1.0, 0.25)):
+                with pytest.raises(ValidationError):
+                    solve_d1(*args)
+
+
 class TestComputeN:
     def test_center_at_zero(self):
         for gamma in (0.0, 0.25, 0.45):

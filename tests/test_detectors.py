@@ -1,14 +1,15 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pagecusum import (DegenerateTrainingError, DetectorState,
-                       MonitoringParams, TrainingSummary, ValidationError,
-                       boundary_g, detector_stat, rng_stream, run_monitor,
-                       step_detector, summarize_training)
+from pagecusum import (DegenerateTrainingError, Monitor, MonitoringParams,
+                       TrainingSummary, ValidationError, boundary_g,
+                       detector_stat, rng_stream, run_monitor,
+                       summarize_training)
 from pagecusum import detectors
 from pagecusum.datagen import CHUNK
 
@@ -19,13 +20,23 @@ def brute_force_q(train, stream, k):
     return math.fsum(stream[:k]) - (k / m) * math.fsum(train)
 
 
+Snapshot = namedtuple("Snapshot", "k q q_min q_max")
+
+
+def snapshot(mon):
+    return Snapshot(mon.k, mon.q, mon.q_min, mon.q_max)
+
+
 def feed(stream, training):
-    """All detector states along a stream, via the O(1) recursion."""
-    state = DetectorState()
+    """Snapshots of a Monitor's state after each value of a stream, via its
+    O(1) recursion (c is irrelevant to the state)."""
+    params = MonitoringParams(m=training.m,
+                              horizon_factor=len(stream) / training.m + 1.0)
+    mon = Monitor(training, params, 1.0)
     states = []
     for x in stream:
-        state = step_detector(state, x, training)
-        states.append(state)
+        mon.update(x)
+        states.append(snapshot(mon))
     return states
 
 
@@ -113,14 +124,18 @@ class TestDetectorStat:
         return MonitoringParams(m=10, detector=detector, side=side)
 
     def test_manual_state(self):
-        state = DetectorState(k=3, q=1.0, q_min=-1.0, q_max=1.0)
+        training = TrainingSummary(m=10, mean=0.0, sigma_hat=1.0)
+        state = feed([1.0, -2.0, 2.0], training)[-1]
+        assert state == Snapshot(k=3, q=1.0, q_min=-1.0, q_max=1.0)
         assert detector_stat(state, self.params("page", "one_sided")) == 2.0
         assert detector_stat(state, self.params("page", "two_sided")) == 2.0
         assert detector_stat(state, self.params("ordinary", "one_sided")) == 1.0
         assert detector_stat(state, self.params("ordinary", "two_sided")) == 1.0
 
     def test_zero_state(self):
-        state = DetectorState()
+        training = TrainingSummary(m=10, mean=0.0, sigma_hat=1.0)
+        state = Monitor(training, self.params("page", "one_sided"), 1.0)
+        assert snapshot(state) == Snapshot(k=0, q=0.0, q_min=0.0, q_max=0.0)
         for det in ("page", "ordinary"):
             for side in ("one_sided", "two_sided"):
                 assert detector_stat(state, self.params(det, side)) == 0.0
@@ -349,3 +364,131 @@ def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
     assert vec.stat == lazy.stat
     if vec.stopped:
         assert vec.threshold == lazy.threshold
+
+
+class TestMonitor:
+    def make(self, m=10, horizon_factor=1.0, **kw):
+        train = rng_stream(31, 0).standard_normal(m)
+        params = MonitoringParams(m=m, horizon_factor=horizon_factor, **kw)
+        return Monitor(train, params, 1.7), params
+
+    @pytest.mark.parametrize("m, horizon_factor", [(10, 1.0), (7, 1.5),
+                                                   (CHUNK // 2, 2.0)])
+    def test_update_past_the_horizon_raises(self, m, horizon_factor):
+        mon, params = self.make(m, horizon_factor)
+        values = rng_stream(32, 0).standard_normal(params.horizon).tolist()
+        for x in values:
+            mon.update(x)
+        before = snapshot(mon)
+        assert before.k == params.horizon
+        with pytest.raises(ValidationError, match="horizon"):
+            mon.update(0.0)
+        assert snapshot(mon) == before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_with_its_index(self, bad):
+        mon, _ = self.make()
+        for x in (0.5, -1.0, 2.0):
+            mon.update(x)
+        before = snapshot(mon), mon.stat, mon.threshold
+        with pytest.raises(ValidationError, match="value 4 is not finite"):
+            mon.update(bad)
+        assert (snapshot(mon), mon.stat, mon.threshold) == before
+        mon.update(0.25)
+        assert mon.k == 4
+
+    def test_rejects_bad_construction(self):
+        train = rng_stream(33, 0).standard_normal(10)
+        with pytest.raises(ValidationError):
+            Monitor(train, MonitoringParams(m=10), 0.0)
+        with pytest.raises(ValidationError):
+            Monitor(train, MonitoringParams(m=11), 1.7)
+        with pytest.raises(DegenerateTrainingError):
+            Monitor([1.0] * 10, MonitoringParams(m=10), 1.7)
+
+    @pytest.mark.parametrize("c", [1.7, 100.0])
+    def test_record_path_is_the_monitors_triples(self, c):
+        rng = rng_stream(34, 0)
+        train = rng.standard_normal(50)
+        stream = rng.standard_normal(600)
+        stream[300:] += 1.5
+        params = MonitoringParams(m=50, gamma=0.25, horizon_factor=12.0)
+        res = run_monitor(train, iter(stream.tolist()), params, c,
+                          record_path=True)
+        mon = Monitor(train, params, c)
+        triples = []
+        for x in stream.tolist():
+            stopped = mon.update(x)
+            triples.append((mon.k, mon.stat, mon.threshold))
+            if stopped:
+                break
+        assert res.detector_path == tuple(triples)
+        assert res.stopped == (c == 1.7)
+        if res.stopped:
+            assert (res.tau, res.stat, res.threshold) == triples[-1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+       n=st.integers(1, 2 * CHUNK + 40),
+       offset=st.sampled_from([0.0, 1.0, -1e4, 1e8]),
+       scale=st.floats(1e-3, 1e4), shift=st.floats(0.0, 3.0),
+       kstar=st.integers(1, CHUNK + 40),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]))
+@example(seed=5, m=2, n=CHUNK + 1, offset=1e8, scale=1e-3, shift=1.0,
+         kstar=CHUNK, gamma=0.45, detector="page", side="two_sided")
+def test_monitor_matches_the_array_kernel_at_every_step(
+        seed, m, n, offset, scale, shift, kstar, gamma, detector, side):
+    """Monitor.update gives scan_chunk's statistic and _thresholds' threshold
+    at every k, bit for bit, across CHUNK edges and at any offset or scale."""
+    rng = rng_stream(seed, 0)
+    train = offset + scale * rng.standard_normal(m)
+    stream = offset + scale * rng.standard_normal(n)
+    stream[kstar - 1:] += shift * scale
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=n / m + 1.0)
+    training = summarize_training(train)
+    (stat,) = detectors.scan_chunk(stream[None, :], np.array([training.mean]),
+                                   detectors.ScanCarry(1), side, (detector,))
+    thresh = detectors._thresholds(training, params, 1.7, 0, n)
+    mon = Monitor(training, params, 1.7)
+    got_stat, got_thresh = [], []
+    for x in stream.tolist():
+        mon.update(x)
+        got_stat.append(mon.stat)
+        got_thresh.append(mon.threshold)
+    assert got_stat == stat[0].tolist()
+    assert got_thresh == thresh.tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+       offset=st.sampled_from([0.0, 1.0, -1e4, 1e8]),
+       scale=st.floats(1e-3, 1e4), shift=st.floats(0.0, 3.0),
+       kstar=st.integers(1, 100), c=st.floats(0.5, 3.0),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       side=st.sampled_from(["one_sided", "two_sided"]))
+def test_page_statistic_dominates_ordinary_at_every_step(
+        seed, m, offset, scale, shift, kstar, c, gamma, side):
+    """Fed one stream, the page statistic is >= the ordinary one at every k
+    under the same threshold, so page stops no later whenever ordinary
+    stops."""
+    rng = rng_stream(seed, 0)
+    train = offset + scale * rng.standard_normal(m)
+    stream = offset + scale * rng.standard_normal(4 * m + 100)
+    stream[kstar - 1:] += shift * scale
+    mons = {det: Monitor(train, MonitoringParams(
+                m=m, gamma=gamma, side=side, detector=det,
+                horizon_factor=stream.size / m), c)
+            for det in ("page", "ordinary")}
+    tau = dict.fromkeys(mons)
+    for k, x in enumerate(stream.tolist(), start=1):
+        for det, mon in mons.items():
+            if mon.update(x) and tau[det] is None:
+                tau[det] = k
+        assert mons["page"].stat >= mons["ordinary"].stat
+        assert mons["page"].threshold == mons["ordinary"].threshold
+    if tau["ordinary"] is not None:
+        assert tau["page"] is not None and tau["page"] <= tau["ordinary"]
