@@ -213,7 +213,8 @@ class Monitor:
                  "stat", "threshold", "_mean", "_horizon", "_block")
 
     def __init__(self, training, params: MonitoringParams, c: float):
-        _require(c > 0.0, "critical value c must be positive")
+        _require(0.0 < c < math.inf,
+                 "critical value c must be positive and finite")
         if not isinstance(training, TrainingSummary):
             training = summarize_training(training)
         _require(training.m == params.m,

@@ -334,6 +334,15 @@ class TestRunMonitor:
             run_monitor(train, gen(), params, c=50.0)
         assert len(seen) == 100
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_critical_value_rejected(self, c):
+        # an infinite threshold would never be crossed
+        train, stream = self.make_data(16, delta=1e6)
+        params = MonitoringParams(m=50)
+        for s in (stream, iter(stream.tolist())):
+            with pytest.raises(ValidationError, match="critical value"):
+                run_monitor(train, s, params, c)
+
     def test_degenerate_training_propagates(self):
         params = MonitoringParams(m=5)
         with pytest.raises(DegenerateTrainingError):
@@ -399,8 +408,9 @@ class TestMonitor:
 
     def test_rejects_bad_construction(self):
         train = rng_stream(33, 0).standard_normal(10)
-        with pytest.raises(ValidationError):
-            Monitor(train, MonitoringParams(m=10), 0.0)
+        for c in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="critical value"):
+                Monitor(train, MonitoringParams(m=10), c)
         with pytest.raises(ValidationError):
             Monitor(train, MonitoringParams(m=11), 1.7)
         with pytest.raises(DegenerateTrainingError):
