@@ -100,6 +100,8 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_critvals(args) -> int:
+    _require(not args.out or args.reps >= wiener.MIN_CACHE_REPS,
+             f"--out needs --reps >= {wiener.MIN_CACHE_REPS}")
     est = wiener.estimate_critical_value(
         gamma=args.gamma, alpha=args.alpha, side=_SIDE_FLAG[args.side],
         detector=args.detector, reps=args.reps, T=args.grid, seed=args.seed,

@@ -33,7 +33,8 @@ class Garch11Spec:
     burn_in: int = 500
 
     def __post_init__(self):
-        _require(self.omega > 0.0, "omega must be positive")
+        _require(0.0 < self.omega < math.inf,
+                 "omega must be positive and finite")
         _require(self.alpha_g >= 0.0, "alpha_g must be >= 0")
         _require(self.beta_g >= 0.0, "beta_g must be >= 0")
         _require(self.alpha_g + self.beta_g < 1.0,

@@ -104,15 +104,13 @@ class StoppingResult:
 
     tau is the first monitoring index whose statistic reached the threshold,
     or None when the horizon was exhausted. stat/threshold report the values
-    at tau. detector_path optionally records (k, statistic, threshold) for
-    every step up to tau (or the horizon).
+    at tau.
     """
 
     stopped: bool
     tau: int | None
     stat: float | None = None
     threshold: float | None = None
-    detector_path: tuple | None = None
 
 
 class ScanCarry:
@@ -255,40 +253,31 @@ class Monitor:
         return stat >= thresh
 
 
-def run_monitor(training, stream, params: MonitoringParams, c: float,
-                record_path: bool = False) -> StoppingResult:
+def run_monitor(training, stream, params: MonitoringParams,
+                c: float) -> StoppingResult:
     """Monitor a stream until the detector crosses sigma_hat * c * g(m, k).
 
     training is the raw training sample (length params.m) or a precomputed
     TrainingSummary. stream may be a sequence (scanned vectorized) or any
     iterable (fed to a Monitor one observation at a time). At most
     params.horizon observations are read; a non-finite one among them raises
-    ValidationError (a NaN would never cross the threshold).
+    ValidationError (a NaN would never cross the threshold). For the
+    statistic and threshold at every step, feed a Monitor directly.
     """
     mon = Monitor(training, params, c)
     horizon = params.horizon
-    if isinstance(stream, (np.ndarray, list, tuple)) and not record_path:
+    if isinstance(stream, (np.ndarray, list, tuple)):
         x = np.asarray(stream, dtype=float)[:horizon]
         _require(x.size >= 1, "stream yields no observations")
         _require(bool(np.isfinite(x).all()),
                  "stream contains a non-finite value")
         tau, stat, thresh = _scan_array(x, mon.training, params, c)
-        if tau is None:
-            return StoppingResult(stopped=False, tau=None)
-        return StoppingResult(stopped=True, tau=tau, stat=stat,
+        return StoppingResult(stopped=tau is not None, tau=tau, stat=stat,
                               threshold=thresh)
 
-    path = [] if record_path else None
-    stopped = False
     for x_new in itertools.islice(stream, horizon):
-        stopped = mon.update(x_new)
-        if record_path:
-            path.append((mon.k, mon.stat, mon.threshold))
-        if stopped:
-            break
+        if mon.update(x_new):
+            return StoppingResult(stopped=True, tau=mon.k, stat=mon.stat,
+                                  threshold=mon.threshold)
     _require(mon.k >= 1, "stream yields no observations")
-    path = tuple(path) if record_path else None
-    if not stopped:
-        return StoppingResult(stopped=False, tau=None, detector_path=path)
-    return StoppingResult(stopped=True, tau=mon.k, stat=mon.stat,
-                          threshold=mon.threshold, detector_path=path)
+    return StoppingResult(stopped=False, tau=None)

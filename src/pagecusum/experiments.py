@@ -11,9 +11,14 @@ data, and records the stopping times together with their normalized versions
 
 nu_tilde being the ordinary stopping time under the page normalization, the
 natural benchmark for comparing the two rules on one scale.
+
+run_replications and empirical_size fan _block_taus out over blocks of
+_BLOCK replications with rng._map_blocks. Workers return only tau arrays;
+records and stop counts are built from them in the calling process.
 """
 
 import csv
+import functools
 import json
 import math
 import os
@@ -91,27 +96,6 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     return taus
 
 
-def _replication_block(args):
-    """Records for replications [start, start + count)."""
-    (params, scenario, garch, mu, c_page, c_q, norms, seed, start,
-     count) = args
-    a_page, b_page, a_q, b_q = norms
-    taus_page, taus_q = _block_taus(
-        params, garch, mu, seed, start, count,
-        (("page", c_page), ("ordinary", c_q)),
-        shift=(scenario.kstar, scenario.delta))
-    out = []
-    for i in range(count):
-        tau_page = int(taus_page[i]) or None
-        tau_q = int(taus_q[i]) or None
-        nu_page = (tau_page - a_page) / b_page if tau_page is not None else None
-        nu_q = (tau_q - a_q) / b_q if tau_q is not None else None
-        nu_tilde = (tau_q - a_page) / b_page if tau_q is not None else None
-        out.append(ReplicationRecord(start + i, tau_page, tau_q,
-                                     nu_page, nu_q, nu_tilde))
-    return out
-
-
 def run_replications(params: MonitoringParams, scenario: ChangeScenario,
                      garch: Garch11Spec, reps: int, c_page: float,
                      c_q: float, seed: int, mu: float = 0.0,
@@ -123,30 +107,27 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     """
     _require(reps >= 1, "reps must be positive")
     _require(c_page > 0.0 and c_q > 0.0, "critical values must be positive")
+    _require(math.isfinite(mu), "mu must be finite")
     validate_scenario(scenario, params.m)
-    a_page = solve_a_m(c_page, params.m, scenario.kstar, scenario.delta,
-                       scenario.sigma, params.gamma)
-    b_page = compute_b_m(a_page, scenario.delta, scenario.sigma, params.gamma,
-                         scenario.kstar)
-    a_q = solve_a_m(c_q, params.m, scenario.kstar, scenario.delta,
-                    scenario.sigma, params.gamma)
-    b_q = compute_b_m(a_q, scenario.delta, scenario.sigma, params.gamma,
-                      scenario.kstar)
-    norms = (a_page, b_page, a_q, b_q)
-    blocks = [(params, scenario, garch, mu, c_page, c_q, norms, seed, start,
-               min(_BLOCK, reps - start)) for start in range(0, reps, _BLOCK)]
-    parts = _map_blocks(_replication_block, blocks, threads)
-    records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: r.rep)
+    norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
+    norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
+    a_page, b_page = norm_page.a_m, norm_page.b_m
+    a_q, b_q = norm_q.a_m, norm_q.b_m
+    fn = functools.partial(_block_taus, params, garch, mu, seed,
+                           rules=(("page", c_page), ("ordinary", c_q)),
+                           shift=(scenario.kstar, scenario.delta))
+    parts = _map_blocks(fn, reps, _BLOCK, threads)
+    taus_page = np.concatenate([page for page, _ in parts]).tolist()
+    taus_q = np.concatenate([q for _, q in parts]).tolist()
+    records = []
+    for rep, (tau_page, tau_q) in enumerate(zip(taus_page, taus_q)):
+        tau_page, tau_q = tau_page or None, tau_q or None
+        nu_page = (tau_page - a_page) / b_page if tau_page is not None else None
+        nu_q = (tau_q - a_q) / b_q if tau_q is not None else None
+        nu_tilde = (tau_q - a_page) / b_page if tau_q is not None else None
+        records.append(ReplicationRecord(rep, tau_page, tau_q,
+                                         nu_page, nu_q, nu_tilde))
     return records
-
-
-def _size_block(args):
-    """Number of null-hypothesis stops among replications [start, start+count)."""
-    params, garch, mu, c, seed, start, count = args
-    (taus,) = _block_taus(params, garch, mu, seed, start, count,
-                          ((params.detector, c),))
-    return int(np.count_nonzero(taus))
 
 
 def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
@@ -159,10 +140,12 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
     increase it, toward the open-end level alpha.
     """
     _require(reps >= 1, "reps must be positive")
-    _require(c > 0.0, "critical value must be positive")
-    blocks = [(params, garch, mu, c, seed, start, min(_BLOCK, reps - start))
-              for start in range(0, reps, _BLOCK)]
-    return sum(_map_blocks(_size_block, blocks, threads)) / reps
+    _require(0.0 < c < math.inf, "critical value must be positive and finite")
+    _require(math.isfinite(mu), "mu must be finite")
+    fn = functools.partial(_block_taus, params, garch, mu, seed,
+                           rules=((params.detector, c),))
+    parts = _map_blocks(fn, reps, _BLOCK, threads)
+    return sum(int(np.count_nonzero(taus)) for (taus,) in parts) / reps
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,19 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _map_blocks(fn, blocks, threads: int) -> list:
-    """[fn(b) for b in blocks], over min(threads, len(blocks)) processes.
+def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
+    """fn(start, count) on consecutive blocks of `block` stream indices
+    covering 0 .. reps-1, over min(threads, number of blocks) processes.
 
-    Each block draws from its own streams, so the result, in block order, is
-    the same for any thread count.
+    Results come back in block order, and each block draws from its own
+    streams, so they are the same for any thread count. With threads > 1, fn
+    must pickle: a module-level function or a functools.partial of one.
     """
     _require(threads >= 1, "threads must be >= 1")
-    workers = min(threads, len(blocks))
+    starts = range(0, reps, block)
+    counts = [min(block, reps - start) for start in starts]
+    workers = min(threads, len(starts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, blocks))
-    return [fn(b) for b in blocks]
+            return list(pool.map(fn, starts, counts))
+    return [fn(start, count) for start, count in zip(starts, counts)]

@@ -19,10 +19,11 @@ rather than O(_BLOCK * T). The values are bit-identical to scoring a whole
 kept, and running extremes and maxima are exact in floating point.
 """
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,9 +143,9 @@ def functional_page(path: WienerPath, gamma: float,
                                     side, "page")[0])
 
 
-def _simulate_block(args) -> np.ndarray:
+def _simulate_block(seed: int, T: int, gamma: float, side: str,
+                    detector: str, start: int, count: int) -> np.ndarray:
     """Functional values for paths [start, start + count); order-stable."""
-    seed, start, count, T, gamma, side, detector = args
     sqdt = math.sqrt(1.0 / T)
     w = np.empty(T)
 
@@ -171,9 +172,8 @@ def simulate_functional_values(gamma: float, side: str, detector: str,
     _require(detector in DETECTORS, f"detector must be one of {DETECTORS}")
     _require(T >= 2, "T must be >= 2")
     _require(reps >= 1, "reps must be positive")
-    blocks = [(seed, start, min(_BLOCK, reps - start), T, gamma, side, detector)
-              for start in range(0, reps, _BLOCK)]
-    return np.concatenate(_map_blocks(_simulate_block, blocks, threads))
+    fn = functools.partial(_simulate_block, seed, T, gamma, side, detector)
+    return np.concatenate(_map_blocks(fn, reps, _BLOCK, threads))
 
 
 @dataclass(frozen=True)
@@ -241,23 +241,41 @@ REFERENCE_CRITICAL_VALUES = {
 }
 
 
+# fewest replications a persisted (cache) estimate may rest on
+MIN_CACHE_REPS = 1000
+
+
 def save_estimate(estimate: CriticalValueEstimate, path) -> None:
-    """Persist an estimate as JSON; refuses fewer than 1000 replications."""
-    _require(estimate.reps >= 1000,
-             "persisted critical values need reps >= 1000")
+    """Persist an estimate as JSON; refuses reps < MIN_CACHE_REPS."""
+    _require(estimate.reps >= MIN_CACHE_REPS,
+             f"persisted critical values need reps >= {MIN_CACHE_REPS}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(estimate.to_json_dict(), fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_estimate(path) -> CriticalValueEstimate:
+    """Read a file written by save_estimate.
+
+    Raises KeyError for a missing field and ValidationError for a field whose
+    JSON type does not match CriticalValueEstimate's or a non-finite number.
+    """
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    return CriticalValueEstimate(c=d["c"], std_err=d["std_err"],
-                                 gamma=d["gamma"], alpha=d["alpha"],
-                                 side=d["side"], detector=d["detector"],
-                                 reps=d["reps"], grid_size=d["grid"],
-                                 seed=d["seed"])
+    _require(isinstance(d, dict), f"{path}: not a JSON object")
+    est = CriticalValueEstimate(c=d["c"], std_err=d["std_err"],
+                                gamma=d["gamma"], alpha=d["alpha"],
+                                side=d["side"], detector=d["detector"],
+                                reps=d["reps"], grid_size=d["grid"],
+                                seed=d["seed"])
+    for f in fields(est):
+        value = getattr(est, f.name)
+        kind = (int, float) if f.type is float else f.type
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        _require(ok and (f.type is not float or math.isfinite(value)),
+                 f"{path}: field '{f.name}' has the wrong type or is not "
+                 f"finite: {value!r}")
+    return est
 
 
 def resolve_critical_value(gamma: float, alpha: float, side: str,

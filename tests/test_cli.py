@@ -115,6 +115,18 @@ class TestCritvalsCommand:
                                "--out", str(tmp_path / "cv.json"))
         assert code == 2 and "1000" in err
 
+    def test_persisting_too_few_reps_exits_before_simulating(
+            self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pagecusum.wiener, "estimate_critical_value",
+                            lambda **kw: calls.append(kw))
+        out_file = tmp_path / "cv.json"
+        code, out, err = run_cli(capsys, "critvals", "--gamma", "0",
+                                 "--alpha", "0.1", "--reps", "999", "--out",
+                                 str(out_file))
+        assert code == 2 and "--reps >= 1000" in err and out == ""
+        assert calls == [] and not out_file.exists()
+
 
 class TestMonitorCommand:
     def test_immediate_detection(self, capsys, tmp_path):
@@ -313,6 +325,22 @@ class TestTable1Command:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 46
         assert lines[0] == "rule,gamma,m,kstar,a_page,b_page,a_q,b_q"
+
+    def test_wrong_typed_cache_file_is_skipped(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        est = CriticalValueEstimate(c=2.5, std_err=0.01, gamma=0.25,
+                                    alpha=0.1, side="one_sided",
+                                    detector="page", reps=5000,
+                                    grid_size=256, seed=1)
+        bad = dict(est.to_json_dict(), gamma="0.25")
+        (cache / "bad.json").write_text(json.dumps(bad))
+        plain, cached = tmp_path / "plain.csv", tmp_path / "cached.csv"
+        run_cli(capsys, "table1", "--out", str(plain))
+        code, _, err = run_cli(capsys, "table1", "--cache", str(cache),
+                               "--out", str(cached))
+        assert code == 0 and err == ""
+        assert cached.read_bytes() == plain.read_bytes()
 
     def test_unsupported_alpha_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table1", "--alpha", "0.2", "--out",

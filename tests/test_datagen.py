@@ -21,6 +21,7 @@ class TestGarchSpec:
         dict(omega=1.0, alpha_g=-0.1),
         dict(omega=1.0, beta_g=-0.1),
         dict(omega=1.0, burn_in=-1),
+        dict(omega=math.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):

@@ -1,0 +1,29 @@
+"""Smoke test: the demos run to completion against the current API.
+
+02_critical_values.py is left out: it estimates critical values at
+reference resolution, which takes about 13 s on a 2-core machine against
+about 2 s for the other three demos together. The estimate it runs is
+covered by test_wiener.py and the critvals golden.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import pagecusum
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pagecusum.__file__)))
+
+
+@pytest.mark.parametrize("demo", ["01_monitoring_walkthrough.py",
+                                  "03_delay_asymptotics.py",
+                                  "04_replication_study.py"])
+def test_demo_runs(demo, tmp_path):
+    # cwd is tmp_path so files a demo writes land there
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pagecusum import (DegenerateTrainingError, Monitor, MonitoringParams,
@@ -38,6 +38,19 @@ def feed(stream, training):
         mon.update(x)
         states.append(snapshot(mon))
     return states
+
+
+def trace(training, stream, params, c):
+    """(k, statistic, threshold) of a Monitor at every step up to its stop,
+    or up to the end of the stream."""
+    mon = Monitor(training, params, c)
+    triples = []
+    for x in stream:
+        stopped = mon.update(x)
+        triples.append((mon.k, mon.stat, mon.threshold))
+        if stopped:
+            break
+    return triples
 
 
 class TestBoundary:
@@ -235,10 +248,11 @@ class TestRunMonitor:
     def test_record_path(self):
         train, stream = self.make_data(8, delta=2.0, kstar=5)
         params = MonitoringParams(m=50, detector="page")
-        res = run_monitor(train, stream, params, c=1.7, record_path=True)
+        res = run_monitor(train, stream, params, c=1.7)
+        path = trace(train, stream, params, 1.7)
         assert res.stopped
-        assert len(res.detector_path) == res.tau
-        k, stat, thr = res.detector_path[-1]
+        assert len(path) == res.tau
+        k, stat, thr = path[-1]
         assert k == res.tau and stat >= thr
 
     def test_lazy_thresholds_equal_the_vectorized_schedule(self):
@@ -246,13 +260,13 @@ class TestRunMonitor:
         train = rng.standard_normal(1000)
         stream = rng.standard_normal(3000)
         params = MonitoringParams(m=1000, gamma=0.25, horizon_factor=3.0)
-        res = run_monitor(train, iter(stream.tolist()), params, c=50.0,
-                          record_path=True)
+        res = run_monitor(train, iter(stream.tolist()), params, c=50.0)
+        path = trace(train, stream.tolist(), params, 50.0)
         assert not res.stopped
         sigma_hat = summarize_training(train).sigma_hat
         expected = sigma_hat * 50.0 * boundary_g(1000, np.arange(1, 3001),
                                                  0.25)
-        assert [thr for _, _, thr in res.detector_path] == expected.tolist()
+        assert [thr for _, _, thr in path] == expected.tolist()
 
     def test_lazy_run_evaluates_the_boundary_once_per_chunk(self,
                                                             monkeypatch):
@@ -422,19 +436,14 @@ class TestMonitor:
         stream = rng.standard_normal(600)
         stream[300:] += 1.5
         params = MonitoringParams(m=50, gamma=0.25, horizon_factor=12.0)
-        res = run_monitor(train, iter(stream.tolist()), params, c,
-                          record_path=True)
-        mon = Monitor(train, params, c)
-        triples = []
-        for x in stream.tolist():
-            stopped = mon.update(x)
-            triples.append((mon.k, mon.stat, mon.threshold))
-            if stopped:
-                break
-        assert res.detector_path == tuple(triples)
-        assert res.stopped == (c == 1.7)
-        if res.stopped:
-            assert (res.tau, res.stat, res.threshold) == triples[-1]
+        triples = trace(train, stream.tolist(), params, c)
+        for s in (stream, iter(stream.tolist())):
+            res = run_monitor(train, s, params, c)
+            assert res.stopped == (c == 1.7)
+            if res.stopped:
+                assert (res.tau, res.stat, res.threshold) == triples[-1]
+            else:
+                assert len(triples) == params.horizon == stream.size
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -501,3 +510,57 @@ def test_page_statistic_dominates_ordinary_at_every_step(
         assert mons["page"].threshold == mons["ordinary"].threshold
     if tau["ordinary"] is not None:
         assert tau["page"] is not None and tau["page"] <= tau["ordinary"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+       j=st.integers(-30, 30), shift=st.floats(0.0, 3.0),
+       kstar=st.integers(1, 100), gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]))
+def test_power_of_two_scaling_scales_stat_and_threshold_exactly(
+        seed, m, j, shift, kstar, gamma, detector, side):
+    """Scaling training and stream by 2**j scales the mean, sigma_hat and
+    every partial sum exactly, so tau is unchanged and the statistic and
+    threshold at every k are scaled by exactly 2**j."""
+    rng = rng_stream(seed, 0)
+    train = rng.standard_normal(m)
+    stream = rng.standard_normal(4 * m)
+    stream[kstar - 1:] += shift
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=4.0)
+    scale = 2.0 ** j
+    base = trace(train, stream, params, 1.7)
+    assert trace(scale * train, scale * stream, params, 1.7) == \
+        [(k, scale * stat, scale * thr) for k, stat, thr in base]
+    res = run_monitor(train, stream, params, 1.7)
+    scaled = run_monitor(scale * train, scale * stream, params, 1.7)
+    assert scaled.tau == res.tau
+    if res.stopped:
+        assert scaled.stat == scale * res.stat
+        assert scaled.threshold == scale * res.threshold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+       offset=st.floats(-1e3, 1e3), shift=st.floats(0.0, 3.0),
+       kstar=st.integers(1, 100), gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]))
+def test_adding_a_constant_keeps_tau_without_near_ties(
+        seed, m, offset, shift, kstar, gamma, detector, side):
+    """Adding one constant to training and stream cancels in x - mean up to
+    rounding, so tau is unchanged whenever no step of the unshifted run has
+    its statistic within 1e-9 * threshold of the threshold."""
+    rng = rng_stream(seed, 0)
+    train = rng.standard_normal(m)
+    stream = rng.standard_normal(4 * m)
+    stream[kstar - 1:] += shift
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=4.0)
+    base = trace(train, stream, params, 1.7)
+    assume(all(abs(stat - thr) > 1e-9 * thr for _, stat, thr in base))
+    res = run_monitor(train, stream, params, 1.7)
+    moved = stream + offset
+    for s in (moved, iter(moved.tolist())):
+        assert run_monitor(train + offset, s, params, 1.7).tau == res.tau

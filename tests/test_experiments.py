@@ -29,6 +29,13 @@ class TestRunReplications:
         assert len(recs) == 37
         assert [r.rep for r in recs] == list(range(37))
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        params, scenario = small_setup()
+        with pytest.raises(ValidationError, match="mu"):
+            run_replications(params, scenario, GARCH, 20, 1.69, 1.64, seed=1,
+                             mu=mu)
+
     def test_huge_shift_stops_at_one(self):
         params, scenario = small_setup(delta=1e6)
         recs = run_replications(params, scenario, GARCH, 10, 1.69, 1.64,
@@ -140,6 +147,14 @@ class TestEmpiricalSize:
     def test_huge_threshold_never_stops(self):
         params = MonitoringParams(m=100, detector="page", horizon_factor=3.0)
         assert empirical_size(params, GARCH, 50, c=1e3, seed=8) == 0.0
+
+    @pytest.mark.parametrize("c, mu", [
+        (math.inf, 0.0), (1.7, math.nan), (1.7, math.inf), (1.7, -math.inf),
+    ])
+    def test_non_finite_inputs_rejected(self, c, mu):
+        params = MonitoringParams(m=100, detector="page", horizon_factor=3.0)
+        with pytest.raises(ValidationError):
+            empirical_size(params, GARCH, 50, c=c, seed=8, mu=mu)
 
     def test_doubling_horizon_never_decreases_size(self):
         sizes = []

@@ -18,8 +18,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, blocks):
-        return map(fn, blocks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
@@ -33,15 +33,22 @@ def fake_pool(monkeypatch):
     (8, 3, [3]), (2, 5, [2]), (8, 1, []), (1, 4, []),
 ])
 def test_workers_capped_at_block_count(fake_pool, threads, n_blocks, started):
-    blocks = list(range(n_blocks))
-    assert rng._map_blocks(lambda b: b * b, blocks, threads) == \
-        [b * b for b in blocks]
+    assert rng._map_blocks(lambda start, count: start * start, n_blocks, 1,
+                           threads) == [b * b for b in range(n_blocks)]
     assert fake_pool == started
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocks_are_consecutive_and_in_order(fake_pool, threads):
+    assert rng._map_blocks(lambda start, count: (start, count), 7, 3,
+                           threads) == [(0, 3), (3, 3), (6, 1)]
+    assert rng._map_blocks(lambda start, count: (start, count), 6, 3,
+                           threads) == [(0, 3), (3, 3)]
 
 
 def test_threads_below_one_rejected(fake_pool, capsys, tmp_path):
     with pytest.raises(ValidationError, match="threads"):
-        rng._map_blocks(abs, [1, 2], 0)
+        rng._map_blocks(divmod, 2, 1, 0)
     code = dispatch(["critvals", "--gamma", "0", "--alpha", "0.1", "--reps",
                      "100", "--grid", "10", "--threads", "0"])
     assert code == 2 and capsys.readouterr().out == ""

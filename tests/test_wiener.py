@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -236,6 +239,28 @@ class TestCache:
     def test_save_requires_enough_reps(self, tmp_path):
         with pytest.raises(ValidationError):
             save_estimate(self.make_estimate(reps=999), tmp_path / "cv.json")
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "0.25"), ("c", math.nan), ("c", math.inf), ("c", "9.99"),
+        ("reps", 2000.0), ("seed", True), ("detector", None),
+    ])
+    def test_wrong_typed_or_non_finite_field_is_skipped(self, tmp_path,
+                                                         field, value):
+        bad = dict(self.make_estimate(c=9.99).to_json_dict(), **{field: value})
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValidationError, match=field):
+            load_estimate(path)
+        assert resolve_critical_value(0.25, 0.1, "one_sided", "page",
+                                      cache_dir=tmp_path) == \
+            REFERENCE_CRITICAL_VALUES[(0.25, 0.10, "one_sided", "page")]
+
+    def test_non_object_file_is_skipped(self, tmp_path):
+        (tmp_path / "cv.json").write_text("[1.7]")
+        with pytest.raises(ValidationError, match="JSON object"):
+            load_estimate(tmp_path / "cv.json")
+        assert resolve_critical_value(0.0, 0.05, "one_sided", "ordinary",
+                                      cache_dir=tmp_path) == 1.95996
 
     def test_resolution_order(self, tmp_path):
         est = self.make_estimate(c=9.99)
