@@ -12,21 +12,36 @@ tests/golden/critvals/ holds `pagecusum critvals --out` files for gamma in
 
 tests/golden/table1/table1.csv is `pagecusum table1 --alpha 0.1 --out`, which
 pins the asymptotics solvers (a_m and b_m) over the canonical scenarios.
+
+tests/golden/null_taus/taus.csv holds each path's stopping time (0 = no stop)
+from experiments._block_taus on change-free GARCH streams, for both detectors
+and both sides: m=200, a horizon of 708 steps (not a multiple of
+datagen.CHUNK), 300 replications, mu=1.5 and c=1.5, so some paths stop in
+either chunk and most do not. It pins the per-path scan for any block width
+and worker count.
 """
 
+import csv
+import functools
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       resolve_critical_value, simulate_to_dir)
+                       experiments, resolve_critical_value, rng,
+                       simulate_to_dir)
 from pagecusum.cli import dispatch
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden",
                           "late_change_study")
 CRITVALS_DIR = os.path.join(os.path.dirname(__file__), "golden", "critvals")
 TABLE1_DIR = os.path.join(os.path.dirname(__file__), "golden", "table1")
+NULL_TAUS_CSV = os.path.join(os.path.dirname(__file__), "golden", "null_taus",
+                             "taus.csv")
+NULL_TAUS_COLUMNS = ("rep", "page_one", "ordinary_one", "page_two",
+                     "ordinary_two")
 CRITVALS_FILES = sorted(os.listdir(CRITVALS_DIR))
 GOLDEN_FILES = ("density_page.csv", "density_q.csv", "density_tilde.csv",
                 "meta.json", "records.csv")
@@ -84,3 +99,35 @@ def test_table1_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _read(tmp_path, "table1.csv") == _read(TABLE1_DIR, "table1.csv")
+
+
+def null_taus(threads):
+    """Columns of NULL_TAUS_COLUMNS, computed at experiments._BLOCK."""
+    garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3)
+    columns = [list(range(300))]
+    for side in ("one_sided", "two_sided"):
+        params = MonitoringParams(m=200, gamma=0.25, side=side,
+                                  horizon_factor=3.54)
+        assert params.horizon == 708
+        fn = functools.partial(experiments._block_taus, params, garch, 1.5, 7,
+                               rules=(("page", 1.5), ("ordinary", 1.5)))
+        parts = rng._map_blocks(fn, 300, experiments._BLOCK, threads)
+        for i in range(2):
+            columns.append(np.concatenate([p[i] for p in parts]).tolist())
+    return columns
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block", [125, None])
+def test_null_taus_match_golden(monkeypatch, block, threads):
+    if block is not None:
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+    with open(NULL_TAUS_CSV, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == NULL_TAUS_COLUMNS
+    want = [[int(v) for v in col] for col in zip(*rows[1:])]
+    got = null_taus(threads)
+    assert got == want
+    for col in got[1:]:  # some paths stop, in both chunks, and some do not
+        assert 0 < sum(t > 0 for t in col) < 300
+        assert max(col) > 512
