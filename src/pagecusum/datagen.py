@@ -39,7 +39,9 @@ class Garch11Spec:
         _require(self.beta_g >= 0.0, "beta_g must be >= 0")
         _require(self.alpha_g + self.beta_g < 1.0,
                  "alpha_g + beta_g must be < 1 (covariance stationarity)")
-        _require(self.burn_in >= 0, "burn_in must be >= 0")
+        _require(isinstance(self.burn_in, int)
+                 and not isinstance(self.burn_in, bool) and self.burn_in >= 0,
+                 "burn_in must be an integer >= 0")
 
     @property
     def unconditional_variance(self) -> float:

@@ -26,16 +26,26 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
-    """fn(start, count) on consecutive blocks of `block` stream indices
-    covering 0 .. reps-1, over min(threads, number of blocks) processes.
+    """fn(start, count) on consecutive blocks of stream indices covering
+    0 .. reps-1, over min(threads, number of blocks) processes.
 
+    block is the widest block allowed. Blocks are min(block, ceil(reps /
+    threads)) wide, narrowed where needed so that there are at least
+    min(threads, reps) of them; only the last may be narrower. So one process
+    runs one block when block allows it, and no worker is left without one.
     Results come back in block order, and each block draws from its own
     streams, so they are the same for any thread count. With threads > 1, fn
     must pickle: a module-level function or a functools.partial of one.
     """
+    _require(reps >= 1, "reps must be positive")
     _require(threads >= 1, "threads must be >= 1")
-    starts = range(0, reps, block)
-    counts = [min(block, reps - start) for start in starts]
+    parts = min(threads, reps)
+    width = min(block, -(-reps // parts))
+    if parts > 1:
+        # ceil(reps / parts) can leave a worker idle: 5 over 4 gives 2, 2, 1
+        width = min(width, (reps - 1) // (parts - 1))
+    starts = range(0, reps, width)
+    counts = [min(width, reps - start) for start in starts]
     workers = min(threads, len(starts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

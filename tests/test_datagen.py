@@ -22,6 +22,8 @@ class TestGarchSpec:
         dict(omega=1.0, beta_g=-0.1),
         dict(omega=1.0, burn_in=-1),
         dict(omega=math.inf),
+        dict(omega=1.0, burn_in=2.5),
+        dict(omega=1.0, burn_in=True),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):

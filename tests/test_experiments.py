@@ -8,6 +8,7 @@ from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        generate_garch11, kde, rng_stream, run_monitor,
                        run_replications)
 from pagecusum import experiments
+from pagecusum.asymptotics import compute_normalization
 from pagecusum.datagen import CHUNK, generate_garch11_batch
 from pagecusum.experiments import (densities_from_records, read_records_csv,
                                    simulate_to_dir, write_records_csv)
@@ -114,6 +115,17 @@ class TestRunReplications:
                                seed=5, threads=2)
         assert one == two
 
+    def test_block_width_does_not_change_records(self, monkeypatch):
+        # 600 reps: two blocks at the default width, five at 125
+        params, scenario = small_setup(delta=0.7, kstar=15)
+        args = (params, scenario, GARCH, 600, 1.7, 1.65)
+        want = run_replications(*args, seed=5)
+        for block in (125, experiments._BLOCK):
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            for threads in (1, 2):
+                assert run_replications(*args, seed=5,
+                                        threads=threads) == want
+
     def test_early_change_rules_are_similar(self):
         # with kstar = 1 the two rules differ only through their critical
         # values, so the normalized delays nearly coincide on average
@@ -191,11 +203,27 @@ class TestEmpiricalSize:
         b = empirical_size(params, GARCH, 200, c=1.64485, seed=10, threads=2)
         assert a == b
 
+    def test_block_width_does_not_change_size(self, monkeypatch):
+        params = MonitoringParams(m=100, detector="ordinary",
+                                  horizon_factor=3.0)
+        want = empirical_size(params, GARCH, 600, c=1.4, seed=10)
+        assert 0.0 < want < 1.0
+        for block in (125, experiments._BLOCK):
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            for threads in (1, 2):
+                assert empirical_size(params, GARCH, 600, c=1.4, seed=10,
+                                      threads=threads) == want
+
 
 class TestKde:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(ValidationError):
             kde(np.zeros(100), -1.0, 1.0, 11)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite sample value"):
+            kde([1.0, bad, 2.0], 0.0, 3.0)
 
     def test_integral_near_one(self):
         x = rng_stream(12, 0).standard_normal(10_000)
@@ -281,6 +309,20 @@ class TestSimulateDir:
         assert len(recs) == 50
         assert meta["n_nostop_page"] == sum(1 for r in recs
                                             if r.tau_page is None)
+
+    def test_normalizations_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compute_normalization(*args)
+
+        monkeypatch.setattr(experiments, "compute_normalization", counting)
+        params, scenario = small_setup(delta=1.5, kstar=2, m=60,
+                                       horizon_factor=4.0)
+        simulate_to_dir(params, scenario, GARCH, 20, 1.69236, 1.64485,
+                        seed=17, out_dir=tmp_path)
+        assert [c for c, *_ in calls] == [1.69236, 1.64485]
 
     def test_density_files_integrate_to_one(self, tmp_path):
         params, scenario = small_setup(delta=1.0, kstar=5, m=100,

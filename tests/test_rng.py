@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pagecusum import ValidationError, rng
+from pagecusum import ValidationError, experiments, rng
 from pagecusum.cli import dispatch
 
 
@@ -44,6 +46,32 @@ def test_blocks_are_consecutive_and_in_order(fake_pool, threads):
                            threads) == [(0, 3), (3, 3), (6, 1)]
     assert rng._map_blocks(lambda start, count: (start, count), 6, 3,
                            threads) == [(0, 3), (3, 3)]
+
+
+@given(reps=st.integers(1, 3000), block=st.integers(1, 700),
+       threads=st.integers(1, 12))
+def test_blocks_cover_every_index_once(reps, block, threads):
+    with pytest.MonkeyPatch.context() as mp:
+        FakePool.started = []
+        mp.setattr(rng, "ProcessPoolExecutor", FakePool)
+        blocks = rng._map_blocks(lambda start, count: (start, count), reps,
+                                 block, threads)
+    assert [i for s, c in blocks for i in range(s, s + c)] == list(range(reps))
+    assert all(1 <= c <= block for _, c in blocks)
+    assert len(blocks) >= min(threads, reps)
+    assert len({c for _, c in blocks[:-1]}) <= 1  # only the last is narrower
+    if threads == 1 and reps <= block:
+        assert len(blocks) == 1
+    workers = min(threads, len(blocks))
+    assert FakePool.started == ([workers] if workers > 1 else [])
+
+
+def test_default_width_keeps_both_workers(fake_pool):
+    # 250 replications fit one default block, yet two threads get two
+    assert experiments._BLOCK >= 250
+    assert rng._map_blocks(lambda start, count: (start, count), 250,
+                           experiments._BLOCK, 2) == [(0, 125), (125, 125)]
+    assert fake_pool == [2]
 
 
 def test_threads_below_one_rejected(fake_pool, capsys, tmp_path):
