@@ -13,9 +13,9 @@ nu_tilde being the ordinary stopping time under the page normalization, the
 natural benchmark for comparing the two rules on one scale.
 
 run_replications and empirical_size fan _block_taus out with
-rng._map_blocks, in blocks of at most _BLOCK replications: one block for a
-study of up to _BLOCK replications in one process, one block per worker
-otherwise. Each GARCH time step is a few numpy calls on a whole block, so
+rng._map_blocks over as few blocks of at most _BLOCK replications as the
+thread count allows: a study of up to _BLOCK replications in one process is
+one block. Each GARCH time step is a few numpy calls on a whole block, so
 wider blocks pay less call overhead per path. Workers return only tau arrays;
 records and stop counts are built from them in the calling process.
 """
