@@ -10,6 +10,7 @@ order nu > 2, which holds here and plays no algorithmic role).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class Garch11Spec:
         _require(self.beta_g >= 0.0, "beta_g must be >= 0")
         _require(self.alpha_g + self.beta_g < 1.0,
                  "alpha_g + beta_g must be < 1 (covariance stationarity)")
-        _require(isinstance(self.burn_in, int)
+        _require(isinstance(self.burn_in, numbers.Integral)
                  and not isinstance(self.burn_in, bool) and self.burn_in >= 0,
                  "burn_in must be an integer >= 0")
 

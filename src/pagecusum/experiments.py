@@ -115,13 +115,6 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     Deterministic given seed: replication r always uses RNG stream (seed, r),
     so the result is identical for any thread count or block size.
     """
-    return _study(params, scenario, garch, reps, c_page, c_q, seed, mu,
-                  threads)[0]
-
-
-def _study(params, scenario, garch, reps, c_page, c_q, seed, mu, threads):
-    """run_replications' records with the page and ordinary normalizations
-    they were computed from."""
     _require(reps >= 1, "reps must be positive")
     _require(c_page > 0.0 and c_q > 0.0, "critical values must be positive")
     _require(math.isfinite(mu), "mu must be finite")
@@ -144,7 +137,7 @@ def _study(params, scenario, garch, reps, c_page, c_q, seed, mu, threads):
         nu_tilde = (tau_q - a_page) / b_page if tau_q is not None else None
         records.append(ReplicationRecord(rep, tau_page, tau_q,
                                          nu_page, nu_q, nu_tilde))
-    return records, norm_page, norm_q
+    return records
 
 
 def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
@@ -344,11 +337,13 @@ def simulate_to_dir(params: MonitoringParams, scenario: ChangeScenario,
                     seed: int, out_dir, mu: float = 0.0,
                     threads: int = 1) -> dict:
     """Full replication study: records.csv, density_*.csv and meta.json."""
-    records, norm_page, norm_q = _study(params, scenario, garch, reps, c_page,
-                                        c_q, seed, mu, threads)
+    records = run_replications(params, scenario, garch, reps, c_page, c_q,
+                               seed, mu=mu, threads=threads)
     os.makedirs(out_dir, exist_ok=True)
     write_records_csv(records, os.path.join(out_dir, "records.csv"))
     write_densities(densities_from_records(records), out_dir)
+    norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
+    norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
     meta = {
         "m": params.m, "gamma": params.gamma, "alpha": params.alpha,
         "side": params.side, "horizon_factor": params.horizon_factor,

@@ -37,7 +37,6 @@ def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
     streams, so they are the same for any thread count. With threads > 1, fn
     must pickle: a module-level function or a functools.partial of one.
     """
-    _require(reps >= 1, "reps must be positive")
     _require(threads >= 1, "threads must be >= 1")
     parts = min(threads, reps)
     width = min(block, -(-reps // parts))

@@ -11,12 +11,13 @@ estimated here on a uniform grid of size T. Grid suprema underestimate the
 continuous supremum slightly (the bias shrinks with T and grows with gamma,
 since t**(-gamma) amplifies the missing fine structure near t = 0).
 
-Paths are simulated in blocks of _BLOCK, one Philox stream per path. Each
-path's normals are drawn into one reused row, scaled and summed in place,
-and scored while the row is still in cache, so a worker needs O(T) memory
-rather than O(_BLOCK * T). The values are bit-identical to scoring a whole
-(paths, T) block at once: every elementwise operation and its order are
-kept, and running extremes and maxima are exact in floating point.
+Paths are simulated in blocks of at most _BLOCK, one Philox stream per
+path. Each path's normals are drawn into one reused row, scaled and summed
+in place, and scored while the row is still in cache, so a worker needs
+O(T) memory rather than O(_BLOCK * T). The values are bit-identical to
+scoring a whole (paths, T) block at once: every elementwise operation and
+its order are kept, and running extremes and maxima are exact in floating
+point.
 """
 
 import functools

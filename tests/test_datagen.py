@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ class TestGarchSpec:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):
             Garch11Spec(**kwargs)
+
+    def test_accepts_numpy_integer_burn_in(self):
+        spec = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3,
+                           burn_in=np.int64(3))
+        want = replace(spec, burn_in=3)
+        assert np.array_equal(generate_garch11(spec, 20, rng_stream(4, 0)),
+                              generate_garch11(want, 20, rng_stream(4, 0)))
 
 
 class TestGarchGenerator:

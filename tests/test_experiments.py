@@ -8,7 +8,6 @@ from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        generate_garch11, kde, rng_stream, run_monitor,
                        run_replications)
 from pagecusum import experiments
-from pagecusum.asymptotics import compute_normalization
 from pagecusum.datagen import CHUNK, generate_garch11_batch
 from pagecusum.experiments import (densities_from_records, read_records_csv,
                                    simulate_to_dir, write_records_csv)
@@ -309,20 +308,6 @@ class TestSimulateDir:
         assert len(recs) == 50
         assert meta["n_nostop_page"] == sum(1 for r in recs
                                             if r.tau_page is None)
-
-    def test_normalizations_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return compute_normalization(*args)
-
-        monkeypatch.setattr(experiments, "compute_normalization", counting)
-        params, scenario = small_setup(delta=1.5, kstar=2, m=60,
-                                       horizon_factor=4.0)
-        simulate_to_dir(params, scenario, GARCH, 20, 1.69236, 1.64485,
-                        seed=17, out_dir=tmp_path)
-        assert [c for c, *_ in calls] == [1.69236, 1.64485]
 
     def test_density_files_integrate_to_one(self, tmp_path):
         params, scenario = small_setup(delta=1.0, kstar=5, m=100,
