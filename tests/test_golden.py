@@ -19,6 +19,12 @@ and both sides: m=200, a horizon of 708 steps (not a multiple of
 datagen.CHUNK), 300 replications, mu=1.5 and c=1.5, so some paths stop in
 either chunk and most do not. It pins the per-path scan for any block width
 and worker count.
+
+tests/golden/regime2_study/ holds the five files simulate_to_dir writes for a
+knife-edge (regime II) scenario: m=200, gamma=0.25, kstar=floor(200**(1/3)),
+a horizon of 60 steps and 60 replications. meta.json thus carries non-null
+d1 and c1, and records.csv has rows where neither, one or both detectors
+stopped, so empty fields are pinned next to filled ones.
 """
 
 import csv
@@ -43,6 +49,8 @@ NULL_TAUS_CSV = os.path.join(os.path.dirname(__file__), "golden", "null_taus",
 NULL_TAUS_COLUMNS = ("rep", "page_one", "ordinary_one", "page_two",
                      "ordinary_two")
 CRITVALS_FILES = sorted(os.listdir(CRITVALS_DIR))
+REGIME2_DIR = os.path.join(os.path.dirname(__file__), "golden",
+                           "regime2_study")
 GOLDEN_FILES = ("density_page.csv", "density_q.csv", "density_tilde.csv",
                 "meta.json", "records.csv")
 
@@ -65,6 +73,36 @@ def test_demo04_late_change_study_matches_golden(tmp_path, threads):
     assert sorted(os.listdir(tmp_path)) == sorted(GOLDEN_FILES)
     for name in GOLDEN_FILES:
         assert _read(tmp_path, name) == _read(GOLDEN_DIR, name), name
+
+
+def _regime2_config():
+    """(params, scenario, garch, reps, c_page, c_q) of the regime-II golden."""
+    params = MonitoringParams(m=200, gamma=0.25, horizon_factor=0.3)
+    scenario = ChangeScenario.from_exponent(0.4, 1.0, 1.0 / 3.0, 200)
+    garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=20)
+    return params, scenario, garch, 60, 1.89922, 1.81023
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_regime2_study_matches_golden(tmp_path, threads):
+    meta = simulate_to_dir(*_regime2_config(), seed=3, out_dir=str(tmp_path),
+                           threads=threads)
+    assert meta["case"]["variant"] == "II"
+    assert meta["case"]["d1"] is not None and meta["case"]["c1"] is not None
+    assert 0 < meta["n_nostop_page"] < 60 and 0 < meta["n_nostop_q"] < 60
+    assert sorted(os.listdir(tmp_path)) == sorted(GOLDEN_FILES)
+    for name in GOLDEN_FILES:
+        assert _read(tmp_path, name) == _read(REGIME2_DIR, name), name
+
+
+def test_regime2_records_round_trip(tmp_path):
+    golden = os.path.join(REGIME2_DIR, "records.csv")
+    records = experiments.read_records_csv(golden)
+    assert {(r.tau_page is None, r.tau_q is None) for r in records} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    experiments.write_records_csv(records, tmp_path / "records.csv")
+    assert _read(tmp_path, "records.csv") == _read(REGIME2_DIR, "records.csv")
+    assert records == experiments.run_replications(*_regime2_config(), seed=3)
 
 
 def test_critvals_golden_covers_both_detectors_sides_and_gammas():
