@@ -136,10 +136,11 @@ def compute_N(m: int, x: float, c: float, kstar: int, delta: float,
     """Deterministic index N(m, x) with P(tau > N(m, x)) -> Psi_bar(x).
 
     Strictly decreasing in x, with N(m, 0) = a_m (at x = 0 the x-term drops
-    and the bracket is exactly a_m**(1-gamma)). Raises when x is so large
-    that the bracket is nonpositive.
+    and the bracket is exactly a_m**(1-gamma)). Raises when x is not finite
+    or so large that the bracket is nonpositive.
     """
     _check_common(c, m, kstar, delta, sigma, gamma)
+    _require(math.isfinite(x), "x must be finite")
     if x == 0.0:
         return a_m
     K = sigma * c * m ** (0.5 - gamma) / abs(delta)

@@ -10,12 +10,11 @@ order nu > 2, which holds here and plays no algorithmic role).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChangeScenario, _require
+from .model import ChangeScenario, _require, _require_count
 from .rng import rng_stream
 
 
@@ -40,9 +39,7 @@ class Garch11Spec:
         _require(self.beta_g >= 0.0, "beta_g must be >= 0")
         _require(self.alpha_g + self.beta_g < 1.0,
                  "alpha_g + beta_g must be < 1 (covariance stationarity)")
-        _require(isinstance(self.burn_in, numbers.Integral)
-                 and not isinstance(self.burn_in, bool) and self.burn_in >= 0,
-                 "burn_in must be an integer >= 0")
+        _require_count(self.burn_in, "burn_in", 0)
 
     @property
     def unconditional_variance(self) -> float:
@@ -57,7 +54,7 @@ def generate_garch11(spec: Garch11Spec, n: int,
     spec.burn_in values are discarded. With alpha_g = beta_g = 0 this
     collapses to i.i.d. N(0, omega).
     """
-    _require(n >= 1, "n must be positive")
+    _require_count(n, "n", 1)
     total = spec.burn_in + n
     z = rng.standard_normal(total)
     eps = np.empty(total)
@@ -104,8 +101,8 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     passes a spec with burn_in=0; the pieces then concatenate to the output
     of one call for their total length.
     """
-    _require(n >= 1, "n must be positive")
-    _require(n_paths >= 1, "n_paths must be positive")
+    _require_count(n, "n", 1)
+    _require_count(n_paths, "n_paths", 1)
     if carry is None:
         carry = GarchCarry()
     if carry.rngs is None:
@@ -158,8 +155,8 @@ class StreamSpec:
     length: int
 
     def __post_init__(self):
-        _require(self.m >= 2, "m must be >= 2")
-        _require(self.length >= 1, "length must be positive")
+        _require_count(self.m, "m", 2)
+        _require_count(self.length, "length", 1)
 
 
 def generate_stream(spec: StreamSpec, innovations):

@@ -18,6 +18,10 @@ thread count allows: a study of up to _BLOCK replications in one process is
 one block. Each GARCH time step is a few numpy calls on a whole block, so
 wider blocks pay less call overhead per path. Workers return only tau arrays;
 records and stop counts are built from them in the calling process.
+
+The study files follow the dataclasses they serialize: records.csv has one
+column per ReplicationRecord field, and meta.json takes its scenario, GARCH
+and regime keys from the fields of ChangeScenario, Garch11Spec and CaseLabel.
 """
 
 import csv
@@ -25,7 +29,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .asymptotics import compute_b_m, compute_normalization, solve_a_m
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
 from .detectors import ScanCarry, boundary_g, first_crossings, scan_chunk
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
-                    _require, resolve_kstar, validate_scenario)
+                    _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
 
 # widest block of replications per work unit. A GARCH time step is seven
@@ -115,7 +119,7 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     Deterministic given seed: replication r always uses RNG stream (seed, r),
     so the result is identical for any thread count or block size.
     """
-    _require(reps >= 1, "reps must be positive")
+    _require_count(reps, "reps", 1)
     _require(c_page > 0.0 and c_q > 0.0, "critical values must be positive")
     _require(math.isfinite(mu), "mu must be finite")
     validate_scenario(scenario, params.m)
@@ -149,7 +153,7 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
     truncated false-alarm probability; enlarging the horizon can only
     increase it, toward the open-end level alpha.
     """
-    _require(reps >= 1, "reps must be positive")
+    _require_count(reps, "reps", 1)
     _require(0.0 < c < math.inf, "critical value must be positive and finite")
     _require(math.isfinite(mu), "mu must be finite")
     fn = functools.partial(_block_taus, params, garch, mu, seed,
@@ -178,8 +182,9 @@ def kde(samples, grid_lo: float, grid_hi: float,
     """
     x = np.asarray(samples, dtype=float)
     _require(x.ndim == 1 and x.size >= 2, "need at least 2 samples")
-    _require(grid_hi > grid_lo, "grid_hi must exceed grid_lo")
-    _require(points >= 2, "points must be >= 2")
+    _require(-math.inf < grid_lo < grid_hi < math.inf,
+             "grid_lo and grid_hi must be finite, grid_hi above grid_lo")
+    _require_count(points, "points", 2)
     finite = np.isfinite(x)
     if not finite.all():
         raise ValidationError(f"non-finite sample value {x[~finite][0]}")
@@ -253,53 +258,40 @@ def emit_table1(alpha: float, gammas, scenarios, m_values,
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(TABLE1_COLUMNS)
-            for row in rows:
-                writer.writerow([row["rule"], repr(row["gamma"]), row["m"],
-                                 row["kstar"], f"{row['a_page']:.6f}",
-                                 f"{row['b_page']:.6f}", f"{row['a_q']:.6f}",
-                                 f"{row['b_q']:.6f}"])
+            for row in rows:  # the a and b columns to six decimals
+                writer.writerow([row[k] for k in TABLE1_COLUMNS[:4]]
+                                + [f"{row[k]:.6f}" for k in TABLE1_COLUMNS[4:]])
     return rows
 
 
-RECORD_COLUMNS = ("rep", "tau_page", "tau_q", "nu_page", "nu_q", "nu_tilde")
+RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord))
 
 
 def write_records_csv(records, path) -> None:
-    """records.csv with the exact header rep,tau_page,tau_q,nu_page,nu_q,nu_tilde.
-
-    Floats are written with repr so parsing restores them exactly; missing
-    values are empty fields.
-    """
+    """A RECORD_COLUMNS header, then one row per record, None as an empty
+    field. csv writes floats with float's repr, so parsing restores them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.rep,
-                "" if r.tau_page is None else r.tau_page,
-                "" if r.tau_q is None else r.tau_q,
-                "" if r.nu_page is None else repr(r.nu_page),
-                "" if r.nu_q is None else repr(r.nu_q),
-                "" if r.nu_tilde is None else repr(r.nu_tilde),
-            ])
+            row = [getattr(r, name) for name in RECORD_COLUMNS]
+            writer.writerow(["" if v is None else v for v in row])
 
 
 def read_records_csv(path) -> list[ReplicationRecord]:
-    records = []
+    """Records of a write_records_csv file; an empty field reads as None."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require(reader.fieldnames == list(RECORD_COLUMNS),
-                 f"unexpected records header: {reader.fieldnames}")
-        for row in reader:
-            records.append(ReplicationRecord(
-                rep=int(row["rep"]),
-                tau_page=int(row["tau_page"]) if row["tau_page"] else None,
-                tau_q=int(row["tau_q"]) if row["tau_q"] else None,
-                nu_page=float(row["nu_page"]) if row["nu_page"] else None,
-                nu_q=float(row["nu_q"]) if row["nu_q"] else None,
-                nu_tilde=float(row["nu_tilde"]) if row["nu_tilde"] else None,
-            ))
-    return records
+        reader = csv.reader(fh)
+        header, rows = next(reader, None), list(reader)
+    _require(header == list(RECORD_COLUMNS),
+             f"unexpected records header: {header}")
+    _require(all(len(row) == len(header) for row in rows),
+             "every records row needs one field per column")
+    # counts are int, normalized delays float
+    parsers = [float if name.startswith("nu_") else int for name in header]
+    return [ReplicationRecord(*(parse(v) if v else None
+                                for parse, v in zip(parsers, row)))
+            for row in rows]
 
 
 def write_density_csv(est: DensityEstimate, path) -> None:
@@ -323,7 +315,7 @@ def write_densities(densities, out_dir) -> None:
 def densities_from_records(records, points: int = 401):
     """KDE estimates for nu_page / nu_q / nu_tilde, skipping no-stop records."""
     out = {}
-    for name in ("nu_page", "nu_q", "nu_tilde"):
+    for name in _DENSITY_FILES:
         vals = np.array([getattr(r, name) for r in records
                          if getattr(r, name) is not None])
         if vals.size >= 2 and vals.std(ddof=1) > 0.0:
@@ -348,17 +340,9 @@ def simulate_to_dir(params: MonitoringParams, scenario: ChangeScenario,
         "m": params.m, "gamma": params.gamma, "alpha": params.alpha,
         "side": params.side, "horizon_factor": params.horizon_factor,
         "horizon": params.horizon, "reps": reps, "seed": seed, "mu": mu,
-        "delta": scenario.delta, "kstar": scenario.kstar,
-        "theta": scenario.theta, "beta": scenario.beta,
-        "sigma": scenario.sigma,
-        "garch": {"omega": garch.omega, "alpha_g": garch.alpha_g,
-                  "beta_g": garch.beta_g, "burn_in": garch.burn_in},
-        "c_page": c_page, "c_q": c_q,
-        "a_page": norm_page.a_m, "b_page": norm_page.b_m,
-        "a_q": norm_q.a_m, "b_q": norm_q.b_m,
-        "case": {"variant": norm_page.case.variant,
-                 "eta": norm_page.case.eta,
-                 "d1": norm_page.case.d1, "c1": norm_page.case.c1},
+        **asdict(scenario), "garch": asdict(garch), "c_page": c_page,
+        "c_q": c_q, "a_page": norm_page.a_m, "b_page": norm_page.b_m,
+        "a_q": norm_q.a_m, "b_q": norm_q.b_m, "case": asdict(norm_page.case),
         "n_nostop_page": sum(1 for r in records if r.tau_page is None),
         "n_nostop_q": sum(1 for r in records if r.tau_q is None),
         "records_file": "records.csv",

@@ -12,6 +12,7 @@ A local shift delta * m**(-rate), rate > 0, is classified by eta - rate.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,13 @@ class ValidationError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _require_count(value, name: str, least: int) -> None:
+    """value must be an integer (not a bool, not a float) >= least."""
+    _require(isinstance(value, numbers.Integral)
+             and not isinstance(value, bool) and value >= least,
+             f"{name} must be an integer >= {least}")
 
 
 def _require_gamma(gamma: float) -> None:
@@ -59,8 +67,7 @@ class MonitoringParams:
     horizon_factor: float = 20.0
 
     def __post_init__(self):
-        _require(int(self.m) == self.m and self.m >= 2,
-                 "m must be an integer >= 2 (sample variance needs two points)")
+        _require_count(self.m, "m", 2)  # sample variance needs two points
         _require_gamma(self.gamma)
         _require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
         _require(self.side in SIDES, f"side must be one of {SIDES}")
@@ -107,8 +114,7 @@ class ChangeScenario:
     def __post_init__(self):
         _require(math.isfinite(self.delta) and self.delta != 0.0,
                  "delta must be finite and nonzero")
-        _require(int(self.kstar) == self.kstar and self.kstar >= 1,
-                 "kstar must be a positive integer")
+        _require_count(self.kstar, "kstar", 1)
         _require(0.0 < self.sigma < math.inf,
                  "sigma must be positive and finite")
         _require(0.0 < self.theta < math.inf,

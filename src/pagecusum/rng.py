@@ -4,7 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .model import _require
+from .model import _require_count
 
 _UINT64 = 1 << 64
 
@@ -37,7 +37,7 @@ def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
     streams, so they are the same for any thread count. With threads > 1, fn
     must pickle: a module-level function or a functools.partial of one.
     """
-    _require(threads >= 1, "threads must be >= 1")
+    _require_count(threads, "threads", 1)
     parts = min(threads, reps)
     width = min(block, -(-reps // parts))
     if parts > 1:

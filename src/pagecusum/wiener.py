@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import DETECTORS, SIDES, ValidationError, _require, _require_gamma
+from .model import (DETECTORS, SIDES, ValidationError, _require,
+                    _require_count, _require_gamma)
 from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 
 _BLOCK = 256  # paths per work unit; fixed so batching never affects results
@@ -50,7 +51,7 @@ class WienerPath:
 
 def sample_wiener_path(T: int, rng: np.random.Generator) -> WienerPath:
     """Cumulative sum of T independent N(0, 1/T) increments, W(0) = 0."""
-    _require(T >= 2, "T must be >= 2")
+    _require_count(T, "T", 2)
     increments = rng.standard_normal(T) * math.sqrt(1.0 / T)
     values = np.empty(T + 1)
     values[0] = 0.0
@@ -171,8 +172,8 @@ def simulate_functional_values(gamma: float, side: str, detector: str,
     _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
     _require(detector in DETECTORS, f"detector must be one of {DETECTORS}")
-    _require(T >= 2, "T must be >= 2")
-    _require(reps >= 1, "reps must be positive")
+    _require_count(T, "T", 2)
+    _require_count(reps, "reps", 1)
     fn = functools.partial(_simulate_block, seed, T, gamma, side, detector)
     return np.concatenate(_map_blocks(fn, reps, _BLOCK, threads))
 
@@ -210,7 +211,7 @@ def estimate_critical_value(gamma: float, alpha: float, side: str,
     for any thread count.
     """
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    _require(reps >= 100, "reps must be >= 100")
+    _require_count(reps, "reps", 100)
     vals = simulate_functional_values(gamma, side, detector, reps, T, seed,
                                       threads=threads)
     c = float(np.quantile(vals, 1.0 - alpha))
@@ -264,19 +265,16 @@ def load_estimate(path) -> CriticalValueEstimate:
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
     _require(isinstance(d, dict), f"{path}: not a JSON object")
-    est = CriticalValueEstimate(c=d["c"], std_err=d["std_err"],
-                                gamma=d["gamma"], alpha=d["alpha"],
-                                side=d["side"], detector=d["detector"],
-                                reps=d["reps"], grid_size=d["grid"],
-                                seed=d["seed"])
-    for f in fields(est):
-        value = getattr(est, f.name)
+    values = {}
+    for f in fields(CriticalValueEstimate):
+        value = d["grid" if f.name == "grid_size" else f.name]
         kind = (int, float) if f.type is float else f.type
         ok = isinstance(value, kind) and not isinstance(value, bool)
         _require(ok and (f.type is not float or math.isfinite(value)),
                  f"{path}: field '{f.name}' has the wrong type or is not "
                  f"finite: {value!r}")
-    return est
+        values[f.name] = value
+    return CriticalValueEstimate(**values)
 
 
 def resolve_critical_value(gamma: float, alpha: float, side: str,

@@ -207,6 +207,12 @@ class TestNonFiniteInputs:
                 with pytest.raises(ValidationError):
                     solve_d1(*args)
 
+    @pytest.mark.parametrize("bad", BAD)
+    def test_compute_N_rejects_non_finite_x(self, bad):
+        a = solve_a_m(1.645, 100, 1, 1.0)
+        with pytest.raises(ValidationError, match="x must be finite"):
+            compute_N(100, bad, 1.645, 1, 1.0, 1.0, 0.0, a)
+
 
 class TestComputeN:
     def test_center_at_zero(self):

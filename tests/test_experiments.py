@@ -224,6 +224,12 @@ class TestKde:
         with pytest.raises(ValidationError, match="non-finite sample value"):
             kde([1.0, bad, 2.0], 0.0, 3.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 3.0),
+                                        (math.nan, 3.0), (0.0, math.nan)])
+    def test_non_finite_grid_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="must be finite"):
+            kde([1.0, 2.0, 3.0], lo, hi)
+
     def test_integral_near_one(self):
         x = rng_stream(12, 0).standard_normal(10_000)
         est = kde(x, float(x.min()) - 1.0, float(x.max()) + 1.0, 801)
@@ -290,6 +296,18 @@ class TestRecordsIo:
         write_records_csv(recs, path)
         first = path.read_text().splitlines()[0]
         assert first == "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde"
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "rep,tau_page,tau_q,nu_page,nu_q\n",
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,0.5\n",
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,0.5,0.5,9\n",
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            read_records_csv(path)
 
 
 class TestSimulateDir:

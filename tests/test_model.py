@@ -1,8 +1,43 @@
 import pytest
 
-from pagecusum import (ChangeScenario, MonitoringParams, ValidationError,
-                       classify_case, compute_eta, eta_zero_beta,
-                       resolve_kstar, validate_scenario)
+from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
+                       StreamSpec, ValidationError, classify_case,
+                       compute_eta, empirical_size, estimate_critical_value,
+                       eta_zero_beta, generate_garch11, kde, resolve_kstar,
+                       rng_stream, run_replications, sample_wiener_path,
+                       validate_scenario)
+from pagecusum.datagen import generate_garch11_batch
+
+GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=5)
+PARAMS = MonitoringParams(m=20, horizon_factor=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MonitoringParams(m=100.0),
+    lambda: ChangeScenario.at_kstar(1.0, 2.0),
+    lambda: StreamSpec(0.0, None, m=2.5, length=10),
+    lambda: StreamSpec(0.0, None, m=20, length=10.0),
+    lambda: run_replications(PARAMS, ChangeScenario.at_kstar(1.0, 2), GARCH,
+                             2.5, 1.7, 1.6, seed=1),
+    lambda: run_replications(PARAMS, ChangeScenario.at_kstar(1.0, 2), GARCH,
+                             True, 1.7, 1.6, seed=1),
+    lambda: empirical_size(PARAMS, GARCH, 4, 1.7, seed=1, threads=1.5),
+    lambda: estimate_critical_value(0.0, 0.1, "one_sided", "page",
+                                    reps=1000.5, T=10),
+    lambda: estimate_critical_value(0.0, 0.1, "one_sided", "page",
+                                    reps=100, T=10.5),
+    lambda: sample_wiener_path(10.5, rng_stream(0, 0)),
+    lambda: kde([1.0, 2.0, 3.0], 0.0, 4.0, points=2.5),
+    lambda: generate_garch11(GARCH, 2.5, rng_stream(0, 0)),
+    lambda: generate_garch11_batch(GARCH, 4, 2.5, seed=0),
+], ids=["m", "kstar", "stream_m", "stream_length", "reps", "reps_bool",
+        "threads", "critvals_reps", "critvals_T", "wiener_T", "kde_points",
+        "garch_n", "garch_n_paths"])
+def test_counts_must_be_integers(call):
+    # a float or bool count is a ValidationError, never a TypeError later on
+    # or a silently accepted value
+    with pytest.raises(ValidationError, match="must be an integer >="):
+        call()
 
 
 class TestMonitoringParams:

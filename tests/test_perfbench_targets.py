@@ -4,20 +4,42 @@ import os
 
 import pytest
 
+from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
+                       experiments)
+
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
                                                   TRACING)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return mod
 
 
-@pytest.mark.parametrize("module, attr", _targets())
+@pytest.mark.parametrize("module, attr", _tracing().TARGETS)
 def test_traced_name_exists(module, attr):
     # the benchmark's tracer wraps each of these names and fails on a
     # missing one
     assert hasattr(importlib.import_module(f"pagecusum.{module}"), attr)
+
+
+def test_traced_study_records_its_layer_spans(tmp_path):
+    # a wrapped name only records spans if the study calls it through its
+    # module global, so a study must still open a span for each layer
+    params = MonitoringParams(m=50, horizon_factor=1.0)
+    scenario = ChangeScenario.at_kstar(2.0, 3)
+    garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=10)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        experiments.simulate_to_dir(params, scenario, garch, 20, 1.69, 1.64,
+                                    seed=5, out_dir=str(tmp_path))
+    finally:
+        tracer.uninstall()
+    for name in ("run_replications", "write_records_csv",
+                 "write_density_csv", "densities_from_records"):
+        assert tracer.select(f"experiments.{name}"), name
+    assert len(tracer.select("experiments.write_density_csv")) == 3
