@@ -14,9 +14,9 @@ rule's stochastically smaller limit in late-change regimes quantifies its
 advantage there.
 """
 
-from pagecusum import (ChangeScenario, LimitLaw, classify_case,
-                       compute_N, compute_normalization, eta_zero_beta,
-                       limit_cdf, resolve_critical_value)
+from pagecusum import (ChangeScenario, LimitLaw, compute_N,
+                       compute_normalization, eta_zero_beta, limit_cdf,
+                       resolve_critical_value)
 
 m = 10_000
 gamma = 0.25
@@ -45,8 +45,8 @@ print(f"delay-quantile curve N(m, x): N(m,0) = {compute_N(m, 0.0, c_page, scenar
 print()
 print("limit CDF of the normalized page delay at x = -1, 0, 1:")
 law3 = LimitLaw.for_variant("III")
-label2 = classify_case(ChangeScenario.from_exponent(
-    1.0, 1.0, eta_zero_beta(gamma), m), gamma, c=c_page)
+label2 = compute_normalization(c_page, m, ChangeScenario.from_exponent(
+    1.0, 1.0, eta_zero_beta(gamma), m), gamma).case
 law2 = LimitLaw(label2)
 law1 = LimitLaw.for_variant("I")
 for x in (-1.0, 0.0, 1.0):

@@ -14,12 +14,12 @@ is evaluated in closed form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (CaseLabel, ChangeScenario, ValidationError, _require,
-                    _require_gamma, classify_case)
+                    _require_count, _require_gamma, classify_case)
 
 # relative residual allowed on the fixed point a = K*a**gamma + kstar
 RESIDUAL_BOUND = 1e-10
@@ -31,8 +31,8 @@ class ConvergenceError(RuntimeError):
 
 def _check_common(c, m, kstar, delta, sigma, gamma):
     _require(0.0 < c < math.inf, "critical value c must be positive and finite")
-    _require(m >= 1, "m must be positive")
-    _require(kstar >= 1, "kstar must be >= 1")
+    _require_count(m, "m", 1)
+    _require_count(kstar, "kstar", 1)
     _check_delta_sigma(delta, sigma)
     _require_gamma(gamma)
 
@@ -50,8 +50,9 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
     the fixed point of x -> (K + kstar/x**gamma)**(1/(1-gamma)) with
     K = sigma*c*m**(1/2-gamma)/|delta| is iterated from
     x0 = max(kstar, K**(1/(1-gamma))); the map is a contraction near the root
-    (derivative magnitude (gamma/(1-gamma)) * kstar/a < 1). A Newton fallback
-    on x**(1-gamma) - K - kstar*x**(-gamma) guards pathological inputs.
+    (derivative magnitude (gamma/(1-gamma)) * kstar/a < 1), but slowly when
+    gamma nears 1/2 and K is small, as in solve_a_m(1.0, 1000, 1, 100.0, 1.0,
+    0.48); Newton on x**(1-gamma) - K - kstar*x**(-gamma) then finishes.
     """
     _check_common(c, m, kstar, delta, sigma, gamma)
     K = sigma * c * m ** (0.5 - gamma) / abs(delta)
@@ -86,7 +87,7 @@ def a_m_residual(a: float, c: float, m: int, kstar: int, delta: float,
 def compute_b_m(a_m: float, delta: float, sigma: float, gamma: float,
                 kstar: int) -> float:
     """Scaling sequence b_m(c) evaluated at the centering value a_m."""
-    _require(kstar >= 1, "kstar must be >= 1")
+    _require_count(kstar, "kstar", 1)
     _require(a_m >= kstar, "a_m must be >= kstar")
     _check_delta_sigma(delta, sigma)
     _require_gamma(gamma)
@@ -170,8 +171,10 @@ class AsymptoticNormalization:
 
 def compute_normalization(c: float, m: int, scenario: ChangeScenario,
                           gamma: float) -> AsymptoticNormalization:
-    """Assemble a_m, b_m and the regime label for one scenario."""
-    case = classify_case(scenario, gamma, c=c)
+    """Assemble a_m, b_m and the regime label (d1 included) for a scenario."""
+    case = classify_case(scenario, gamma)
+    if case.variant == "II":
+        case = replace(case, d1=solve_d1(c, scenario.sigma, case.c1, gamma))
     a = solve_a_m(c, m, scenario.kstar, scenario.delta, scenario.sigma, gamma)
     res = a_m_residual(a, c, m, scenario.kstar, scenario.delta,
                        scenario.sigma, gamma)
@@ -188,7 +191,7 @@ class LimitLaw:
     def __post_init__(self):
         if self.case.variant == "II":
             _require(self.case.d1 is not None,
-                     "regime II limit law needs d1 (solve_d1)")
+                     "regime II limit law needs d1")
 
     @property
     def variant(self) -> str:

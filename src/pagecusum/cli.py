@@ -139,12 +139,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_limit_cdf(args) -> int:
-    if args.case == "II":
-        _require(args.d1 is not None, "case II needs --d1")
-        law = asym.LimitLaw.for_variant("II", d1=args.d1)
-    else:
-        _require(args.d1 is None, "--d1 applies to case II only")
-        law = asym.LimitLaw.for_variant(args.case)
+    law = asym.LimitLaw.for_variant(args.case, d1=args.d1)
     _print_json({"psi_upper": asym.limit_cdf_upper(args.x, law),
                  "psi": asym.limit_cdf(args.x, law)})
     return 0

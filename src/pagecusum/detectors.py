@@ -29,7 +29,7 @@ import numpy as np
 
 from .datagen import CHUNK
 from .model import (MonitoringParams, ValidationError, _require,
-                    _require_gamma)
+                    _require_count, _require_gamma)
 
 
 class DegenerateTrainingError(ValidationError):
@@ -45,9 +45,10 @@ class TrainingSummary:
     sigma_hat: float
 
     def __post_init__(self):
-        _require(self.m >= 2, "m must be >= 2")
+        _require_count(self.m, "m", 2)
         if not self.sigma_hat > 0.0:
-            raise DegenerateTrainingError("sigma_hat must be positive")
+            raise DegenerateTrainingError(
+                "training data are constant (sigma_hat must be positive)")
 
 
 def summarize_training(x) -> TrainingSummary:
@@ -62,12 +63,8 @@ def summarize_training(x) -> TrainingSummary:
     _require(m >= 2, "training period needs at least 2 observations")
     _require(bool(np.isfinite(arr).all()),
              "training data contain a non-finite value")
-    mean = float(arr.mean())
-    sigma_hat = float(arr.std(ddof=1))
-    if not sigma_hat > 0.0:
-        raise DegenerateTrainingError(
-            "training data are constant (sigma_hat = 0)")
-    return TrainingSummary(m=m, mean=mean, sigma_hat=sigma_hat)
+    return TrainingSummary(m=m, mean=float(arr.mean()),
+                           sigma_hat=float(arr.std(ddof=1)))
 
 
 def boundary_g(m: int, k, gamma: float):
@@ -77,7 +74,7 @@ def boundary_g(m: int, k, gamma: float):
     array of monitoring indices.
     """
     _require_gamma(gamma)
-    _require(m >= 1, "m must be positive")
+    _require_count(m, "m", 1)
     karr = np.asarray(k, dtype=float)
     _require(bool(np.all(karr >= 1)), "k must be >= 1")
     val = math.sqrt(m) * (1.0 + karr / m) * (karr / (karr + m)) ** gamma
@@ -107,10 +104,13 @@ class StoppingResult:
     at tau.
     """
 
-    stopped: bool
     tau: int | None
     stat: float | None = None
     threshold: float | None = None
+
+    @property
+    def stopped(self) -> bool:
+        return self.tau is not None
 
 
 class ScanCarry:
@@ -272,12 +272,11 @@ def run_monitor(training, stream, params: MonitoringParams,
         _require(bool(np.isfinite(x).all()),
                  "stream contains a non-finite value")
         tau, stat, thresh = _scan_array(x, mon.training, params, c)
-        return StoppingResult(stopped=tau is not None, tau=tau, stat=stat,
-                              threshold=thresh)
+        return StoppingResult(tau=tau, stat=stat, threshold=thresh)
 
     for x_new in itertools.islice(stream, horizon):
         if mon.update(x_new):
-            return StoppingResult(stopped=True, tau=mon.k, stat=mon.stat,
+            return StoppingResult(tau=mon.k, stat=mon.stat,
                                   threshold=mon.threshold)
     _require(mon.k >= 1, "stream yields no observations")
-    return StoppingResult(stopped=False, tau=None)
+    return StoppingResult(tau=None)

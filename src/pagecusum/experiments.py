@@ -28,6 +28,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -120,7 +121,6 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     so the result is identical for any thread count or block size.
     """
     _require_count(reps, "reps", 1)
-    _require(c_page > 0.0 and c_q > 0.0, "critical values must be positive")
     _require(math.isfinite(mu), "mu must be finite")
     validate_scenario(scenario, params.m)
     norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
@@ -347,7 +347,8 @@ def simulate_to_dir(params: MonitoringParams, scenario: ChangeScenario,
         "n_nostop_q": sum(1 for r in records if r.tau_q is None),
         "records_file": "records.csv",
     }
+    # numpy ints become JSON ints; other non-JSON values raise before open
+    text = json.dumps(meta, indent=2, sort_keys=True, default=operator.index)
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return meta

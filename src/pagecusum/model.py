@@ -9,6 +9,8 @@ is the change time and gamma the boundary tuning parameter:
     III (eta > 0, late change):   limit is a Brownian supremum over (0, 1).
 
 A local shift delta * m**(-rate), rate > 0, is classified by eta - rate.
+d1 also depends on the critical value, so asymptotics.compute_normalization
+solves it; this module imports no other module of the package.
 """
 
 import math
@@ -88,9 +90,9 @@ def resolve_kstar(theta: float, beta: float, m: int) -> int:
     """
     _require(0.0 < theta < math.inf, "theta must be positive and finite")
     _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
-    _require(m >= 1, "m must be positive")
+    _require_count(m, "m", 1)
     kstar = math.floor(theta * m ** beta)
-    _require(kstar >= 1, "floor(theta * m**beta) must be >= 1")
+    _require_count(kstar, "floor(theta * m**beta)", 1)
     return kstar
 
 
@@ -188,14 +190,14 @@ class CaseLabel:
 
 
 def classify_case(scenario: ChangeScenario, gamma: float, *,
-                  rate: float = 0.0, c: float | None = None) -> CaseLabel:
+                  rate: float = 0.0) -> CaseLabel:
     """Classify a scenario into regime I, II or III.
 
     rate 0 means a fixed shift delta; rate > 0 a local shift
     delta_m = delta * m**(-rate). The decision is the sign of eta - rate,
     with |eta - rate| < ETA_TOL treated as the knife edge. For regime II the
-    constant c1 = theta**(1-gamma) * |delta| is reported, and d1 is solved
-    when a critical value c is given.
+    constant c1 = theta**(1-gamma) * |delta| is reported; d1 depends on the
+    critical value and is left to asymptotics.compute_normalization.
 
     The variant never depends on theta (theta only rescales c1), and for a
     fixed shift every beta < (1/2-gamma)/(1-gamma) lands in regime I.
@@ -207,10 +209,6 @@ def classify_case(scenario: ChangeScenario, gamma: float, *,
         # m**eta * |delta_m| -> |delta| for fixed and local shifts alike
         c1 = scenario.theta ** (1.0 - gamma) * abs(scenario.delta)
         _require(c1 > 0.0, "regime II requires a positive limit constant c1")
-        d1 = None
-        if c is not None:
-            from .asymptotics import solve_d1
-            d1 = solve_d1(c, scenario.sigma, c1, gamma)
-        return CaseLabel(variant="II", eta=eta, d1=d1, c1=c1)
+        return CaseLabel(variant="II", eta=eta, c1=c1)
     variant = "I" if effective < 0.0 else "III"
     return CaseLabel(variant=variant, eta=eta)

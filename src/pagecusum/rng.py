@@ -1,5 +1,6 @@
 """Counter-based RNG streams for reproducible (parallel) Monte Carlo."""
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,6 +22,8 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     Results are therefore identical no matter how work is batched or
     distributed over processes.
     """
+    # float keys round many indices to one stream; numpy ints overflow in %
+    seed, index = operator.index(seed), operator.index(index)
     key = (seed % _UINT64) * _UINT64 + (index % _UINT64)
     return np.random.Generator(np.random.Philox(key=key))
 

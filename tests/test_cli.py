@@ -52,6 +52,9 @@ class TestLimitCdfCommand:
     def test_case_two_needs_d1(self, capsys):
         code, _, err = run_cli(capsys, "limit-cdf", "--case", "II", "--x", "1")
         assert code == 2 and "d1" in err
+        code, _, err = run_cli(capsys, "limit-cdf", "--case", "I", "--d1",
+                               "0.3", "--x", "1")
+        assert code == 2 and "d1" in err
 
 
 class TestAsymptoticsCommand:

@@ -327,6 +327,20 @@ class TestSimulateDir:
         assert meta["n_nostop_page"] == sum(1 for r in recs
                                             if r.tau_page is None)
 
+    def test_numpy_integer_counts_write_the_same_meta(self, tmp_path):
+        def study(out, to_int, mu=0.0):
+            params, scenario = small_setup(delta=1.5, kstar=to_int(2),
+                                           m=to_int(60), horizon_factor=4.0)
+            garch = Garch11Spec(0.5, 0.2, 0.3, burn_in=to_int(10))
+            simulate_to_dir(params, scenario, garch, to_int(20), 1.69236,
+                            1.64485, seed=to_int(17), out_dir=out, mu=mu)
+            return (out / "meta.json").read_bytes()
+
+        assert study(tmp_path / "np", np.int64) == study(tmp_path / "py", int)
+        with pytest.raises(TypeError):
+            study(tmp_path / "f32", int, mu=np.float32(0.0))
+        assert not (tmp_path / "f32" / "meta.json").exists()
+
     def test_density_files_integrate_to_one(self, tmp_path):
         params, scenario = small_setup(delta=1.0, kstar=5, m=100,
                                        horizon_factor=6.0)

@@ -1,10 +1,12 @@
 import pytest
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       StreamSpec, ValidationError, classify_case,
-                       compute_eta, empirical_size, estimate_critical_value,
-                       eta_zero_beta, generate_garch11, kde, resolve_kstar,
-                       rng_stream, run_replications, sample_wiener_path,
+                       StreamSpec, TrainingSummary, ValidationError,
+                       boundary_g, classify_case, compute_b_m, compute_eta,
+                       compute_normalization, empirical_size,
+                       estimate_critical_value, eta_zero_beta,
+                       generate_garch11, kde, resolve_kstar, rng_stream,
+                       run_replications, sample_wiener_path, solve_a_m,
                        validate_scenario)
 from pagecusum.datagen import generate_garch11_batch
 
@@ -30,9 +32,15 @@ PARAMS = MonitoringParams(m=20, horizon_factor=1.0)
     lambda: kde([1.0, 2.0, 3.0], 0.0, 4.0, points=2.5),
     lambda: generate_garch11(GARCH, 2.5, rng_stream(0, 0)),
     lambda: generate_garch11_batch(GARCH, 4, 2.5, seed=0),
+    lambda: solve_a_m(1.7, 100.5, 3.5, 1.0),
+    lambda: compute_b_m(10.0, 1.0, 1.0, 0.25, 2.5),
+    lambda: resolve_kstar(1.0, 0.5, 100.5),
+    lambda: boundary_g(100.5, 1, 0.0),
+    lambda: TrainingSummary(m=2.5, mean=0.0, sigma_hat=1.0),
 ], ids=["m", "kstar", "stream_m", "stream_length", "reps", "reps_bool",
         "threads", "critvals_reps", "critvals_T", "wiener_T", "kde_points",
-        "garch_n", "garch_n_paths"])
+        "garch_n", "garch_n_paths", "solve_a_m", "compute_b_m",
+        "resolve_kstar", "boundary_g", "training_m"])
 def test_counts_must_be_integers(call):
     # a float or bool count is a ValidationError, never a TypeError later on
     # or a silently accepted value
@@ -175,7 +183,7 @@ class TestClassifyCase:
 
     def test_case_two_solves_d1_when_c_given(self):
         s = ChangeScenario.from_exponent(1.0, 1.0, 0.5, 10000)
-        label = classify_case(s, 0.0, c=1.6925)
+        label = compute_normalization(1.6925, 10000, s, 0.0).case
         assert label.variant == "II"
         assert label.d1 == pytest.approx(1.0 / 2.6925, abs=1e-9)
         assert classify_case(s, 0.0).d1 is None

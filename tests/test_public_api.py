@@ -1,5 +1,9 @@
 """The public names of the package: each resolves, none is listed twice, and
-removed names stay removed from the package and from its modules."""
+removed names and parameters stay removed from the package and from its
+modules."""
+
+import dataclasses
+import inspect
 
 import pagecusum
 from pagecusum import detectors
@@ -24,3 +28,12 @@ def test_removed_names_are_gone():
         assert name not in pagecusum.__all__
         assert not hasattr(pagecusum, name)
         assert not hasattr(detectors, name)
+
+
+def test_removed_parameters_are_gone():
+    # d1 is solved by compute_normalization, and stopped follows from tau
+    assert "c" not in inspect.signature(pagecusum.classify_case).parameters
+    fields = {f.name for f in dataclasses.fields(pagecusum.StoppingResult)}
+    assert "stopped" not in fields
+    assert pagecusum.StoppingResult(tau=3).stopped
+    assert not pagecusum.StoppingResult(tau=None).stopped

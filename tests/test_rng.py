@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,3 +90,13 @@ def test_threads_below_one_rejected(fake_pool, capsys, tmp_path):
     assert code == 2 and capsys.readouterr().out == ""
     assert not out_dir.exists()  # a rejected study leaves no directory
     assert fake_pool == []
+
+
+def test_numpy_integer_seed_keys_the_same_streams():
+    for seed in (17, -1, 2 ** 63):
+        assert rng.rng_stream(np.uint64(seed % 2 ** 64), 3).random() == \
+            rng.rng_stream(seed, 3).random()
+    # a float seed or index once keyed one stream for many indices
+    for seed, index in ((1.0, 0), (1, 2.0)):
+        with pytest.raises(TypeError):
+            rng.rng_stream(seed, index)
