@@ -23,10 +23,9 @@ from .model import (CaseLabel, ChangeScenario, MonitoringParams,
                     eta_zero_beta, resolve_kstar, validate_scenario)
 from .rng import rng_stream
 from .wiener import (CriticalValueEstimate, REFERENCE_CRITICAL_VALUES,
-                     WienerPath, estimate_critical_value, functional_ordinary,
-                     functional_page, refine_wiener_path,
-                     resolve_critical_value, sample_wiener_path,
-                     simulate_functional_values)
+                     estimate_critical_value, functional_ordinary,
+                     functional_page, resolve_critical_value,
+                     sample_wiener_path, simulate_functional_values)
 
 __version__ = "0.1.0"
 
@@ -36,12 +35,12 @@ __all__ = [
     "DensityEstimate", "Garch11Spec", "LimitLaw", "Monitor",
     "MonitoringParams", "REFERENCE_CRITICAL_VALUES", "ReplicationRecord",
     "StoppingResult", "StreamSpec", "TrainingSummary", "ValidationError",
-    "WienerPath", "boundary_g", "classify_case", "compute_N", "compute_b_m",
+    "boundary_g", "classify_case", "compute_N", "compute_b_m",
     "compute_d2", "compute_eta", "compute_normalization", "detector_stat",
     "emit_table1", "empirical_size", "estimate_critical_value",
     "eta_zero_beta", "functional_ordinary", "functional_page",
     "generate_garch11", "generate_stream", "kde", "limit_cdf",
-    "limit_cdf_upper", "refine_wiener_path", "resolve_critical_value",
+    "limit_cdf_upper", "resolve_critical_value",
     "resolve_kstar", "rng_stream", "run_monitor", "run_replications",
     "sample_wiener_path", "simulate_functional_values", "simulate_to_dir",
     "solve_a_m", "solve_d1", "summarize_training", "validate_scenario",

@@ -160,7 +160,6 @@ class AsymptoticNormalization:
 
     a_m: float
     b_m: float
-    c: float
     case: CaseLabel
     residual: float
 
@@ -179,7 +178,7 @@ def compute_normalization(c: float, m: int, scenario: ChangeScenario,
     res = a_m_residual(a, c, m, scenario.kstar, scenario.delta,
                        scenario.sigma, gamma)
     b = compute_b_m(a, scenario.delta, scenario.sigma, gamma, scenario.kstar)
-    return AsymptoticNormalization(a_m=a, b_m=b, c=c, case=case, residual=res)
+    return AsymptoticNormalization(a_m=a, b_m=b, case=case, residual=res)
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def _cmd_simulate(args) -> int:
         side=cfg.get("side", "one_sided"),
         horizon_factor=cfg.get("horizon_factor", 20.0))
     if "kstar" in cfg:
-        _require("beta_exp" not in cfg,
+        _require("theta" not in cfg and "beta_exp" not in cfg,
                  "give either kstar or theta/beta_exp, not both")
         scenario = ChangeScenario.at_kstar(cfg["delta"], cfg["kstar"])
     else:
@@ -258,8 +258,7 @@ def _cmd_table1(args) -> int:
     c_q = {g: wiener.resolve_critical_value(g, args.alpha, "one_sided",
                                             "ordinary", args.cache)
            for g in gammas}
-    rows = experiments.emit_table1(args.alpha, gammas, None,
-                                   (100, 1000, 10000), c_page, c_q,
+    rows = experiments.emit_table1(c_page, c_q, (100, 1000, 10000),
                                    out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -46,6 +46,8 @@ class TrainingSummary:
 
     def __post_init__(self):
         _require_count(self.m, "m", 2)
+        _require(math.isfinite(self.mean) and math.isfinite(self.sigma_hat),
+                 "training mean or sigma_hat is non-finite")
         if not self.sigma_hat > 0.0:
             raise DegenerateTrainingError(
                 "training data are constant (sigma_hat must be positive)")

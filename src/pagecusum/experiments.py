@@ -222,25 +222,22 @@ TABLE1_COLUMNS = ("rule", "gamma", "m", "kstar", "a_page", "b_page",
                   "a_q", "b_q")
 
 
-def emit_table1(alpha: float, gammas, scenarios, m_values,
-                c_page_by_gamma: dict, c_q_by_gamma: dict,
+def emit_table1(c_page_by_gamma: dict, c_q_by_gamma: dict, m_values,
                 out_path=None) -> list[dict]:
     """Normalization table rows for both stopping rules, for a unit shift
     and unit noise scale (delta = sigma = 1).
 
-    scenarios is a sequence of (label, kind, value, applicable_gammas) rules
-    (kind "fixed": kstar = value; kind "power": kstar = floor(m**value)), or
-    None for the canonical layout. Rows are emitted for each rule, each
-    applicable gamma in `gammas`, and each m. alpha only documents which
-    level the supplied critical values correspond to.
+    The two dicts map gamma to the critical value of each rule and must
+    have the same keys. Rows are emitted for each TABLE1_RULES rule (kind
+    "fixed": kstar = value; kind "power": kstar = floor(m**value)), each of
+    its gammas that is a key of the dicts, and each m.
     """
-    _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    rules = TABLE1_RULES if scenarios is None else scenarios
-    gammas = tuple(gammas)
+    _require(c_page_by_gamma.keys() == c_q_by_gamma.keys(),
+             "c_page_by_gamma and c_q_by_gamma need the same gammas")
     rows = []
-    for label, kind, value, rule_gammas in rules:
+    for label, kind, value, rule_gammas in TABLE1_RULES:
         for gamma in rule_gammas:
-            if gamma not in gammas:
+            if gamma not in c_page_by_gamma:
                 continue
             for m in m_values:
                 kstar = int(value) if kind == "fixed" \
@@ -307,9 +304,14 @@ _DENSITY_FILES = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",
 
 
 def write_densities(densities, out_dir) -> None:
-    """Write each estimate of densities_from_records to its density_*.csv."""
-    for name, est in densities.items():
-        write_density_csv(est, os.path.join(out_dir, _DENSITY_FILES[name]))
+    """Write each estimate of densities_from_records to its density_*.csv,
+    and delete the density files of the others, so none is left stale."""
+    for name, filename in _DENSITY_FILES.items():
+        path = os.path.join(out_dir, filename)
+        if name in densities:
+            write_density_csv(densities[name], path)
+        elif os.path.exists(path):
+            os.remove(path)
 
 
 def densities_from_records(records, points: int = 401):

@@ -11,13 +11,13 @@ estimated here on a uniform grid of size T. Grid suprema underestimate the
 continuous supremum slightly (the bias shrinks with T and grows with gamma,
 since t**(-gamma) amplifies the missing fine structure near t = 0).
 
-Paths are simulated in blocks of at most _BLOCK, one Philox stream per
-path. Each path's normals are drawn into one reused row, scaled and summed
-in place, and scored while the row is still in cache, so a worker needs
-O(T) memory rather than O(_BLOCK * T). The values are bit-identical to
-scoring a whole (paths, T) block at once: every elementwise operation and
-its order are kept, and running extremes and maxima are exact in floating
-point.
+A path is a plain (T+1,) array of W(j/T), j = 0..T, W(0) = 0. One sampler,
+_fill_path, draws T normals into a given row, scales them by sqrt(1/T) and
+sums them in place: sample_wiener_path runs it on a fresh array, and the
+simulation on one reused row per worker (O(T) memory), one Philox stream per
+path. Each row is scored while still in cache, bit-identical to scoring a
+whole (paths, T) block at once: every elementwise operation and its order
+are kept, and running extremes and maxima are exact in floating point.
 """
 
 import functools
@@ -32,45 +32,39 @@ from .model import (DETECTORS, SIDES, ValidationError, _require,
                     _require_count, _require_gamma)
 from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 
-_BLOCK = 256  # paths per work unit; fixed so batching never affects results
+# paths per work unit, the grain of the fan-out over workers. Each path is
+# drawn and scored on its own, so results do not depend on the block size
+_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class WienerPath:
-    """A Wiener path sampled on the uniform grid j/T, j = 0..T."""
-
-    grid_size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _require(self.grid_size >= 2, "grid_size must be >= 2")
-        _require(self.values.shape == (self.grid_size + 1,),
-                 "values must have length grid_size + 1")
-        _require(self.values[0] == 0.0, "a Wiener path starts at 0")
+def _fill_path(rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
+    """Overwrite row with W(j/T), j = 1..T, T = row.size: the cumulative sum
+    of T independent N(0, 1/T) increments drawn from rng. Returns row."""
+    rng.standard_normal(out=row)
+    np.multiply(row, math.sqrt(1.0 / row.size), out=row)
+    return np.cumsum(row, out=row)
 
 
-def sample_wiener_path(T: int, rng: np.random.Generator) -> WienerPath:
-    """Cumulative sum of T independent N(0, 1/T) increments, W(0) = 0."""
+def sample_wiener_path(T: int, rng: np.random.Generator) -> np.ndarray:
+    """The (T+1,) array of W(j/T), j = 0..T, with W(0) = 0."""
     _require_count(T, "T", 2)
-    increments = rng.standard_normal(T) * math.sqrt(1.0 / T)
-    values = np.empty(T + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return WienerPath(grid_size=T, values=values)
+    path = np.zeros(T + 1)
+    _fill_path(rng, path[1:])
+    return path
 
 
-def refine_wiener_path(path: WienerPath, rng: np.random.Generator) -> WienerPath:
+def refine_wiener_path(path, rng: np.random.Generator) -> np.ndarray:
     """Brownian-bridge midpoint refinement: same path on a grid of size 2T.
 
     Existing grid values are kept; each midpoint is the endpoint average plus
     an independent N(0, 1/(4T)) bridge fluctuation.
     """
-    T = path.grid_size
+    T = len(path) - 1
     values = np.empty(2 * T + 1)
-    values[0::2] = path.values
-    mids = 0.5 * (path.values[:-1] + path.values[1:])
+    values[0::2] = path
+    mids = 0.5 * (path[:-1] + path[1:])
     values[1::2] = mids + rng.standard_normal(T) * math.sqrt(0.25 / T)
-    return WienerPath(grid_size=2 * T, values=values)
+    return values
 
 
 def _functional_values(rows, T: int, gamma: float, side: str,
@@ -121,17 +115,23 @@ def _functional_values(rows, T: int, gamma: float, side: str,
     return np.maximum(sup, np.abs(last) if two_sided else last)
 
 
-def functional_ordinary(path: WienerPath, gamma: float,
-                        side: str = "one_sided") -> float:
-    """Grid supremum of W(t)/t**gamma (one-sided) or |W(t)|/t**gamma."""
+def _functional(path, gamma: float, side: str, detector: str) -> float:
+    path = np.asarray(path, dtype=float)
+    _require(path.ndim == 1 and path.size >= 3,
+             "a Wiener path is a 1-D array of at least 3 values")
+    _require(path[0] == 0.0, "a Wiener path starts at 0")
     _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
-    return float(_functional_values([path.values[1:]], path.grid_size, gamma,
-                                    side, "ordinary")[0])
+    return float(_functional_values([path[1:]], path.size - 1, gamma, side,
+                                    detector)[0])
 
 
-def functional_page(path: WienerPath, gamma: float,
-                    side: str = "one_sided") -> float:
+def functional_ordinary(path, gamma: float, side: str = "one_sided") -> float:
+    """Grid supremum of W(t)/t**gamma (one-sided) or |W(t)|/t**gamma."""
+    return _functional(path, gamma, side, "ordinary")
+
+
+def functional_page(path, gamma: float, side: str = "one_sided") -> float:
     """Grid supremum of the page functional; always >= functional_ordinary.
 
     The inner infimum is computed in O(T) total via the running minimum (and
@@ -139,26 +139,15 @@ def functional_page(path: WienerPath, gamma: float,
     analogue of the two-sided detector, sup_t t**(-gamma) *
     sup_{s<=t} |W(t) - ((1-t)/(1-s)) W(s)|.
     """
-    _require_gamma(gamma)
-    _require(side in SIDES, f"side must be one of {SIDES}")
-    return float(_functional_values([path.values[1:]], path.grid_size, gamma,
-                                    side, "page")[0])
+    return _functional(path, gamma, side, "page")
 
 
 def _simulate_block(seed: int, T: int, gamma: float, side: str,
                     detector: str, start: int, count: int) -> np.ndarray:
     """Functional values for paths [start, start + count); order-stable."""
-    sqdt = math.sqrt(1.0 / T)
     w = np.empty(T)
-
-    def paths():
-        for i in range(count):
-            rng_stream(seed, start + i).standard_normal(out=w)
-            np.multiply(w, sqdt, out=w)
-            np.cumsum(w, out=w)
-            yield w
-
-    return _functional_values(paths(), T, gamma, side, detector)
+    paths = (_fill_path(rng_stream(seed, start + i), w) for i in range(count))
+    return _functional_values(paths, T, gamma, side, detector)
 
 
 def simulate_functional_values(gamma: float, side: str, detector: str,

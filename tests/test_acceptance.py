@@ -100,7 +100,7 @@ def test_criterion_1_normalization_table_reproduction():
         assert spread <= 0.005, (gamma, det, spread)
 
     t0 = time.perf_counter()
-    rows = emit_table1(0.1, (0.0, 0.25, 0.45), None, M_VALUES, C_PAGE, C_Q)
+    rows = emit_table1(C_PAGE, C_Q, M_VALUES)
     elapsed = time.perf_counter() - t0
 
     by_key = {(r["rule"], r["gamma"], r["m"]): r for r in rows}
@@ -279,7 +279,7 @@ def test_criterion_8d_page_functional_linear_vs_quadratic():
             for gamma in (0.0, 0.25, 0.45):
                 for side in ("one_sided", "two_sided"):
                     fast = functional_page(path, gamma, side)
-                    slow = brute_force_page(path.values, gamma, side)
+                    slow = brute_force_page(path, gamma, side)
                     worst = max(worst, abs(fast - slow))
     report("8d", worst <= 1e-12,
            f"O(T) page functional vs O(T^2) oracle, worst dev {worst:.2e}")

@@ -271,7 +271,7 @@ class TestNormalizationBundle:
     def test_residual_invariant_enforced(self):
         from pagecusum import CaseLabel
         with pytest.raises(ValidationError):
-            AsymptoticNormalization(a_m=10.0, b_m=2.0, c=1.0,
+            AsymptoticNormalization(a_m=10.0, b_m=2.0,
                                     case=CaseLabel("I", -0.5),
                                     residual=1e-3)
 

@@ -86,6 +86,14 @@ class TestAsymptoticsCommand:
                                "0.5", "--delta", "1", "--c", "1.6")
         assert code == 2 and "either" in err
 
+    def test_simulate_kstar_and_theta_are_exclusive(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + "theta = 7.0\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--out", str(tmp_path / "out"))
+        assert code == 2 and "either" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCritvalsCommand:
     def test_gamma_domain_message(self, capsys):

@@ -91,9 +91,13 @@ class TestTraining:
         with pytest.raises(ValidationError):
             summarize_training([1.0])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected_not_reported_constant(self, bad):
-        x = [1.0, 2.0, bad, 4.0]
+    @pytest.mark.parametrize("x", [
+        pytest.param([1.0, 2.0, math.nan, 4.0], id="nan"),
+        pytest.param([1.0, 2.0, math.inf, 4.0], id="inf"),
+        pytest.param([1.0, 2.0, -math.inf, 4.0], id="-inf"),
+        pytest.param([1e308, 1e308, 1.0], id="overflowing-mean"),
+    ])
+    def test_non_finite_rejected_not_reported_constant(self, x):
         with pytest.raises(ValidationError, match="non-finite") as info:
             summarize_training(x)
         assert not isinstance(info.value, DegenerateTrainingError)

@@ -256,14 +256,13 @@ class TestTable1:
     C_Q = {0.0: 1.64485, 0.25: 1.81023, 0.45: 2.28680}
 
     def test_canonical_layout_row_count(self):
-        rows = emit_table1(0.1, (0.0, 0.25, 0.45), None, (100, 1000, 10000),
-                           self.C_PAGE, self.C_Q)
+        rows = emit_table1(self.C_PAGE, self.C_Q, (100, 1000, 10000))
         assert len(rows) == 45
 
     def test_known_rows_at_gamma_zero(self):
         c_q = {0.0: 1.6449}
         c_page = {0.0: 1.6924}
-        rows = emit_table1(0.1, (0.0,), None, (100, 10000), c_page, c_q)
+        rows = emit_table1(c_page, c_q, (100, 10000))
         by_key = {(r["rule"], r["m"]): r for r in rows}
         assert by_key[("1", 100)]["a_q"] == pytest.approx(17.45, abs=0.01)
         assert by_key[("1", 100)]["b_q"] == pytest.approx(4.18, abs=0.01)
@@ -272,10 +271,14 @@ class TestTable1:
                                                                  abs=0.01)
         assert by_key[("m^0.75", 10000)]["kstar"] == 1000
 
+    def test_mismatched_gammas_rejected(self):
+        with pytest.raises(ValidationError, match="same gammas"):
+            emit_table1(self.C_PAGE, {0.0: 1.64485}, (100,))
+
     def test_csv_round_trip(self, tmp_path):
         out = tmp_path / "table.csv"
-        rows = emit_table1(0.1, (0.0, 0.25, 0.45), None, (100, 1000, 10000),
-                           self.C_PAGE, self.C_Q, out_path=out)
+        rows = emit_table1(self.C_PAGE, self.C_Q, (100, 1000, 10000),
+                           out_path=out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "rule,gamma,m,kstar,a_page,b_page,a_q,b_q"
         assert len(lines) == len(rows) + 1
@@ -355,6 +358,18 @@ class TestSimulateDir:
             x = np.array([float(r["x"]) for r in rows])
             d = np.array([float(r["density"]) for r in rows])
             assert 0.99 <= np.trapezoid(d, x) <= 1.01
+
+    def test_rerun_removes_stale_density_files(self, tmp_path):
+        params = MonitoringParams(m=50, horizon_factor=4.0)
+        names = ("density_page.csv", "density_q.csv", "density_tilde.csv")
+        simulate_to_dir(params, ChangeScenario.at_kstar(3.0, 3), GARCH, 20,
+                        1.69236, 1.64485, seed=19, out_dir=tmp_path)
+        assert all((tmp_path / name).exists() for name in names)
+        meta = simulate_to_dir(params, ChangeScenario.at_kstar(3.0, 500),
+                               GARCH, 20, 50.0, 50.0, seed=19,
+                               out_dir=tmp_path)
+        assert meta["n_nostop_page"] == meta["n_nostop_q"] == 20
+        assert not any((tmp_path / name).exists() for name in names)
 
     def test_densities_skip_missing_values(self):
         from pagecusum import ReplicationRecord

@@ -5,10 +5,13 @@ modules."""
 import dataclasses
 import inspect
 
-import pagecusum
-from pagecusum import detectors
+import numpy as np
+import pytest
 
-REMOVED = ("DetectorState", "step_detector")
+import pagecusum
+from pagecusum import ValidationError, detectors, wiener
+
+REMOVED = ("DetectorState", "step_detector", "WienerPath")
 
 
 def test_every_exported_name_resolves_once():
@@ -28,12 +31,37 @@ def test_removed_names_are_gone():
         assert name not in pagecusum.__all__
         assert not hasattr(pagecusum, name)
         assert not hasattr(detectors, name)
+        assert not hasattr(wiener, name)
 
 
 def test_removed_parameters_are_gone():
-    # d1 is solved by compute_normalization, and stopped follows from tau
+    # d1 is solved by compute_normalization, stopped follows from tau, the
+    # table's gammas are the keys of its critical-value dicts, and alpha and
+    # the normalization's c were never read
     assert "c" not in inspect.signature(pagecusum.classify_case).parameters
     fields = {f.name for f in dataclasses.fields(pagecusum.StoppingResult)}
     assert "stopped" not in fields
     assert pagecusum.StoppingResult(tau=3).stopped
     assert not pagecusum.StoppingResult(tau=None).stopped
+    table1 = inspect.signature(pagecusum.emit_table1).parameters
+    assert not {"alpha", "gammas", "scenarios"} & set(table1)
+    fields = {f.name for f in
+              dataclasses.fields(pagecusum.AsymptoticNormalization)}
+    assert "c" not in fields
+
+
+def test_wiener_paths_are_arrays():
+    path = pagecusum.sample_wiener_path(4, pagecusum.rng_stream(0, 0))
+    assert isinstance(path, np.ndarray) and path.shape == (5,)
+    # the bridge refinement stays importable from its module only
+    assert "refine_wiener_path" not in pagecusum.__all__
+    assert callable(wiener.refine_wiener_path)
+
+
+@pytest.mark.parametrize("path", [np.zeros((2, 3)), np.zeros(2),
+                                  np.array([0.5, 0.0, 1.0])])
+@pytest.mark.parametrize("functional", [pagecusum.functional_ordinary,
+                                        pagecusum.functional_page])
+def test_functionals_reject_malformed_paths(functional, path):
+    with pytest.raises(ValidationError, match="Wiener path"):
+        functional(path, 0.0)

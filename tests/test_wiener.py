@@ -7,18 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagecusum import wiener
-from pagecusum import (REFERENCE_CRITICAL_VALUES, ValidationError, WienerPath,
+from pagecusum import (REFERENCE_CRITICAL_VALUES, ValidationError,
                        estimate_critical_value, functional_ordinary,
-                       functional_page, refine_wiener_path,
-                       resolve_critical_value, rng_stream, sample_wiener_path,
-                       simulate_functional_values)
+                       functional_page, resolve_critical_value, rng_stream,
+                       sample_wiener_path, simulate_functional_values)
 from pagecusum.wiener import (CriticalValueEstimate, load_estimate,
-                              save_estimate)
+                              refine_wiener_path, save_estimate)
 
 
 class _ZeroRng:
-    def standard_normal(self, n):
-        return np.zeros(n)
+    def standard_normal(self, out):
+        out[:] = 0.0
 
 
 def functional_batch_oracle(w, gamma, side, detector):
@@ -65,7 +64,7 @@ def brute_force_page(values, gamma, side):
 class TestPaths:
     def test_zero_increments(self):
         path = sample_wiener_path(2, _ZeroRng())
-        assert path.values.tolist() == [0.0, 0.0, 0.0]
+        assert path.tolist() == [0.0, 0.0, 0.0]
 
     def test_requires_t_at_least_two(self):
         with pytest.raises(ValidationError):
@@ -77,8 +76,8 @@ class TestPaths:
         w_one = np.empty(n)
         for i in range(n):
             path = sample_wiener_path(T, rng_stream(2024, i))
-            w_half[i] = path.values[T // 2]
-            w_one[i] = path.values[T]
+            w_half[i] = path[T // 2]
+            w_one[i] = path[T]
         assert np.var(w_one) == pytest.approx(1.0, abs=0.02)
         cov = np.mean(w_half * w_one) - w_half.mean() * w_one.mean()
         assert cov == pytest.approx(0.5, abs=0.02)
@@ -86,21 +85,21 @@ class TestPaths:
     def test_refinement_keeps_coarse_values(self):
         path = sample_wiener_path(64, rng_stream(5, 0))
         fine = refine_wiener_path(path, rng_stream(5, 1))
-        assert fine.grid_size == 128
-        assert np.array_equal(fine.values[0::2], path.values)
+        assert fine.shape == (129,)
+        assert np.array_equal(fine[0::2], path)
 
 
 class TestFunctionals:
     def test_zero_path_gives_zero(self):
-        path = WienerPath(4, np.zeros(5))
+        path = np.zeros(5)
         for side in ("one_sided", "two_sided"):
             assert functional_ordinary(path, 0.3, side) == 0.0
             assert functional_page(path, 0.3, side) == 0.0
 
     def test_ordinary_small_path(self):
-        path = WienerPath(2, np.array([0.0, 0.5, 1.0]))
+        path = np.array([0.0, 0.5, 1.0])
         assert functional_ordinary(path, 0.0) == 1.0
-        neg = WienerPath(2, -path.values)
+        neg = -path
         assert functional_ordinary(neg, 0.0, "two_sided") == 1.0
 
     def test_page_dominates_ordinary(self):
@@ -117,7 +116,7 @@ class TestFunctionals:
             path = sample_wiener_path(T, rng_stream(31, i))
             for gamma in (0.0, 0.25, 0.45):
                 fast = functional_page(path, gamma, side)
-                slow = brute_force_page(path.values, gamma, side)
+                slow = brute_force_page(path, gamma, side)
                 assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_grid_refinement_never_decreases_functionals(self):
@@ -148,7 +147,7 @@ def test_one_pass_kernel_matches_batch_oracle_bitwise(T, n_rows, gamma, side,
         got = wiener._functional_values(iter(w), T, gamma, side, detector)
         assert got.tobytes() == want.tobytes()
     for row in w:
-        path = WienerPath(T, np.concatenate([[0.0], row]))
+        path = np.concatenate([[0.0], row])
         ordinary = functional_ordinary(path, gamma, side)
         page = functional_page(path, gamma, side)
         want = [functional_batch_oracle(row[None, :], gamma, side, d)[0]
