@@ -18,7 +18,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import experiments, wiener
 from .datagen import Garch11Spec, StreamSpec, generate_garch11, generate_stream
-from .detectors import run_monitor
+from .detectors import Monitor, StoppingResult, run_monitor
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require)
 from .rng import rng_stream
@@ -243,11 +243,29 @@ def _cmd_monitor(args) -> int:
         c = wiener.resolve_critical_value(params.gamma, params.alpha,
                                           params.side, params.detector,
                                           args.cache)
-    result = run_monitor(train, stream, params, c)
+    if args.trace is None:
+        result = run_monitor(train, stream, params, c)
+    else:
+        result = _traced_monitor(train, stream, params, c, args.trace)
     _print_json({"stopped": result.stopped, "tau": result.tau,
                  "stat_at_tau": result.stat,
                  "threshold_at_tau": result.threshold})
     return 0
+
+
+def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
+    """Feed the stream to a Monitor one value at a time and write k, stat
+    and threshold after every step, up to the stop or the horizon, as CSV
+    (floats written with repr, so they read back to the same bits)."""
+    mon = Monitor(train, params, c)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("k,stat,threshold\n")
+        for x in stream[:params.horizon].tolist():
+            stopped = mon.update(x)
+            fh.write(f"{mon.k},{mon.stat!r},{mon.threshold!r}\n")
+            if stopped:
+                return StoppingResult(mon.k, mon.stat, mon.threshold)
+    return StoppingResult(None)
 
 
 def _cmd_table1(args) -> int:
@@ -339,6 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical-value", type=_finite, default=None)
     p.add_argument("--horizon-factor", type=_finite, default=20.0)
     p.add_argument("--cache", default=None)
+    p.add_argument("--trace", default=None,
+                   help="also write k,stat,threshold after every step to "
+                        "this CSV")
     p.set_defaults(func=_cmd_monitor)
 
     p = sub.add_parser("table1",

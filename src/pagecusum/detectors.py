@@ -14,11 +14,12 @@ updated in O(1) per observation. The four detector statistics are
 and monitoring stops at the first k >= 1 with statistic >= sigma_hat * c *
 g(m, k). Ties count as a stop (the comparison is >=).
 
-Monitor is the streaming form: a mutable object whose update(x) advances
-(q, q_min, q_max) by one observation and tells whether to stop. scan_chunk
-is the array form, which scans many paths a chunk at a time. run_monitor
-uses scan_chunk for a materialized stream and a Monitor for any other
-iterable; both give the same tau, statistic and threshold bits.
+Monitor is the streaming form: a mutable object whose feed(values) advances
+(q, q_min, q_max) over an iterable up to the first crossing, and whose
+update(x) feeds one observation. scan_chunk is the array form, which scans
+many paths a chunk at a time. run_monitor uses scan_chunk for a materialized
+stream and Monitor.feed for any other iterable; both give the same tau,
+statistic and threshold bits.
 """
 
 import itertools
@@ -69,6 +70,11 @@ def summarize_training(x) -> TrainingSummary:
                            sigma_hat=float(arr.std(ddof=1)))
 
 
+def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:
+    """g(m, k) on a float array of indices, without boundary_g's checks."""
+    return math.sqrt(m) * (1.0 + k / m) * (k / (k + m)) ** gamma
+
+
 def boundary_g(m: int, k, gamma: float):
     """Boundary curve g(m, k) = sqrt(m) * (1 + k/m) * (k/(k+m))**gamma.
 
@@ -79,7 +85,7 @@ def boundary_g(m: int, k, gamma: float):
     _require_count(m, "m", 1)
     karr = np.asarray(k, dtype=float)
     _require(bool(np.all(karr >= 1)), "k must be >= 1")
-    val = math.sqrt(m) * (1.0 + karr / m) * (karr / (karr + m)) ** gamma
+    val = _boundary(m, karr, gamma)
     return float(val) if np.isscalar(k) else val
 
 
@@ -173,12 +179,14 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     return np.where(hit[np.arange(hit.shape[0]), j], j, -1)
 
 
-def _thresholds(training: TrainingSummary, params: MonitoringParams,
-                c: float, k0: int, n: int) -> np.ndarray:
-    """sigma_hat * c * g(m, k) for k = k0+1 .. k0+n; g is elementwise, so
-    any split of the indices gives the same bits."""
-    return training.sigma_hat * c * boundary_g(
-        params.m, np.arange(k0 + 1, k0 + n + 1), params.gamma)
+def _thresholds(scale: float, params: MonitoringParams, k0: int,
+                n: int) -> np.ndarray:
+    """scale * g(m, k) for k = k0+1 .. k0+n, where scale = sigma_hat * c
+    (so the product is (sigma_hat * c) * g); g is elementwise, so any split
+    of the indices gives the same bits. MonitoringParams has checked m and
+    gamma and the indices start at 1, so the unchecked kernel suffices."""
+    return scale * _boundary(
+        params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float), params.gamma)
 
 
 def _scan_array(x: np.ndarray, training: TrainingSummary,
@@ -187,7 +195,7 @@ def _scan_array(x: np.ndarray, training: TrainingSummary,
     kernel on one row and one chunk."""
     (stat,) = scan_chunk(x[None, :], np.array([training.mean]), ScanCarry(1),
                          params.side, (params.detector,))
-    thresh = _thresholds(training, params, c, 0, x.size)
+    thresh = _thresholds(training.sigma_hat * c, params, 0, x.size)
     j = int(first_crossings(stat, thresh[None, :])[0])
     if j < 0:
         return None, None, None
@@ -195,22 +203,24 @@ def _scan_array(x: np.ndarray, training: TrainingSummary,
 
 
 class Monitor:
-    """Streaming detector: feed one observation at a time with update(x).
+    """Streaming detector: feed observations with feed(values) or update(x).
 
     After k observations, q is Q(m, k) and q_min / q_max are the running
     extremes of Q(m, i) over 0 <= i <= k (Q(m, 0) = 0 participates, so
     q_min <= 0 <= q_max); stat and threshold are the statistic and
-    sigma_hat * c * g(m, k) at k (None before the first update). All are
-    plain floats. q adds the centered observations in the order of
+    sigma_hat * c * g(m, k) at k (None before the first observation). All
+    are plain floats. q adds the centered observations in the order of
     scan_chunk's cumsum, and the thresholds come from _thresholds CHUNK
-    indices at a time, so a Monitor gives the array path's bits.
+    indices at a time, so a Monitor gives the array path's bits however the
+    stream is split between feed and update calls.
 
     training is the raw training sample (length params.m) or a
     TrainingSummary. At most params.horizon observations can be fed.
     """
 
     __slots__ = ("training", "params", "c", "k", "q", "q_min", "q_max",
-                 "stat", "threshold", "_mean", "_horizon", "_block")
+                 "stat", "threshold", "_mean", "_horizon", "_scale", "_page",
+                 "_two_sided", "_block")
 
     def __init__(self, training, params: MonitoringParams, c: float):
         _require(0.0 < c < math.inf,
@@ -226,33 +236,61 @@ class Monitor:
         self.stat = self.threshold = None
         self._mean = training.mean
         self._horizon = params.horizon
+        self._scale = training.sigma_hat * c
+        self._page = params.detector == "page"
+        self._two_sided = params.side == "two_sided"
         self._block = None
+
+    def feed(self, values) -> bool:
+        """Advance over values up to and including the first observation
+        whose statistic reaches its threshold (ties count); True if one did.
+        No value after that one is pulled from values, and a later call
+        continues the run. Raises ValidationError on a non-finite value or
+        once params.horizon observations have been fed; the state then
+        stays at the last value accepted."""
+        k, q, q_min, q_max = self.k, self.q, self.q_min, self.q_max
+        stat, thresh, block = self.stat, self.threshold, self._block
+        mean, horizon = self._mean, self._horizon
+        page, two_sided = self._page, self._two_sided
+        isfinite = math.isfinite
+        try:
+            for x in values:
+                if k >= horizon:
+                    raise ValidationError(
+                        f"the horizon of {horizon} observations is reached")
+                x = float(x)
+                if not isfinite(x):
+                    raise ValidationError(
+                        f"stream value {k + 1} is not finite: {x}")
+                i = k % CHUNK
+                if i == 0:
+                    block = _thresholds(self._scale, self.params, k,
+                                        min(CHUNK, horizon - k)).tolist()
+                k += 1
+                q += x - mean
+                if q < q_min:
+                    q_min = q
+                elif q > q_max:
+                    q_max = q
+                if page:
+                    stat = q - q_min
+                    # max_i |Q(k) - Q(i)| is attained at the running min or max
+                    if two_sided and q_max - q > stat:
+                        stat = q_max - q
+                else:
+                    stat = abs(q) if two_sided else q
+                thresh = block[i]
+                if stat >= thresh:
+                    return True
+            return False
+        finally:
+            self.k, self.q, self.q_min, self.q_max = k, q, q_min, q_max
+            self.stat, self.threshold, self._block = stat, thresh, block
 
     def update(self, x) -> bool:
         """Advance by one observation; True when the statistic reaches the
-        threshold (ties count). Raises ValidationError on a non-finite x or
-        once params.horizon observations have been fed."""
-        k = self.k
-        if k >= self._horizon:
-            raise ValidationError(
-                f"the horizon of {self._horizon} observations is reached")
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValidationError(f"stream value {k + 1} is not finite: {x}")
-        i = k % CHUNK
-        if i == 0:
-            self._block = _thresholds(self.training, self.params, self.c, k,
-                                      min(CHUNK, self._horizon - k)).tolist()
-        self.k = k + 1
-        q = self.q + (x - self._mean)
-        self.q = q
-        if q < self.q_min:
-            self.q_min = q
-        elif q > self.q_max:
-            self.q_max = q
-        self.stat = stat = detector_stat(self, self.params)
-        self.threshold = thresh = self._block[i]
-        return stat >= thresh
+        threshold. Raises as feed does."""
+        return self.feed((x,))
 
 
 def run_monitor(training, stream, params: MonitoringParams,
@@ -261,10 +299,11 @@ def run_monitor(training, stream, params: MonitoringParams,
 
     training is the raw training sample (length params.m) or a precomputed
     TrainingSummary. stream may be a sequence (scanned vectorized) or any
-    iterable (fed to a Monitor one observation at a time). At most
-    params.horizon observations are read; a non-finite one among them raises
-    ValidationError (a NaN would never cross the threshold). For the
-    statistic and threshold at every step, feed a Monitor directly.
+    iterable (passed to Monitor.feed, which reads it one observation at a
+    time and stops reading at tau). At most params.horizon observations are
+    read; a non-finite one among them raises ValidationError (a NaN would
+    never cross the threshold). For the statistic and threshold at every
+    step, call Monitor.update on each value.
     """
     mon = Monitor(training, params, c)
     horizon = params.horizon
@@ -276,9 +315,8 @@ def run_monitor(training, stream, params: MonitoringParams,
         tau, stat, thresh = _scan_array(x, mon.training, params, c)
         return StoppingResult(tau=tau, stat=stat, threshold=thresh)
 
-    for x_new in itertools.islice(stream, horizon):
-        if mon.update(x_new):
-            return StoppingResult(tau=mon.k, stat=mon.stat,
-                                  threshold=mon.threshold)
+    if mon.feed(itertools.islice(stream, horizon)):
+        return StoppingResult(tau=mon.k, stat=mon.stat,
+                              threshold=mon.threshold)
     _require(mon.k >= 1, "stream yields no observations")
     return StoppingResult(tau=None)

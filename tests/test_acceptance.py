@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from pagecusum import (ChangeScenario, Garch11Spec, LimitLaw,
@@ -123,6 +124,7 @@ def test_criterion_1_normalization_table_reproduction():
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2_analytic_critical_values():
     est10 = estimate_critical_value(0.0, 0.10, "one_sided", "ordinary",
                                     reps=100_000, T=10_000, seed=0)
@@ -137,6 +139,7 @@ def test_criterion_2_analytic_critical_values():
     assert ok05
 
 
+@pytest.mark.slow
 def test_criterion_3_page_critical_value_cross_check():
     est = estimate_critical_value(0.0, 0.10, "one_sided", "page",
                                   reps=100_000, T=10_000, seed=0)
@@ -207,6 +210,7 @@ def test_criterion_6b_page_beats_benchmark_in_late_change():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_size_control():
     sizes = {}
     for det, c in (("ordinary", C_Q[0.0]), ("page", C_PAGE[0.0])):

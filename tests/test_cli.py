@@ -195,6 +195,40 @@ class TestMonitorCommand:
         assert code == 2 and out == ""
         assert "non-finite" in err and bad in err
 
+    @pytest.mark.parametrize("shift, stops", [(1.5, True), (0.0, False)])
+    def test_trace_ends_at_the_printed_result(self, capsys, tmp_path, shift,
+                                              stops):
+        rng = np.random.default_rng(5)
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        trace = tmp_path / "trace.csv"
+        values = rng.standard_normal(130)
+        values[40:] += shift
+        write_series(train, rng.standard_normal(50))
+        write_series(stream, values)
+        argv = ["monitor", "--train", str(train), "--stream", str(stream),
+                "--gamma", "0.25", "--horizon-factor", "2"]
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--trace", str(trace))
+        assert code == 0 and out == plain
+        payload = json.loads(out)
+        assert payload["stopped"] is stops
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "k,stat,threshold"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(k) for k, _, _ in rows] == list(range(1, len(rows) + 1))
+        k, stat, thresh = rows[-1]
+        if stops:
+            assert int(k) == payload["tau"]
+            assert float(stat) == payload["stat_at_tau"]
+            assert float(thresh) == payload["threshold_at_tau"]
+            assert float(stat) >= float(thresh)
+        else:
+            # the horizon is 100 of the 130 values
+            assert int(k) == 100
+            assert all(float(s) < float(t) for _, s, t in rows)
+
 
 class TestGenerateCommand:
     CONFIG = ("omega = 0.5\nalpha = 0.2\nbeta = 0.3\nburn_in = 50\n"

@@ -276,11 +276,13 @@ class TestRunMonitor:
                                                             monkeypatch):
         calls = []
 
+        kernel = detectors._boundary
+
         def counting(m, k, gamma):
             calls.append(np.size(k))
-            return boundary_g(m, k, gamma)
+            return kernel(m, k, gamma)
 
-        monkeypatch.setattr(detectors, "boundary_g", counting)
+        monkeypatch.setattr(detectors, "_boundary", counting)
         train, _ = self.make_data(15)
         params = MonitoringParams(m=50, horizon_factor=30.0)
         stream = rng_stream(15, 1).standard_normal(params.horizon)
@@ -304,6 +306,23 @@ class TestRunMonitor:
         res = run_monitor(train, gen(), params, c=100.0)
         assert not res.stopped
         assert len(seen) == params.horizon
+
+    def test_generator_consumed_lazily_up_to_tau(self):
+        train, stream = self.make_data(17, delta=1.5, kstar=60)
+        seen = []
+
+        def gen():
+            for v in stream.tolist():
+                seen.append(v)
+                yield v
+
+        for det in ("page", "ordinary"):
+            seen.clear()
+            params = MonitoringParams(m=50, detector=det, horizon_factor=8.0)
+            res = run_monitor(train, gen(), params, c=1.8)
+            assert res.stopped and 60 <= res.tau < stream.size
+            assert len(seen) == res.tau
+            assert res.tau == run_monitor(train, stream, params, c=1.8).tau
 
     def test_empty_stream_rejected(self):
         train, _ = self.make_data(10)
@@ -474,7 +493,7 @@ def test_monitor_matches_the_array_kernel_at_every_step(
     training = summarize_training(train)
     (stat,) = detectors.scan_chunk(stream[None, :], np.array([training.mean]),
                                    detectors.ScanCarry(1), side, (detector,))
-    thresh = detectors._thresholds(training, params, 1.7, 0, n)
+    thresh = detectors._thresholds(training.sigma_hat * 1.7, params, 0, n)
     mon = Monitor(training, params, 1.7)
     got_stat, got_thresh = [], []
     for x in stream.tolist():
@@ -543,6 +562,86 @@ def test_power_of_two_scaling_scales_stat_and_threshold_exactly(
     if res.stopped:
         assert scaled.stat == scale * res.stat
         assert scaled.threshold == scale * res.threshold
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40),
+       n=st.integers(1, 2 * CHUNK + 40), c=st.sampled_from([0.3, 1.7, 100.0]),
+       shift=st.floats(0.0, 3.0), kstar=st.integers(1, CHUNK + 40),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]), data=st.data())
+def test_feed_and_update_in_any_split_match_the_array_kernel(
+        seed, m, n, c, shift, kstar, gamma, detector, side, data):
+    """A stream split at random points between feed calls (on lists and on
+    iterators) and single update calls leaves the Monitor, after every call,
+    in scan_chunk's and _thresholds' state at its k, bit for bit. Each feed
+    stops right after the first crossing and the next call resumes there. A
+    non-finite value inside a batch raises with its index and leaves the
+    state of the value before it."""
+    rng = rng_stream(seed, 0)
+    train = rng.standard_normal(m)
+    stream = rng.standard_normal(n)
+    stream[kstar - 1:] += shift
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=n / m + 1.0)
+    training = summarize_training(train)
+    (stat,) = detectors.scan_chunk(stream[None, :], np.array([training.mean]),
+                                   detectors.ScanCarry(1), side, (detector,))
+    thresh = detectors._thresholds(training.sigma_hat * c, params, 0, n)
+    q = np.cumsum(stream - training.mean)
+    want = [(0, 0.0, 0.0, 0.0, None, None)] + list(zip(
+        range(1, n + 1), q.tolist(),
+        np.minimum.accumulate(np.minimum(q, 0.0)).tolist(),
+        np.maximum.accumulate(np.maximum(q, 0.0)).tolist(),
+        stat[0].tolist(), thresh.tolist()))
+    crossed = (stat[0] >= thresh).tolist()
+
+    def state(mon):
+        return (mon.k, mon.q, mon.q_min, mon.q_max, mon.stat, mon.threshold)
+
+    values = stream.tolist()
+    mon = Monitor(training, params, c)
+    for _ in range(data.draw(st.integers(0, 12))):
+        k = mon.k
+        kind = data.draw(st.sampled_from(["list", "iter", "update"]))
+        if kind == "update":
+            if k == n:
+                break
+            assert mon.update(values[k]) == crossed[k]
+            assert state(mon) == want[k + 1]
+            continue
+        size = data.draw(st.integers(0, n - k))
+        piece = values[k:k + size]
+        first = next((j for j in range(size) if crossed[k + j]), None)
+        used = size if first is None else first + 1
+        bad = data.draw(st.none() | st.integers(0, size))
+        if bad is not None:
+            piece.insert(bad, data.draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf])))
+        it = iter(piece)
+        if bad is not None and (first is None or bad <= first):
+            with pytest.raises(ValidationError,
+                               match=f"value {k + bad + 1} is not finite"):
+                mon.feed(piece if kind == "list" else it)
+            used = bad
+        else:
+            assert mon.feed(piece if kind == "list" else it) == (
+                first is not None)
+            if kind == "iter":
+                # nothing after the crossing value was pulled
+                assert len(list(it)) == len(piece) - used
+        assert state(mon) == want[k + used]
+    # the rest in feed calls on one iterator, resuming after every stop
+    it = iter(values[mon.k:])
+    while mon.feed(it):
+        assert crossed[mon.k - 1] and state(mon) == want[mon.k]
+
+    whole = Monitor(training, params, c)
+    it = iter(values)
+    while whole.feed(it):
+        assert state(whole) == want[whole.k]
+    assert state(whole) == state(mon) == want[n]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
