@@ -4,6 +4,9 @@ Subcommands: critvals, asymptotics, limit-cdf, generate, simulate, density,
 monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
 error (one-line diagnostic on stderr), 1 runtime failure.
+
+asymptotics and experiments are imported by the commands that use them, so
+that monitor, generate and critvals do not load them.
 """
 
 import argparse
@@ -15,8 +18,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics as asym
-from . import experiments, wiener
+from . import wiener
 from .datagen import Garch11Spec, StreamSpec, generate_garch11, generate_stream
 from .detectors import Monitor, StoppingResult, run_monitor
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
@@ -125,6 +127,7 @@ def _scenario_from_args(args) -> ChangeScenario:
 
 
 def _cmd_asymptotics(args) -> int:
+    from . import asymptotics as asym
     scenario = _scenario_from_args(args)
     norm = asym.compute_normalization(args.c, args.m, scenario, args.gamma)
     payload = {"a_m": norm.a_m, "b_m": norm.b_m, "case": norm.case.variant}
@@ -139,6 +142,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_limit_cdf(args) -> int:
+    from . import asymptotics as asym
     law = asym.LimitLaw.for_variant(args.case, d1=args.d1)
     _print_json({"psi_upper": asym.limit_cdf_upper(args.x, law),
                  "psi": asym.limit_cdf(args.x, law)})
@@ -185,6 +189,7 @@ def _resolve_pair(cfg, gamma, alpha, side, cache_dir):
 
 
 def _cmd_simulate(args) -> int:
+    from . import experiments
     cfg = _read_config(args.config, _SIMULATE_KEYS)
     for key in ("m", "delta", "omega"):
         _require(key in cfg, f"config must set '{key}'")
@@ -220,6 +225,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import experiments
     records = experiments.read_records_csv(args.records)
     densities = experiments.densities_from_records(records,
                                                    points=args.points)
@@ -269,6 +275,7 @@ def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
 
 
 def _cmd_table1(args) -> int:
+    from . import experiments
     gammas = (0.0, 0.25, 0.45)
     c_page = {g: wiener.resolve_critical_value(g, args.alpha, "one_sided",
                                                "page", args.cache)

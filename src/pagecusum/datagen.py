@@ -47,7 +47,7 @@ class Garch11Spec:
 
 
 def generate_garch11(spec: Garch11Spec, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: "np.random.Generator") -> np.ndarray:
     """One path of n innovations.
 
     The recursion starts at the stationary variance with eps_0 = 0; the first

@@ -89,20 +89,6 @@ def boundary_g(m: int, k, gamma: float):
     return float(val) if np.isscalar(k) else val
 
 
-def detector_stat(state, params: MonitoringParams) -> float:
-    """Current detector statistic for the configured detector/side.
-
-    state is any object with q, q_min and q_max (Q(m, k) and its running
-    extremes), such as a Monitor.
-    """
-    if params.detector == "ordinary":
-        return abs(state.q) if params.side == "two_sided" else state.q
-    if params.side == "two_sided":
-        # max_i |Q(k) - Q(i)| is attained at the running min or max
-        return max(state.q - state.q_min, state.q_max - state.q)
-    return state.q - state.q_min
-
-
 @dataclass(frozen=True)
 class StoppingResult:
     """Outcome of a monitoring run.

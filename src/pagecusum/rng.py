@@ -1,7 +1,6 @@
 """Counter-based RNG streams for reproducible (parallel) Monte Carlo."""
 
 import operator
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -14,7 +13,9 @@ _UINT64 = 1 << 64
 BOOTSTRAP_STREAM = 1 << 62
 
 
-def rng_stream(seed: int, index: int) -> np.random.Generator:
+# Generator annotations are quoted here and in datagen and wiener, so that
+# numpy.random loads at the first stream drawn, not at import
+def rng_stream(seed: int, index: int) -> "np.random.Generator":
     """Independent generator for stream `index` under master `seed`.
 
     Streams are Philox counter-based and keyed directly by (seed, index), so
@@ -50,6 +51,9 @@ def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
     counts = [min(width, reps - start) for start in starts]
     workers = min(threads, len(starts))
     if workers > 1:
+        # imported here, so serial runs and CLI calls never load
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, starts, counts))
     return [fn(start, count) for start, count in zip(starts, counts)]

@@ -37,7 +37,7 @@ from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 _BLOCK = 256
 
 
-def _fill_path(rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
+def _fill_path(rng: "np.random.Generator", row: np.ndarray) -> np.ndarray:
     """Overwrite row with W(j/T), j = 1..T, T = row.size: the cumulative sum
     of T independent N(0, 1/T) increments drawn from rng. Returns row."""
     rng.standard_normal(out=row)
@@ -45,7 +45,7 @@ def _fill_path(rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
     return np.cumsum(row, out=row)
 
 
-def sample_wiener_path(T: int, rng: np.random.Generator) -> np.ndarray:
+def sample_wiener_path(T: int, rng: "np.random.Generator") -> np.ndarray:
     """The (T+1,) array of W(j/T), j = 0..T, with W(0) = 0."""
     _require_count(T, "T", 2)
     path = np.zeros(T + 1)
@@ -53,7 +53,7 @@ def sample_wiener_path(T: int, rng: np.random.Generator) -> np.ndarray:
     return path
 
 
-def refine_wiener_path(path, rng: np.random.Generator) -> np.ndarray:
+def refine_wiener_path(path, rng: "np.random.Generator") -> np.ndarray:
     """Brownian-bridge midpoint refinement: same path on a grid of size 2T.
 
     Existing grid values are kept; each midpoint is the endpoint average plus
@@ -271,9 +271,12 @@ def resolve_critical_value(gamma: float, alpha: float, side: str,
     """Look up c(gamma, alpha) from a cache of critvals JSON files.
 
     Falls back to REFERENCE_CRITICAL_VALUES; raises ValidationError when the
-    combination is unknown (run the critvals command to fill the cache).
+    combination is unknown (run the critvals command to fill the cache) or
+    when a cache_dir is given that is not a directory.
     """
-    if cache_dir is not None and os.path.isdir(cache_dir):
+    if cache_dir is not None:
+        _require(os.path.isdir(cache_dir),
+                 f"cache_dir {cache_dir!r} is not a directory")
         for name in sorted(os.listdir(cache_dir)):
             if not name.endswith(".json"):
                 continue

@@ -22,7 +22,7 @@ from pagecusum.asymptotics import RESIDUAL_BOUND, a_m_residual
 from pagecusum.wiener import simulate_functional_values
 
 from test_asymptotics import sample_sup_after
-from test_detectors import brute_force_q, feed
+from test_detectors import brute_force_q, feed, monitor_stats
 from test_wiener import brute_force_page
 
 GARCH_STUDY = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3)
@@ -244,18 +244,18 @@ def test_criterion_8a_detector_recursion_matches_brute_force():
 
 
 def test_criterion_8b_incremental_s2_matches_exhaustive_oracle():
-    from pagecusum import TrainingSummary, detector_stat
+    from pagecusum import TrainingSummary
     rng = rng_stream(89, 0)
     training = TrainingSummary(m=6, mean=0.0, sigma_hat=1.0)
-    params = MonitoringParams(m=6, detector="page", side="two_sided")
     worst = 0.0
     for _ in range(100):
         stream = rng.standard_normal(int(rng.integers(1, 21)))
         states = feed(stream, training)
+        s2 = monitor_stats(stream, training, "page", "two_sided")
         qs = [0.0] + [s.q for s in states]
-        for k, state in enumerate(states, start=1):
+        for k, stat in enumerate(s2, start=1):
             oracle = max(abs(qs[k] - qs[i]) for i in range(k + 1))
-            worst = max(worst, abs(detector_stat(state, params) - oracle))
+            worst = max(worst, abs(stat - oracle))
     report("8b", worst <= 1e-12, f"incremental S2 vs exhaustive max, "
                                  f"worst dev {worst:.2e}")
     assert worst <= 1e-12

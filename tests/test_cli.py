@@ -23,9 +23,10 @@ def write_series(path, values, header=True):
 
 
 def imported_by_pagecusum(module):
-    """Whether `import pagecusum` in a fresh interpreter loads `module`."""
-    # every CLI call pays for what `import pagecusum` pulls in
-    code = f"import sys, pagecusum; print({module!r} in sys.modules)"
+    """Whether `import pagecusum.cli` in a fresh interpreter loads
+    `module`."""
+    # every CLI call pays for what `import pagecusum.cli` pulls in
+    code = f"import sys, pagecusum.cli; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(pagecusum.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
@@ -39,6 +40,36 @@ def test_import_leaves_out_scipy_integrate():
 
 def test_import_leaves_out_scipy_special():
     assert not imported_by_pagecusum("scipy.special")
+
+
+# what a start-up must not load: the process pool, numpy.random, and the
+# modules that monitor, generate and critvals never use
+NOT_AT_STARTUP = ("concurrent.futures", "multiprocessing", "numpy.random",
+                  "pagecusum.experiments", "pagecusum.asymptotics")
+
+
+def test_startup_loads_only_what_is_used(tmp_path):
+    code = f"""
+import sys
+import pagecusum
+print([m for m in {NOT_AT_STARTUP!r} if m in sys.modules])
+import pagecusum.cli
+print([m for m in {NOT_AT_STARTUP!r} if m in sys.modules])
+from pagecusum import rng
+print(rng.rng_stream(0, 0).random() < 1.0)
+print(all(getattr(pagecusum, name) is not None
+          for name in pagecusum.__all__))
+sys.exit(pagecusum.cli.dispatch(["critvals", "--gamma", "0", "--alpha", "0.1",
+                                 "--reps", "100", "--grid", "10",
+                                 "--threads", "2"]))
+"""
+    src = os.path.dirname(os.path.dirname(pagecusum.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    lines = out.splitlines()
+    assert lines[:4] == ["[]", "[]", "True", "True"]
+    assert json.loads(lines[4])["reps"] == 100  # the two-process study ran
 
 
 class TestLimitCdfCommand:
@@ -176,6 +207,18 @@ class TestMonitorCommand:
         code, _, err = run_cli(capsys, "monitor", "--train", str(train),
                                "--stream", str(stream), "--gamma", "0.1")
         assert code == 2 and "critvals" in err
+
+    def test_missing_cache_directory_exits_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, rng.standard_normal(20))
+        write_series(stream, rng.standard_normal(5))
+        code, out, err = run_cli(capsys, "monitor", "--train", str(train),
+                                 "--stream", str(stream), "--cache",
+                                 str(tmp_path / "no_such_dir"))
+        assert code == 2 and out == ""
+        assert "no_such_dir" in err and "not a directory" in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", ["train", "stream"])

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from pagecusum import (DegenerateTrainingError, Monitor, MonitoringParams,
                        TrainingSummary, ValidationError, boundary_g,
-                       detector_stat, rng_stream, run_monitor,
-                       summarize_training)
+                       rng_stream, run_monitor, summarize_training)
 from pagecusum import detectors
 from pagecusum.datagen import CHUNK
 
@@ -38,6 +37,19 @@ def feed(stream, training):
         mon.update(x)
         states.append(snapshot(mon))
     return states
+
+
+def monitor_stats(stream, training, detector, side):
+    """Monitor.stat after each value of a stream, from one Monitor per
+    (detector, side) (c is irrelevant to the statistic)."""
+    params = MonitoringParams(m=training.m, detector=detector, side=side,
+                              horizon_factor=len(stream) / training.m + 1.0)
+    mon = Monitor(training, params, 1.0)
+    out = []
+    for x in stream:
+        mon.update(x)
+        out.append(mon.stat)
+    return out
 
 
 def trace(training, stream, params, c):
@@ -137,48 +149,48 @@ class TestStepDetector:
 
 
 class TestDetectorStat:
-    def params(self, detector, side):
-        return MonitoringParams(m=10, detector=detector, side=side)
-
     def test_manual_state(self):
         training = TrainingSummary(m=10, mean=0.0, sigma_hat=1.0)
         state = feed([1.0, -2.0, 2.0], training)[-1]
         assert state == Snapshot(k=3, q=1.0, q_min=-1.0, q_max=1.0)
-        assert detector_stat(state, self.params("page", "one_sided")) == 2.0
-        assert detector_stat(state, self.params("page", "two_sided")) == 2.0
-        assert detector_stat(state, self.params("ordinary", "one_sided")) == 1.0
-        assert detector_stat(state, self.params("ordinary", "two_sided")) == 1.0
+        expected = {("page", "one_sided"): 2.0, ("page", "two_sided"): 2.0,
+                    ("ordinary", "one_sided"): 1.0,
+                    ("ordinary", "two_sided"): 1.0}
+        for (det, side), stat in expected.items():
+            assert monitor_stats([1.0, -2.0, 2.0], training, det,
+                                 side)[-1] == stat
 
     def test_zero_state(self):
         training = TrainingSummary(m=10, mean=0.0, sigma_hat=1.0)
-        state = Monitor(training, self.params("page", "one_sided"), 1.0)
+        params = MonitoringParams(m=10)
+        state = Monitor(training, params, 1.0)
         assert snapshot(state) == Snapshot(k=0, q=0.0, q_min=0.0, q_max=0.0)
+        assert state.stat is None  # no statistic before the first value
         for det in ("page", "ordinary"):
             for side in ("one_sided", "two_sided"):
-                assert detector_stat(state, self.params(det, side)) == 0.0
+                assert monitor_stats([0.0], training, det, side) == [0.0]
 
     def test_two_sided_page_equals_exhaustive_oracle(self):
         rng = rng_stream(7, 0)
         training = TrainingSummary(m=5, mean=0.1, sigma_hat=1.0)
-        p2 = self.params("page", "two_sided")
         for _ in range(50):
             n = int(rng.integers(1, 21))
             stream = rng.standard_normal(n)
             states = feed(stream, training)
+            s2 = monitor_stats(stream, training, "page", "two_sided")
             qs = [0.0] + [s.q for s in states]
-            for k, state in enumerate(states, start=1):
+            for k, stat in enumerate(s2, start=1):
                 oracle = max(abs(qs[k] - qs[i]) for i in range(k + 1))
-                assert detector_stat(state, p2) == pytest.approx(oracle, abs=1e-12)
+                assert stat == pytest.approx(oracle, abs=1e-12)
 
     def test_per_step_orderings(self):
         rng = rng_stream(13, 0)
         training = TrainingSummary(m=8, mean=-0.2, sigma_hat=0.5)
-        p = {(d, s): self.params(d, s)
-             for d in ("page", "ordinary") for s in ("one_sided", "two_sided")}
-        for state in feed(rng.standard_normal(300), training):
-            q = detector_stat(state, p[("ordinary", "one_sided")])
-            s1 = detector_stat(state, p[("page", "one_sided")])
-            s2 = detector_stat(state, p[("page", "two_sided")])
+        stream = rng.standard_normal(300)
+        q_s1_s2 = zip(monitor_stats(stream, training, "ordinary", "one_sided"),
+                      monitor_stats(stream, training, "page", "one_sided"),
+                      monitor_stats(stream, training, "page", "two_sided"))
+        for q, s1, s2 in q_s1_s2:
             assert s1 >= max(0.0, q)
             assert s2 >= abs(q)
             assert s2 >= s1

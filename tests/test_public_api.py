@@ -11,7 +11,7 @@ import pytest
 import pagecusum
 from pagecusum import ValidationError, detectors, wiener
 
-REMOVED = ("DetectorState", "step_detector", "WienerPath")
+REMOVED = ("DetectorState", "step_detector", "WienerPath", "detector_stat")
 
 
 def test_every_exported_name_resolves_once():

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,7 +30,7 @@ class FakePool:
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakePool.started = []
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool.started
 
 
@@ -54,7 +56,7 @@ def test_blocks_are_consecutive_and_in_order(fake_pool, threads):
 def test_blocks_cover_every_index_once(reps, block, threads):
     with pytest.MonkeyPatch.context() as mp:
         FakePool.started = []
-        mp.setattr(rng, "ProcessPoolExecutor", FakePool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         blocks = rng._map_blocks(lambda start, count: (start, count), reps,
                                  block, threads)
     assert [i for s, c in blocks for i in range(s, s + c)] == list(range(reps))

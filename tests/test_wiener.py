@@ -273,6 +273,14 @@ class TestCache:
         with pytest.raises(ValidationError):
             resolve_critical_value(0.33, 0.1, "one_sided", "page")
 
+    def test_cache_dir_that_is_not_a_directory_is_rejected(self, tmp_path):
+        a_file = tmp_path / "cv.json"
+        save_estimate(self.make_estimate(c=9.99), a_file)
+        for bad in (tmp_path / "missing", a_file):
+            with pytest.raises(ValidationError, match="not a directory"):
+                resolve_critical_value(0.25, 0.1, "one_sided", "page",
+                                       cache_dir=bad)
+
     def test_reference_values_are_consistent(self):
         # gamma = 0 ordinary entries are normal quantiles
         from scipy.stats import norm
