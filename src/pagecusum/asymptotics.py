@@ -222,7 +222,8 @@ def limit_cdf_upper(x, law: LimitLaw):
     as d1 -> 1 and to regime III as d1 -> 0, and Psi_bar(0) =
     asin(sqrt(d1))/pi. Accepts scalars or arrays.
     """
-    # imported on first use: scipy.special dominates `import pagecusum`
+    # imported on first use: scipy.special would dominate the start-up of
+    # every command that loads asymptotics
     from scipy import special
 
     arr = np.asarray(x, dtype=float)
