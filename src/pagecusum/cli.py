@@ -151,13 +151,14 @@ def _cmd_limit_cdf(args) -> int:
 
 def _cmd_generate(args) -> int:
     cfg = _read_config(args.spec, _GENERATE_KEYS)
-    for key in ("omega", "m", "length"):
+    for key in ("omega", "m"):
         _require(key in cfg, f"config must set '{key}'")
+    length = args.n if args.n is not None else cfg.get("length")
+    _require(length is not None, "config must set 'length' (or pass --n)")
     garch = Garch11Spec(omega=cfg["omega"], alpha_g=cfg.get("alpha", 0.0),
                         beta_g=cfg.get("beta", 0.0),
                         burn_in=cfg.get("burn_in", 500))
     m = cfg["m"]
-    length = args.n if args.n is not None else cfg["length"]
     delta = cfg.get("delta", 0.0)
     scenario = None
     if delta != 0.0:

@@ -14,12 +14,12 @@ updated in O(1) per observation. The four detector statistics are
 and monitoring stops at the first k >= 1 with statistic >= sigma_hat * c *
 g(m, k). Ties count as a stop (the comparison is >=).
 
-Monitor is the streaming form: a mutable object whose feed(values) advances
-(q, q_min, q_max) over an iterable up to the first crossing, and whose
-update(x) feeds one observation. scan_chunk is the array form, which scans
-many paths a chunk at a time. run_monitor uses scan_chunk for a materialized
-stream and Monitor.feed for any other iterable; both give the same tau,
-statistic and threshold bits.
+Monitor is the one recursion for a single stream: a mutable object whose
+feed(values) advances (q, q_min, q_max) over an iterable up to the first
+crossing, and whose update(x) feeds one observation. run_monitor feeds every
+stream, materialized or lazy, to Monitor.feed. scan_chunk is the array kernel
+of the many-path studies, which scan every path a chunk at a time; it adds in
+Monitor's order, so both give the same tau, statistic and threshold bits.
 """
 
 import itertools
@@ -175,19 +175,6 @@ def _thresholds(scale: float, params: MonitoringParams, k0: int,
         params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float), params.gamma)
 
 
-def _scan_array(x: np.ndarray, training: TrainingSummary,
-                params: MonitoringParams, c: float):
-    """First-crossing scan over a fully materialized stream: the chunk
-    kernel on one row and one chunk."""
-    (stat,) = scan_chunk(x[None, :], np.array([training.mean]), ScanCarry(1),
-                         params.side, (params.detector,))
-    thresh = _thresholds(training.sigma_hat * c, params, 0, x.size)
-    j = int(first_crossings(stat, thresh[None, :])[0])
-    if j < 0:
-        return None, None, None
-    return j + 1, float(stat[0, j]), float(thresh[j])
-
-
 class Monitor:
     """Streaming detector: feed observations with feed(values) or update(x).
 
@@ -197,8 +184,8 @@ class Monitor:
     sigma_hat * c * g(m, k) at k (None before the first observation). All
     are plain floats. q adds the centered observations in the order of
     scan_chunk's cumsum, and the thresholds come from _thresholds CHUNK
-    indices at a time, so a Monitor gives the array path's bits however the
-    stream is split between feed and update calls.
+    indices at a time, so a Monitor gives scan_chunk's bits on the same
+    stream however it is split between feed and update calls.
 
     training is the raw training sample (length params.m) or a
     TrainingSummary. At most params.horizon observations can be fed.
@@ -284,24 +271,23 @@ def run_monitor(training, stream, params: MonitoringParams,
     """Monitor a stream until the detector crosses sigma_hat * c * g(m, k).
 
     training is the raw training sample (length params.m) or a precomputed
-    TrainingSummary. stream may be a sequence (scanned vectorized) or any
-    iterable (passed to Monitor.feed, which reads it one observation at a
-    time and stops reading at tau). At most params.horizon observations are
-    read; a non-finite one among them raises ValidationError (a NaN would
-    never cross the threshold). For the statistic and threshold at every
-    step, call Monitor.update on each value.
+    TrainingSummary. stream is a 1-D sequence or any iterable; either way
+    Monitor.feed reads it one observation at a time and stops reading at
+    tau. At most params.horizon observations are read; a non-finite one
+    among them raises ValidationError (a NaN would never cross the
+    threshold), and a sequence is checked whole up to the horizon before
+    the first is fed. For the statistic and threshold at every step, call
+    Monitor.update on each value.
     """
     mon = Monitor(training, params, c)
-    horizon = params.horizon
     if isinstance(stream, (np.ndarray, list, tuple)):
-        x = np.asarray(stream, dtype=float)[:horizon]
-        _require(x.size >= 1, "stream yields no observations")
+        x = np.asarray(stream, dtype=float)
+        _require(x.ndim == 1, "stream must be one-dimensional")
+        x = x[:params.horizon]
         _require(bool(np.isfinite(x).all()),
                  "stream contains a non-finite value")
-        tau, stat, thresh = _scan_array(x, mon.training, params, c)
-        return StoppingResult(tau=tau, stat=stat, threshold=thresh)
-
-    if mon.feed(itertools.islice(stream, horizon)):
+        stream = x.tolist()
+    if mon.feed(itertools.islice(stream, params.horizon)):
         return StoppingResult(tau=mon.k, stat=mon.stat,
                               threshold=mon.threshold)
     _require(mon.k >= 1, "stream yields no observations")

@@ -120,6 +120,8 @@ def _functional(path, gamma: float, side: str, detector: str) -> float:
     _require(path.ndim == 1 and path.size >= 3,
              "a Wiener path is a 1-D array of at least 3 values")
     _require(path[0] == 0.0, "a Wiener path starts at 0")
+    _require(bool(np.isfinite(path).all()),
+             "a Wiener path contains a non-finite value")
     _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
     return float(_functional_values([path[1:]], path.size - 1, gamma, side,

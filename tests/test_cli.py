@@ -308,6 +308,22 @@ class TestGenerateCommand:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 40 + 10
 
+    def test_n_stands_in_for_a_missing_length(self, capsys, tmp_path):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(self.CONFIG.replace("length = 60\n", ""))
+        out = tmp_path / "series.csv"
+        code, _, _ = run_cli(capsys, "generate", "--spec", str(spec), "--n",
+                             "10", "--seed", "3", "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 40 + 10
+
+    def test_missing_length_without_n_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(self.CONFIG.replace("length = 60\n", ""))
+        code, _, err = run_cli(capsys, "generate", "--spec", str(spec),
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and "length" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         spec = tmp_path / "gen.cfg"
         spec.write_text(self.CONFIG + "bogus = 1\n")

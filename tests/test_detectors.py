@@ -26,6 +26,22 @@ def snapshot(mon):
     return Snapshot(mon.k, mon.q, mon.q_min, mon.q_max)
 
 
+def scan_oracle(train, stream, params, c):
+    """(tau, stat, threshold) of the first crossing, or Nones: the many-path
+    kernel scan_chunk and _thresholds on one row holding the stream up to
+    the horizon, located by first_crossings."""
+    training = summarize_training(train)
+    x = np.asarray(stream, dtype=float)[:params.horizon]
+    (stat,) = detectors.scan_chunk(x[None, :], np.array([training.mean]),
+                                   detectors.ScanCarry(1), params.side,
+                                   (params.detector,))
+    thresh = detectors._thresholds(training.sigma_hat * c, params, 0, x.size)
+    j = int(detectors.first_crossings(stat, thresh[None, :])[0])
+    if j < 0:
+        return None, None, None
+    return j + 1, float(stat[0, j]), float(thresh[j])
+
+
 def feed(stream, training):
     """Snapshots of a Monitor's state after each value of a stream, via its
     O(1) recursion (c is irrelevant to the state)."""
@@ -260,6 +276,11 @@ class TestRunMonitor:
                     assert vec.stopped == gen.stopped
                     if vec.stopped:
                         assert vec.stat == gen.stat
+                    want = scan_oracle(train, stream, params, 1.8)
+                    for s in (stream, stream.tolist(),
+                              iter(stream.tolist())):
+                        res = run_monitor(train, s, params, c=1.8)
+                        assert (res.tau, res.stat, res.threshold) == want
 
     def test_record_path(self):
         train, stream = self.make_data(8, delta=2.0, kstar=5)
@@ -284,8 +305,9 @@ class TestRunMonitor:
                                                  0.25)
         assert [thr for _, _, thr in path] == expected.tolist()
 
-    def test_lazy_run_evaluates_the_boundary_once_per_chunk(self,
-                                                            monkeypatch):
+    @pytest.fixture
+    def boundary_calls(self, monkeypatch):
+        """Sizes of the index arrays passed to detectors._boundary."""
         calls = []
 
         kernel = detectors._boundary
@@ -295,13 +317,26 @@ class TestRunMonitor:
             return kernel(m, k, gamma)
 
         monkeypatch.setattr(detectors, "_boundary", counting)
+        return calls
+
+    def test_lazy_run_evaluates_the_boundary_once_per_chunk(self,
+                                                            boundary_calls):
         train, _ = self.make_data(15)
         params = MonitoringParams(m=50, horizon_factor=30.0)
         stream = rng_stream(15, 1).standard_normal(params.horizon)
         res = run_monitor(train, iter(stream.tolist()), params, c=100.0)
         assert not res.stopped
-        assert len(calls) <= math.ceil(params.horizon / CHUNK)
-        assert sum(calls) == params.horizon
+        assert len(boundary_calls) <= math.ceil(params.horizon / CHUNK)
+        assert sum(boundary_calls) == params.horizon
+
+    def test_materialized_stream_computes_thresholds_up_to_tau_only(
+            self, boundary_calls):
+        train, _ = self.make_data(15)
+        params = MonitoringParams(m=50, horizon_factor=30.0)
+        stream = rng_stream(15, 1).standard_normal(params.horizon) + 1e6
+        res = run_monitor(train, stream, params, c=1.7)
+        assert params.horizon == 1500 and res.tau == 1
+        assert boundary_calls == [CHUNK]
 
     def test_generator_consumed_lazily_up_to_horizon(self):
         train, _ = self.make_data(9)
@@ -341,6 +376,14 @@ class TestRunMonitor:
         params = MonitoringParams(m=50)
         with pytest.raises(ValidationError):
             run_monitor(train, [], params, c=1.0)
+
+    @pytest.mark.parametrize("stream", [np.zeros((3, 40)),
+                                        [[0.1, 0.2], [0.3, 0.4]],
+                                        np.array(5.0)])
+    def test_stream_that_is_not_one_dimensional_rejected(self, stream):
+        train, _ = self.make_data(10)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            run_monitor(train, stream, MonitoringParams(m=50), c=1.0)
 
     def test_training_length_must_match_params(self):
         train, stream = self.make_data(11)
@@ -407,9 +450,10 @@ class TestRunMonitor:
        side=st.sampled_from(["one_sided", "two_sided"]))
 def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
                                             kstar, gamma, detector, side):
-    """Both run_monitor paths add Q(m, k) in the same order and share one
-    threshold schedule, so they stop at the same tau with the same stat and
-    threshold bits, whatever the offset and scale."""
+    """run_monitor on an ndarray, a list and an iterator adds Q(m, k) in
+    scan_chunk's order and shares _thresholds' schedule, so each stops at
+    the many-path kernel's tau with the same stat and threshold bits,
+    whatever the offset and scale."""
     rng = rng_stream(seed, 0)
     train = offset + scale * rng.standard_normal(m)
     stream = offset + scale * rng.standard_normal(4 * m)
@@ -422,6 +466,10 @@ def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
     assert vec.stat == lazy.stat
     if vec.stopped:
         assert vec.threshold == lazy.threshold
+    want = scan_oracle(train, stream, params, 1.7)
+    for s in (stream, stream.tolist(), iter(stream.tolist())):
+        res = run_monitor(train, s, params, c=1.7)
+        assert (res.tau, res.stat, res.threshold) == want
 
 
 class TestMonitor:

@@ -102,6 +102,14 @@ class TestFunctionals:
         neg = -path
         assert functional_ordinary(neg, 0.0, "two_sided") == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("functional",
+                             [functional_ordinary, functional_page])
+    def test_non_finite_path_rejected(self, functional, side, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            functional([0.0, bad, 1.0], 0.0, side)
+
     def test_page_dominates_ordinary(self):
         for i in range(1000):
             path = sample_wiener_path(64, rng_stream(77, i))
