@@ -121,6 +121,9 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     eps = np.empty((z.shape[1], n_paths))  # time-major: one row per step
     tmp = np.empty(n_paths)
     sig2, e_prev = carry.sig2, carry.e_prev
+    # locals and a positional out cut the dispatch of each call: the step
+    # alone takes about 24 ns per sample at 250 paths, 29 with out= keywords
+    multiply, add, sqrt = np.multiply, np.add, np.sqrt
     for t0 in range(0, total, CHUNK):
         length = min(CHUNK, total - t0)
         for i, rng in enumerate(carry.rngs):
@@ -129,12 +132,12 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
         rows[...] = z[:, :length].T
         for row in rows:
             # sig2 = (omega + (alpha_g*e)*e) + beta_g*sig2; eps = sqrt(sig2)*z
-            np.multiply(e_prev, alpha_g, out=tmp)
-            np.multiply(tmp, e_prev, out=tmp)
-            np.add(tmp, omega, out=tmp)
-            np.multiply(sig2, beta_g, out=sig2)
-            np.add(sig2, tmp, out=sig2)
-            np.multiply(row, np.sqrt(sig2, out=tmp), out=row)
+            multiply(e_prev, alpha_g, tmp)
+            multiply(tmp, e_prev, tmp)
+            add(tmp, omega, tmp)
+            multiply(sig2, beta_g, sig2)
+            add(sig2, tmp, sig2)
+            multiply(row, sqrt(sig2, tmp), row)
             e_prev = row
         carry.e_prev = e_prev = e_prev.copy()
         skip = max(spec.burn_in - t0, 0)  # burn-in rows in this piece

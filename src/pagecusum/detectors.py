@@ -17,9 +17,27 @@ g(m, k). Ties count as a stop (the comparison is >=).
 Monitor is the one recursion for a single stream: a mutable object whose
 feed(values) advances (q, q_min, q_max) over an iterable up to the first
 crossing, and whose update(x) feeds one observation. run_monitor feeds every
-stream, materialized or lazy, to Monitor.feed. scan_chunk is the array kernel
-of the many-path studies, which scan every path a chunk at a time; it adds in
-Monitor's order, so both give the same tau, statistic and threshold bits.
+stream, materialized or lazy, to Monitor.feed.
+
+The many-path studies scan every path a chunk at a time. partial_sums adds
+in Monitor's order and chunk_statistic forms the statistics, so a study and
+a Monitor give the same tau, statistic and threshold bits; scan_chunk chains
+the two over every path. Most chunks of a path cannot cross, and
+chunk_bound proves it cheaply:
+from the chunk's extremes lo = min Q and hi = max Q and the running
+extremes after it, each statistic is at most
+
+    ordinary one-sided   hi
+    ordinary two-sided   max(hi, -lo)
+    page one-sided       hi - q_min
+    page two-sided       max(hi - q_min, q_max - lo)
+
+in exact arithmetic. Rounding is monotone, so the rounded statistic is at
+most the rounded bound, and the rounded threshold fl(s * g(m, k)) is at
+least fl(s * min of g over the chunk) for s = sigma_hat * c > 0. A path
+whose bound is below that product cannot cross in the chunk, so the study
+skips the exact scan there; it scans the other paths exactly as before, and
+no stopping time changes by a bit.
 """
 
 import itertools
@@ -54,14 +72,26 @@ class TrainingSummary:
                 "training data are constant (sigma_hat must be positive)")
 
 
+def _series(x, what: str) -> np.ndarray:
+    """x as a 1-D float array; ValidationError when it is ragged, holds a
+    value that is not a number or is not one-dimensional."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{what} is ragged or holds a value that is not a number: {exc}"
+        ) from None
+    _require(arr.ndim == 1, f"{what} must be one-dimensional")
+    return arr
+
+
 def summarize_training(x) -> TrainingSummary:
     """Sample mean and standard deviation (ddof=1) of the training data.
 
-    Raises ValidationError on non-finite values and DegenerateTrainingError
-    when all observations are equal.
+    Raises ValidationError on ragged, non-numeric or non-finite values and
+    DegenerateTrainingError when all observations are equal.
     """
-    arr = np.asarray(x, dtype=float)
-    _require(arr.ndim == 1, "training data must be one-dimensional")
+    arr = _series(x, "training data")
     m = int(arr.size)
     _require(m >= 2, "training period needs at least 2 observations")
     _require(bool(np.isfinite(arr).all()),
@@ -110,9 +140,8 @@ class StoppingResult:
 class ScanCarry:
     """Running (q, q_min, q_max) of each path after the steps scanned so far.
 
-    All three start at Q(m, 0) = 0. q_min is kept only when the page
-    statistic is scanned and q_max only for the two-sided page statistic, so
-    one carry serves one (side, detectors) combination.
+    All three start at Q(m, 0) = 0 and are kept for every path, whichever
+    detectors are scanned.
     """
 
     __slots__ = ("q", "q_min", "q_max")
@@ -121,6 +150,62 @@ class ScanCarry:
         self.q = np.zeros(n_paths)
         self.q_min = np.zeros(n_paths)
         self.q_max = np.zeros(n_paths)
+
+    def advance(self, q: np.ndarray):
+        """Move past a chunk whose Q(m, k) rows are q; returns the row minima
+        and maxima of q. min and max round nothing, so the new extremes
+        equal the last column of the running minimum and maximum."""
+        lo, hi = q.min(axis=1), q.max(axis=1)
+        self.q = q[:, -1].copy()
+        self.q_min = np.minimum(self.q_min, lo)
+        self.q_max = np.maximum(self.q_max, hi)
+        return lo, hi
+
+
+def partial_sums(x: np.ndarray, mean: np.ndarray,
+                 q0: np.ndarray) -> np.ndarray:
+    """(paths, L) array of Q(m, k) over one chunk, where x holds the next L
+    monitored observations of each path, mean the (paths,) training means
+    and q0 each path's Q(m, k) before the chunk."""
+    paths, length = x.shape
+    buf = np.empty((paths, length + 1))
+    buf[:, 0] = q0
+    np.subtract(x, mean[:, None], out=buf[:, 1:])
+    # cumsum([q, y_1, ..., y_L]) adds in the order of one cumsum over the
+    # whole stream, so chunking never changes a bit (q + cumsum(y) would)
+    return np.cumsum(buf, axis=1, out=buf)[:, 1:]
+
+
+def chunk_statistic(q: np.ndarray, q_min: np.ndarray, q_max: np.ndarray,
+                    side: str, detector: str) -> np.ndarray:
+    """The detector's statistic over a chunk of some paths: q is their
+    (rows, L) partial_sums and q_min / q_max their running extremes before
+    the chunk. Each row is computed on its own, so any choice of rows gives
+    the same bits."""
+    if detector == "ordinary":
+        return np.abs(q) if side == "two_sided" else q
+    run_min = np.minimum.accumulate(q, axis=1)
+    np.minimum(run_min, q_min[:, None], out=run_min)
+    stat = q - run_min
+    if side == "two_sided":
+        # max_i |Q(k) - Q(i)| is attained at the running min or max
+        run_max = np.maximum.accumulate(q, axis=1)
+        np.maximum(run_max, q_max[:, None], out=run_max)
+        stat = np.maximum(stat, run_max - q)
+    return stat
+
+
+def chunk_bound(lo: np.ndarray, hi: np.ndarray, carry: ScanCarry, side: str,
+                detector: str) -> np.ndarray:
+    """Per path, a value that no chunk_statistic of the chunk exceeds (see
+    the module docstring): lo and hi are the row extremes ScanCarry.advance
+    returned, and carry is already past the chunk."""
+    if detector == "ordinary":
+        return np.maximum(hi, -lo) if side == "two_sided" else hi
+    bound = hi - carry.q_min
+    if side == "two_sided":
+        np.maximum(bound, carry.q_max - lo, out=bound)
+    return bound
 
 
 def scan_chunk(x: np.ndarray, mean: np.ndarray, carry: ScanCarry,
@@ -132,30 +217,11 @@ def scan_chunk(x: np.ndarray, mean: np.ndarray, carry: ScanCarry,
     before the chunk and is advanced past it. Returns one (paths, L) array
     per name in detectors.
     """
-    paths, length = x.shape
-    buf = np.empty((paths, length + 1))
-    buf[:, 0] = carry.q
-    np.subtract(x, mean[:, None], out=buf[:, 1:])
-    # cumsum([q, y_1, ..., y_L]) adds in the order of one cumsum over the
-    # whole stream, so chunking never changes a bit (q + cumsum(y) would)
-    q = np.cumsum(buf, axis=1, out=buf)[:, 1:]
-    carry.q = q[:, -1].copy()
-    stats = {}
-    if "page" in detectors:
-        q_min = np.minimum.accumulate(q, axis=1)
-        np.minimum(q_min, carry.q_min[:, None], out=q_min)
-        carry.q_min = q_min[:, -1].copy()
-        page = q - q_min
-        if side == "two_sided":
-            # max_i |Q(k) - Q(i)| is attained at the running min or max
-            q_max = np.maximum.accumulate(q, axis=1)
-            np.maximum(q_max, carry.q_max[:, None], out=q_max)
-            carry.q_max = q_max[:, -1].copy()
-            page = np.maximum(page, q_max - q)
-        stats["page"] = page
-    if "ordinary" in detectors:
-        stats["ordinary"] = np.abs(q) if side == "two_sided" else q
-    return tuple(stats[d] for d in detectors)
+    q = partial_sums(x, mean, carry.q)
+    stats = tuple(chunk_statistic(q, carry.q_min, carry.q_max, side, d)
+                  for d in detectors)
+    carry.advance(q)
+    return stats
 
 
 def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
@@ -218,9 +284,9 @@ class Monitor:
         """Advance over values up to and including the first observation
         whose statistic reaches its threshold (ties count); True if one did.
         No value after that one is pulled from values, and a later call
-        continues the run. Raises ValidationError on a non-finite value or
-        once params.horizon observations have been fed; the state then
-        stays at the last value accepted."""
+        continues the run. Raises ValidationError on a value that is not a
+        finite number or once params.horizon observations have been fed;
+        the state then stays at the last value accepted."""
         k, q, q_min, q_max = self.k, self.q, self.q_min, self.q_max
         stat, thresh, block = self.stat, self.threshold, self._block
         mean, horizon = self._mean, self._horizon
@@ -231,7 +297,12 @@ class Monitor:
                 if k >= horizon:
                     raise ValidationError(
                         f"the horizon of {horizon} observations is reached")
-                x = float(x)
+                try:
+                    x = float(x)
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"stream value {k + 1} is not a number: {x!r}"
+                    ) from None
                 if not isfinite(x):
                     raise ValidationError(
                         f"stream value {k + 1} is not finite: {x}")
@@ -273,17 +344,15 @@ def run_monitor(training, stream, params: MonitoringParams,
     training is the raw training sample (length params.m) or a precomputed
     TrainingSummary. stream is a 1-D sequence or any iterable; either way
     Monitor.feed reads it one observation at a time and stops reading at
-    tau. At most params.horizon observations are read; a non-finite one
-    among them raises ValidationError (a NaN would never cross the
-    threshold), and a sequence is checked whole up to the horizon before
-    the first is fed. For the statistic and threshold at every step, call
-    Monitor.update on each value.
+    tau. At most params.horizon observations are read; one among them
+    that is not a finite number raises ValidationError (a NaN would never
+    cross the threshold), and a sequence is checked whole up to the horizon
+    before the first is fed. For the statistic and threshold at every step,
+    call Monitor.update on each value.
     """
     mon = Monitor(training, params, c)
     if isinstance(stream, (np.ndarray, list, tuple)):
-        x = np.asarray(stream, dtype=float)
-        _require(x.ndim == 1, "stream must be one-dimensional")
-        x = x[:params.horizon]
+        x = _series(stream, "stream")[:params.horizon]
         _require(bool(np.isfinite(x).all()),
                  "stream contains a non-finite value")
         stream = x.tolist()

@@ -36,15 +36,17 @@ import numpy as np
 
 from .asymptotics import compute_b_m, compute_normalization, solve_a_m
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
-from .detectors import ScanCarry, boundary_g, first_crossings, scan_chunk
+from .detectors import (ScanCarry, boundary_g, chunk_bound, chunk_statistic,
+                        first_crossings, partial_sums)
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
 
 # widest block of replications per work unit. A GARCH time step is seven
-# ufunc calls on the whole block, mostly call overhead: about 40-57 ns per
-# sample at 125 paths and 12-19 at 500 on a 2-core VM. A block's arrays stay
-# a few MB, and every path is computed on its own, so width never moves data
+# ufunc calls on the whole block, mostly call overhead: the step alone takes
+# about 48 ns per sample at 125 paths, 24 at 250 and 12-13 at 500 on a 2-core
+# VM. A block's arrays stay a few MB, and every path is computed on its own,
+# so width never moves data
 _BLOCK = 500
 
 
@@ -85,9 +87,8 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     mean = np.array([row.mean() for row in train])
     sd = np.array([row.std(ddof=1) for row in train])
     del train  # the (count, m) block is not needed past its mean and sd
-    degenerate = ~(sd > 0.0)
-    detectors = tuple(d for d, _ in rules)
-    sd_c = [(sd * c)[:, None] for _, c in rules]
+    live = sd > 0.0  # a constant training sample never stops
+    scales = [sd * c for _, c in rules]
     taus = [np.zeros(count, dtype=np.int64) for _ in rules]
     scan = ScanCarry(count)
     stream_garch = replace(garch, burn_in=0)
@@ -99,15 +100,31 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
         if shift is not None:
             kstar, delta = shift
             x[:, max(kstar - 1 - k0, 0):] += delta
-        stats = scan_chunk(x, mean, scan, params.side, detectors)
-        for tau, stat, thresh_scale in zip(taus, stats, sd_c):
-            j = first_crossings(stat, thresh_scale * g[k0:k0 + length])
-            new = (tau == 0) & (j >= 0)
-            tau[new] = k0 + 1 + j[new]
-        if all(np.all((tau > 0) | degenerate) for tau in taus):
+        q = partial_sums(x, mean, scan.q)
+        q_min, q_max = scan.q_min, scan.q_max
+        lo, hi = scan.advance(q)
+        g_chunk = g[k0:k0 + length]
+        g_min = g_chunk.min()
+        for (detector, _), tau, scale in zip(rules, taus, scales):
+            # a path whose bound is below its lowest threshold in the chunk,
+            # scale * g_min, cannot cross in it (the product rounds
+            # monotonely), so only the other open paths are scanned exactly
+            bound = chunk_bound(lo, hi, scan, params.side, detector)
+            rows = np.flatnonzero((tau == 0) & live & (bound >= scale * g_min))
+            if rows.size == 0:
+                continue
+            # copies of at most half the rows take less time and memory than
+            # scanning every row in place
+            sel = rows if rows.size * 2 <= count else slice(None)
+            stat = chunk_statistic(q[sel], q_min[sel], q_max[sel],
+                                   params.side, detector)
+            j = first_crossings(stat, scale[sel, None] * g_chunk)
+            if sel is not rows:
+                j = j[rows]
+            hit = j >= 0
+            tau[rows[hit]] = k0 + 1 + j[hit]
+        if not any(np.any((tau == 0) & live) for tau in taus):
             break
-    for tau in taus:
-        tau[degenerate] = 0
     return taus
 
 

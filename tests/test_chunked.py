@@ -3,20 +3,23 @@
 Replication studies and size runs generate GARCH data and scan it CHUNK
 steps at a time, stopping early once every path has decided. These
 properties pin that the pieces reproduce one-shot generation and the
-per-replication monitor exactly, wherever the chunk edges fall.
+per-replication monitor exactly, wherever the chunk edges fall, and that
+the chunk bound skips the exact scan only where no path can cross.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       generate_garch11, rng_stream, run_monitor,
-                       run_replications)
+                       boundary_g, experiments, generate_garch11, rng_stream,
+                       run_monitor, run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
-from pagecusum.detectors import ScanCarry, scan_chunk
+from pagecusum.detectors import ScanCarry, first_crossings, scan_chunk
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -130,3 +133,117 @@ def test_replications_equal_full_horizon_monitor(change, delta, side, gamma,
             assert run_monitor(train, iter(stream), p, c).tau == tau
         if delta == 1e6 and kstar == 1:
             assert r.tau_page == r.tau_q == 1
+
+
+class PresetData:
+    """Stands in for generate_garch11_batch in _block_taus: hands out the
+    columns of a fixed (paths, m + horizon) array in the order asked for."""
+
+    def __init__(self, data):
+        self.data, self.pos = data, 0
+
+    def __call__(self, spec, n, n_paths, seed, first_stream=0, carry=None):
+        assert n_paths == self.data.shape[0]
+        out = self.data[:, self.pos:self.pos + n].copy()
+        self.pos += n
+        return out
+
+
+def study_taus(data, params, mu, rules, shift):
+    """_block_taus on the preset data (the GARCH arguments are unused)."""
+    with mock.patch.object(experiments, "generate_garch11_batch",
+                           PresetData(data)):
+        return experiments._block_taus(params, GARCH, mu, 0, 0,
+                                       data.shape[0], rules, shift)
+
+
+def unbounded_taus(data, params, mu, rules, shift):
+    """The many-path scan without the chunk bound or early exit:
+    scan_chunk and first_crossings on every path of every chunk."""
+    m, horizon = params.m, params.horizon
+    x = data + mu
+    train, stream = x[:, :m], x[:, m:]
+    if shift is not None:
+        kstar, delta = shift
+        stream[:, kstar - 1:] += delta
+    mean = np.array([row.mean() for row in train])
+    sd = np.array([row.std(ddof=1) for row in train])
+    g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
+    carry = ScanCarry(len(data))
+    taus = [np.zeros(len(data), dtype=np.int64) for _ in rules]
+    for k0 in range(0, horizon, CHUNK):
+        stats = scan_chunk(stream[:, k0:k0 + CHUNK], mean, carry, params.side,
+                           tuple(d for d, _ in rules))
+        for tau, stat, (_, c) in zip(taus, stats, rules):
+            j = first_crossings(stat, (sd * c)[:, None] * g[k0:k0 + CHUNK])
+            new = (tau == 0) & (j >= 0)
+            tau[new] = k0 + 1 + j[new]
+    for tau in taus:
+        tau[~(sd > 0.0)] = 0
+    return taus
+
+
+@st.composite
+def rule_sets(draw):
+    """Each detector alone or both together, critical values from 0.3
+    (most chunks hold a crossing) to 3 (most hold none)."""
+    detectors = draw(st.sampled_from([("page",), ("ordinary",),
+                                      ("page", "ordinary")]))
+    return tuple((d, draw(st.floats(0.3, 3.0))) for d in detectors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# a steady rise or fall that one path crosses in its third chunk, where the
+# chunk's own range stays below the thresholds: only the running extremes
+# of earlier chunks let the page bound reach them
+@example(spec=Garch11Spec(omega=1.0, burn_in=0), n_paths=3, seed=1, m=57,
+         horizon_factor=31.1, side="one_sided", gamma=0.0,
+         rules=(("page", 3.0),), mu=0.5, shift=(600, 0.8), constant=False)
+@example(spec=Garch11Spec(omega=1.0, burn_in=0), n_paths=3, seed=1, m=57,
+         horizon_factor=31.1, side="two_sided", gamma=0.0,
+         rules=(("page", 3.0),), mu=0.5, shift=(600, -0.8), constant=False)
+@given(spec=specs, n_paths=st.integers(1, 6), seed=st.integers(0, 2**32),
+       m=st.sampled_from([20, 40, 57]),
+       horizon_factor=st.sampled_from([9.3, 27.0, 31.1]),
+       side=st.sampled_from(["one_sided", "two_sided"]),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]), rules=rule_sets(),
+       mu=st.floats(-3.0, 3.0).filter(lambda v: v != 0.0),
+       shift=st.one_of(st.none(), st.tuples(st.integers(1, 1800),
+                                            st.floats(-2.0, 2.0))),
+       constant=st.booleans())
+def test_bounded_scan_equals_unbounded_scan(spec, n_paths, seed, m,
+                                            horizon_factor, side, gamma,
+                                            rules, mu, shift, constant):
+    params = MonitoringParams(m=m, gamma=gamma, side=side,
+                              horizon_factor=horizon_factor)
+    data = generate_garch11_batch(spec, m + params.horizon, n_paths, seed)
+    if constant:
+        data[0, :m] = 0.7  # one path whose training cannot calibrate it
+    got = study_taus(data, params, mu, rules, shift)
+    want = unbounded_taus(data, params, mu, rules, shift)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+def test_tie_on_the_first_step_of_a_chunk_stops(side):
+    # Q(m, k) is 0 up to the chunk edge, equals the threshold exactly on the
+    # next step, where the threshold is the chunk's lowest, and is 0 again
+    # after it, so the bound of each rule equals its lowest threshold in
+    # the chunk: a strict comparison would skip the path and miss the tie
+    m, c, k = 50, 1.5, CHUNK + 1
+    params = MonitoringParams(m=m, gamma=0.25, side=side,
+                              horizon_factor=25.0)
+    train = np.tile([1.0, -1.0], m // 2)  # mean exactly 0
+    g = boundary_g(m, np.arange(1, params.horizon + 1), params.gamma)
+    thresh = train.std(ddof=1) * c * g[k - 1]
+    stream = np.zeros(params.horizon)
+    stream[k - 1], stream[k] = thresh, -thresh
+    rules = (("page", c), ("ordinary", c))
+    taus = study_taus(np.concatenate([train, stream])[None, :], params, 0.0,
+                      rules, None)
+    assert [int(tau[0]) for tau in taus] == [k, k]
+    for detector, _ in rules:
+        res = run_monitor(train, stream, replace(params, detector=detector),
+                          c)
+        assert (res.tau, res.stat) == (k, res.threshold)

@@ -130,6 +130,15 @@ class TestTraining:
             summarize_training(x)
         assert not isinstance(info.value, DegenerateTrainingError)
 
+    @pytest.mark.parametrize("x", [
+        pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+        pytest.param(["a", "b", "c"], id="strings"),
+    ])
+    def test_ragged_or_non_numeric_rejected(self, x):
+        # numpy raises a bare ValueError on these
+        with pytest.raises(ValidationError, match="not a number"):
+            summarize_training(x)
+
 
 class TestStepDetector:
     def test_tiny_examples(self):
@@ -384,6 +393,17 @@ class TestRunMonitor:
         train, _ = self.make_data(10)
         with pytest.raises(ValidationError, match="one-dimensional"):
             run_monitor(train, stream, MonitoringParams(m=50), c=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param([[0.1, 0.2], [0.3]], id="ragged"),
+        pytest.param(["a", "b", "c"], id="strings"),
+    ])
+    def test_ragged_or_non_numeric_input_rejected(self, bad):
+        train, stream = self.make_data(10)
+        params = MonitoringParams(m=50)
+        for args in ((train, bad), (bad, stream), (train, iter([0.1, *bad]))):
+            with pytest.raises(ValidationError, match="not a number"):
+                run_monitor(*args, params, c=1.0)
 
     def test_training_length_must_match_params(self):
         train, stream = self.make_data(11)
