@@ -23,9 +23,9 @@ The many-path studies scan every path a chunk at a time. partial_sums adds
 in Monitor's order and chunk_statistic forms the statistics, so a study and
 a Monitor give the same tau, statistic and threshold bits; scan_chunk chains
 the two over every path. Most chunks of a path cannot cross, and
-chunk_bound proves it cheaply:
-from the chunk's extremes lo = min Q and hi = max Q and the running
-extremes after it, each statistic is at most
+chunk_bound proves it cheaply: from the chunk's extremes lo = min Q and
+hi = max Q and the running extremes q_min and q_max after it, each
+statistic is at most
 
     ordinary one-sided   hi
     ordinary two-sided   max(hi, -lo)

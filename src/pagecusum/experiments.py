@@ -75,7 +75,8 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     int array per rule with each path's 1-based stopping time, 0 when the
     path did not stop or its training sample is constant. The streams are
     generated and scanned CHUNK steps at a time, and generation ends as soon
-    as every path has stopped under every rule.
+    as every path has stopped under every rule. Within a chunk a rule scans
+    exactly only the paths that detectors.chunk_bound does not settle.
     """
     m, horizon = params.m, params.horizon
     g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
