@@ -96,8 +96,10 @@ def summarize_training(x) -> TrainingSummary:
     _require(m >= 2, "training period needs at least 2 observations")
     _require(bool(np.isfinite(arr).all()),
              "training data contain a non-finite value")
-    return TrainingSummary(m=m, mean=float(arr.mean()),
-                           sigma_hat=float(arr.std(ddof=1)))
+    # finite data whose mean or sd overflows fail TrainingSummary's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+    return TrainingSummary(m=m, mean=mean, sigma_hat=sd)
 
 
 def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:

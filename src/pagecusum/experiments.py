@@ -66,6 +66,23 @@ class ReplicationRecord:
     nu_tilde: float | None
 
 
+def _row_summaries(train: np.ndarray):
+    """Each row's mean and standard deviation (ddof=1) of a C-contiguous
+    (count, m) block, with the bits of row.mean() and row.std(ddof=1): a
+    block reduced along its rows sums each row pairwise, as a 1-D reduction
+    does. Slices of step rows keep each temporary within the generator's
+    (count, CHUNK) buffer."""
+    count, m = train.shape
+    step = max(1, count * CHUNK // m)
+    blocks = [train[i:i + step] for i in range(0, count, step)]
+    return (np.concatenate([b.mean(axis=1) for b in blocks]),
+            np.concatenate([b.std(axis=1, ddof=1) for b in blocks]))
+
+
+# overflow only makes values non-finite, and every one that matters is
+# rejected: the training summaries and thresholds, and Q(m, k) of each path
+# up to its stop
+@np.errstate(over="ignore", invalid="ignore")
 def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
                 seed: int, start: int, count: int, rules, shift=None):
     """First crossings of each (detector, c) rule on replications
@@ -77,6 +94,9 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     generated and scanned CHUNK steps at a time, and generation ends as soon
     as every path has stopped under every rule. Within a chunk a rule scans
     exactly only the paths that detectors.chunk_bound does not settle.
+    Raises ValidationError naming the first replication whose training mean,
+    sd or threshold is non-finite, or whose Q(m, k) turns non-finite before
+    the path has stopped under every rule.
     """
     m, horizon = params.m, params.horizon
     g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
@@ -84,12 +104,17 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     train = generate_garch11_batch(garch, m, count, seed,
                                    first_stream=start, carry=carry)
     train += mu
-    # one 1-D reduction per path: an axis= reduction sums in another order
-    mean = np.array([row.mean() for row in train])
-    sd = np.array([row.std(ddof=1) for row in train])
+    mean, sd = _row_summaries(train)
     del train  # the (count, m) block is not needed past its mean and sd
-    live = sd > 0.0  # a constant training sample never stops
     scales = [sd * c for _, c in rules]
+    ok = np.isfinite(mean)
+    for scale in scales:
+        ok &= np.isfinite(scale * g[-1])  # g rises, so g[-1] is its top
+    if not ok.all():
+        raise ValidationError(
+            f"replication {start + int(np.argmin(ok))}: training mean, sd or "
+            "threshold is non-finite")
+    live = sd > 0.0  # a constant training sample never stops
     taus = [np.zeros(count, dtype=np.int64) for _ in rules]
     scan = ScanCarry(count)
     stream_garch = replace(garch, burn_in=0)
@@ -124,6 +149,19 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
                 j = j[rows]
             hit = j >= 0
             tau[rows[hit]] = k0 + 1 + j[hit]
+        # a non-finite Q(m, k) could pass for a stop or hide one, so it is an
+        # error unless the path stopped under every rule before it
+        bad = np.flatnonzero(live & ~(np.isfinite(lo) & np.isfinite(hi)))
+        if bad.size:
+            k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
+            open_ = np.zeros(bad.size, dtype=bool)
+            for tau in taus:
+                open_ |= (tau[bad] == 0) | (tau[bad] >= k_bad)
+            if open_.any():
+                i = int(np.argmax(open_))
+                raise ValidationError(
+                    f"replication {start + int(bad[i])}: Q(m, k) is "
+                    f"non-finite at k = {int(k_bad[i])}")
         if not any(np.any((tau == 0) & live) for tau in taus):
             break
     return taus
@@ -284,13 +322,16 @@ RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord))
 
 def write_records_csv(records, path) -> None:
     """A RECORD_COLUMNS header, then one row per record, None as an empty
-    field. csv writes floats with float's repr, so parsing restores them."""
+    field. The text is built whole and written once, in csv.writer's bytes:
+    str of each value (a float's repr, so parsing restores it) and \\r\\n
+    after every line."""
+    row = operator.attrgetter(*RECORD_COLUMNS)
+    lines = [",".join(RECORD_COLUMNS)]
+    lines += [",".join(["" if v is None else str(v) for v in row(r)])
+              for r in records]
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            row = [getattr(r, name) for name in RECORD_COLUMNS]
-            writer.writerow(["" if v is None else v for v in row])
+        fh.write("\r\n".join(lines))
 
 
 def read_records_csv(path) -> list[ReplicationRecord]:
@@ -310,11 +351,14 @@ def read_records_csv(path) -> list[ReplicationRecord]:
 
 
 def write_density_csv(est: DensityEstimate, path) -> None:
+    """An x,density header, then one row per grid point with the repr of
+    each float, written once in csv.writer's bytes."""
+    lines = ["x,density"]
+    lines += [f"{x!r},{d!r}"
+              for x, d in zip(est.grid.tolist(), est.density.tolist())]
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("x", "density"))
-        for x, d in zip(est.grid, est.density):
-            writer.writerow([repr(float(x)), repr(float(d))])
+        fh.write("\r\n".join(lines))
 
 
 _DENSITY_FILES = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",

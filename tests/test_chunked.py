@@ -3,8 +3,10 @@
 Replication studies and size runs generate GARCH data and scan it CHUNK
 steps at a time, stopping early once every path has decided. These
 properties pin that the pieces reproduce one-shot generation and the
-per-replication monitor exactly, wherever the chunk edges fall, and that
-the chunk bound skips the exact scan only where no path can cross.
+per-replication monitor exactly, wherever the chunk edges fall, that
+the chunk bound skips the exact scan only where no path can cross, and
+that non-finite training or stream values raise where they would otherwise
+read as a path that never stops.
 """
 
 from dataclasses import replace
@@ -16,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       boundary_g, experiments, generate_garch11, rng_stream,
-                       run_monitor, run_replications)
+                       ValidationError, boundary_g, empirical_size,
+                       experiments, generate_garch11, rng_stream, run_monitor,
+                       run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
 from pagecusum.detectors import ScanCarry, first_crossings, scan_chunk
 
@@ -247,3 +250,49 @@ def test_tie_on_the_first_step_of_a_chunk_stops(side):
         res = run_monitor(train, stream, replace(params, detector=detector),
                           c)
         assert (res.tau, res.stat) == (k, res.threshold)
+
+
+OVERFLOWING = Garch11Spec(omega=1e306, alpha_g=0.5, beta_g=0.45, burn_in=50)
+
+
+def test_overflowing_training_is_rejected_not_read_as_no_stop():
+    params = MonitoringParams(m=200, horizon_factor=5.0)
+    with pytest.raises(ValidationError, match="replication 0: training"):
+        run_replications(params, ChangeScenario.at_kstar(1.0, 10),
+                         OVERFLOWING, 20, 2.0, 2.0, seed=1)
+    with pytest.raises(ValidationError, match="replication 0: training"):
+        empirical_size(params, OVERFLOWING, 20, 2.0, seed=1)
+
+
+BAD_PARAMS = MonitoringParams(m=M, horizon_factor=40.0)  # three chunks
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+def test_non_finite_stream_of_an_open_path_is_rejected(bad, side):
+    params = replace(BAD_PARAMS, side=side)
+    data = generate_garch11_batch(GARCH, M + params.horizon, 3, 7)
+    k = CHUNK + 8  # in the second chunk
+    data[1, M + k - 1] = bad
+    rules = (("page", 1e3), ("ordinary", 1e3))  # no path stops
+    with pytest.raises(ValidationError,
+                       match=rf"replication 1: Q\(m, k\) is non-finite at "
+                             rf"k = {k}$"):
+        study_taus(data, params, 0.0, rules, None)
+
+
+@pytest.mark.parametrize("k", [5, CHUNK + 8])
+def test_non_finite_stream_after_the_stop_is_ignored(k):
+    data = generate_garch11_batch(GARCH, M + BAD_PARAMS.horizon, 3, 7)
+    data[0, M] += 1e6  # path 0 stops at k = 1 under both rules
+    rules = (("page", 1e3), ("ordinary", 1e3))
+    want = study_taus(data, BAD_PARAMS, 0.0, rules, None)
+    assert [int(tau[0]) for tau in want] == [1, 1]
+    data[0, M + k - 1] = np.inf
+    got = study_taus(data, BAD_PARAMS, 0.0, rules, None)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # the path stopped under page only, so the ordinary rule still reads it
+    with pytest.raises(ValidationError, match=f"replication 0: .* k = {k}$"):
+        study_taus(data, BAD_PARAMS, 0.0, (("page", 1e3), ("ordinary", 1e9)),
+                   None)

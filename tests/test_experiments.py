@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        ValidationError, emit_table1, empirical_size,
@@ -9,8 +13,10 @@ from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        run_replications)
 from pagecusum import experiments
 from pagecusum.datagen import CHUNK, generate_garch11_batch
-from pagecusum.experiments import (densities_from_records, read_records_csv,
-                                   simulate_to_dir, write_records_csv)
+from pagecusum.experiments import (RECORD_COLUMNS, DensityEstimate,
+                                   ReplicationRecord, densities_from_records,
+                                   read_records_csv, simulate_to_dir,
+                                   write_density_csv, write_records_csv)
 
 GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3)
 
@@ -311,6 +317,85 @@ class TestRecordsIo:
         path.write_text(text)
         with pytest.raises(ValidationError):
             read_records_csv(path)
+
+
+def csv_writer_text(rows) -> str:
+    """What csv.writer writes for rows: the byte contract of the writers."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                               2.2250738585072014e-308, 0.1, 1e16])
+FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+INTS = st.integers(-2**63, 2**63 - 1)
+FIELDS = st.one_of(st.none(), INTS, INTS.map(np.int64), FLOATS,
+                   FLOATS.map(np.float64))
+RECORDS = st.lists(st.builds(ReplicationRecord, *[FIELDS] * 6), max_size=12)
+WRITER_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_records_bytes_match_csv_writer(write, records, path):
+    write(records, path)
+    rows = [RECORD_COLUMNS] + [[getattr(r, name) for name in RECORD_COLUMNS]
+                               for r in records]
+    assert path.read_bytes() == csv_writer_text(rows).encode()
+
+
+def repr_records_writer(records, path):
+    """write_records_csv with repr in place of str: wrong for numpy
+    scalars, whose repr reads np.int64(5)."""
+    lines = [",".join(RECORD_COLUMNS)]
+    lines += [",".join("" if v is None else repr(v)
+                       for v in (getattr(r, name) for name in RECORD_COLUMNS))
+              for r in records]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+
+class TestStudyFileBytes:
+    @WRITER_SETTINGS
+    @given(records=RECORDS)
+    def test_records_file_equals_csv_writer(self, tmp_path, records):
+        assert_records_bytes_match_csv_writer(write_records_csv, records,
+                                              tmp_path / "records.csv")
+
+    def test_repr_writer_fails_the_records_property(self, tmp_path):
+        @WRITER_SETTINGS
+        @given(records=RECORDS)
+        def prop(records):
+            assert_records_bytes_match_csv_writer(
+                repr_records_writer, records, tmp_path / "records.csv")
+
+        with pytest.raises(AssertionError):
+            prop()
+
+    @WRITER_SETTINGS
+    @given(values=st.lists(st.tuples(FLOATS, FLOATS), max_size=40))
+    def test_density_file_equals_csv_writer(self, tmp_path, values):
+        grid = np.array([x for x, _ in values], dtype=float)
+        dens = np.array([d for _, d in values], dtype=float)
+        path = tmp_path / "density.csv"
+        write_density_csv(DensityEstimate(grid, dens, 1.0, 2), path)
+        rows = [("x", "density")] + [[float(x), float(d)]
+                                     for x, d in zip(grid, dens)]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 2001])
+@pytest.mark.parametrize("count", [1, 3, 250])
+def test_block_summaries_equal_row_summaries(m, count):
+    # at count 250 and m 2001 the row slices are 63 wide, and 63 does not
+    # divide 250. A numpy whose axis reduction sums rows in another order
+    # than a 1-D one fails here, before the goldens do
+    rng = rng_stream(31, m)
+    train = rng.standard_normal((count, m)) * 3.7 + 11.3
+    mean, sd = experiments._row_summaries(train)
+    assert mean.tobytes() == np.array([row.mean() for row in train]).tobytes()
+    assert sd.tobytes() == np.array([row.std(ddof=1)
+                                     for row in train]).tobytes()
 
 
 class TestSimulateDir:
