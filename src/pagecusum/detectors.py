@@ -19,13 +19,12 @@ feed(values) advances (q, q_min, q_max) over an iterable up to the first
 crossing, and whose update(x) feeds one observation. run_monitor feeds every
 stream, materialized or lazy, to Monitor.feed.
 
-The many-path studies scan every path a chunk at a time. partial_sums adds
-in Monitor's order and chunk_statistic forms the statistics, so a study and
-a Monitor give the same tau, statistic and threshold bits; scan_chunk chains
-the two over every path. Most chunks of a path cannot cross, and
-chunk_bound proves it cheaply: from the chunk's extremes lo = min Q and
-hi = max Q and the running extremes q_min and q_max after it, each
-statistic is at most
+The many-path studies scan every path a chunk at a time with first_stops.
+partial_sums adds in Monitor's order and chunk_statistic forms the
+statistics, so a study and a Monitor give the same tau, statistic and
+threshold bits. Most chunks of a path cannot cross, and first_stops proves
+it cheaply: from the chunk's extremes lo = min Q and hi = max Q and the
+running extremes q_min and q_max after it, each statistic is at most
 
     ordinary one-sided   hi
     ordinary two-sided   max(hi, -lo)
@@ -35,8 +34,8 @@ statistic is at most
 in exact arithmetic. Rounding is monotone, so the rounded statistic is at
 most the rounded bound, and the rounded threshold fl(s * g(m, k)) is at
 least fl(s * min of g over the chunk) for s = sigma_hat * c > 0. A path
-whose bound is below that product cannot cross in the chunk, so the study
-skips the exact scan there; it scans the other paths exactly as before, and
+whose bound is below that product cannot cross in the chunk, so the exact
+scan skips it there; the other paths are scanned exactly as before, and
 no stopping time changes by a bit.
 """
 
@@ -139,31 +138,6 @@ class StoppingResult:
         return self.tau is not None
 
 
-class ScanCarry:
-    """Running (q, q_min, q_max) of each path after the steps scanned so far.
-
-    All three start at Q(m, 0) = 0 and are kept for every path, whichever
-    detectors are scanned.
-    """
-
-    __slots__ = ("q", "q_min", "q_max")
-
-    def __init__(self, n_paths: int):
-        self.q = np.zeros(n_paths)
-        self.q_min = np.zeros(n_paths)
-        self.q_max = np.zeros(n_paths)
-
-    def advance(self, q: np.ndarray):
-        """Move past a chunk whose Q(m, k) rows are q; returns the row minima
-        and maxima of q. min and max round nothing, so the new extremes
-        equal the last column of the running minimum and maximum."""
-        lo, hi = q.min(axis=1), q.max(axis=1)
-        self.q = q[:, -1].copy()
-        self.q_min = np.minimum(self.q_min, lo)
-        self.q_max = np.maximum(self.q_max, hi)
-        return lo, hi
-
-
 def partial_sums(x: np.ndarray, mean: np.ndarray,
                  q0: np.ndarray) -> np.ndarray:
     """(paths, L) array of Q(m, k) over one chunk, where x holds the next L
@@ -197,35 +171,6 @@ def chunk_statistic(q: np.ndarray, q_min: np.ndarray, q_max: np.ndarray,
     return stat
 
 
-def chunk_bound(lo: np.ndarray, hi: np.ndarray, carry: ScanCarry, side: str,
-                detector: str) -> np.ndarray:
-    """Per path, a value that no chunk_statistic of the chunk exceeds (see
-    the module docstring): lo and hi are the row extremes ScanCarry.advance
-    returned, and carry is already past the chunk."""
-    if detector == "ordinary":
-        return np.maximum(hi, -lo) if side == "two_sided" else hi
-    bound = hi - carry.q_min
-    if side == "two_sided":
-        np.maximum(bound, carry.q_max - lo, out=bound)
-    return bound
-
-
-def scan_chunk(x: np.ndarray, mean: np.ndarray, carry: ScanCarry,
-               side: str, detectors):
-    """Statistics of the named detectors over one chunk of every path.
-
-    x is a (paths, L) array of the next L monitored observations of each
-    path and mean the (paths,) training means; carry holds each path's state
-    before the chunk and is advanced past it. Returns one (paths, L) array
-    per name in detectors.
-    """
-    q = partial_sums(x, mean, carry.q)
-    stats = tuple(chunk_statistic(q, carry.q_min, carry.q_max, side, d)
-                  for d in detectors)
-    carry.advance(q)
-    return stats
-
-
 def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     """Column of the first stat >= thresh in each row, -1 where none."""
     hit = stat >= thresh
@@ -233,14 +178,88 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     return np.where(hit[np.arange(hit.shape[0]), j], j, -1)
 
 
+# overflow only makes Q(m, k) non-finite, and that is rejected on every path
+# up to its stop
+@np.errstate(over="ignore", invalid="ignore")
+def first_stops(chunks, mean: np.ndarray, rules, side: str, g: np.ndarray,
+                live: np.ndarray, first: int):
+    """Each path's 1-based stopping time under each rule, 0 where it never
+    stops. chunks yields (paths, L) blocks of the next observations, mean
+    holds the training means, rules (detector, sigma_hat * c) pairs with a
+    scale per path, g is g(m, k) for k = 1 .. horizon and live marks the
+    paths that may stop. Only the open paths that the bound of the module
+    docstring cannot settle are scanned exactly, and no chunk is drawn once
+    every live path has stopped under every rule. Raises ValidationError
+    naming replication first + i when path i's Q(m, k) turns non-finite
+    before it has stopped under every rule."""
+    count = mean.size
+    taus = [np.zeros(count, dtype=np.int64) for _ in rules]
+    q_end, q_min, q_max = np.zeros(count), np.zeros(count), np.zeros(count)
+    k0 = 0
+    for x in chunks:
+        length = x.shape[1]
+        q = partial_sums(x, mean, q_end)
+        # min and max round nothing, so the extremes after the chunk equal
+        # the last column of its running minimum and maximum
+        lo, hi = q.min(axis=1), q.max(axis=1)
+        before_min, before_max = q_min, q_max
+        q_end = q[:, -1].copy()
+        q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
+        g_chunk = g[k0:k0 + length]
+        g_min = g_chunk.min()
+        for (detector, scale), tau in zip(rules, taus):
+            if detector == "ordinary":
+                bound = np.maximum(hi, -lo) if side == "two_sided" else hi
+            else:
+                bound = hi - q_min
+                if side == "two_sided":
+                    np.maximum(bound, q_max - lo, out=bound)
+            # a path whose bound is below its lowest threshold in the chunk,
+            # scale * g_min, cannot cross in it
+            rows = np.flatnonzero((tau == 0) & live & (bound >= scale * g_min))
+            if rows.size == 0:
+                continue
+            # copies of at most half the rows take less time and memory than
+            # scanning every row in place
+            sel = rows if rows.size * 2 <= count else slice(None)
+            stat = chunk_statistic(q[sel], before_min[sel], before_max[sel],
+                                   side, detector)
+            j = first_crossings(stat, scale[sel, None] * g_chunk)
+            if sel is not rows:
+                j = j[rows]
+            hit = j >= 0
+            tau[rows[hit]] = k0 + 1 + j[hit]
+        bad = np.flatnonzero(live & ~(np.isfinite(lo) & np.isfinite(hi)))
+        if bad.size:
+            k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
+            open_ = np.zeros(bad.size, dtype=bool)
+            for tau in taus:
+                open_ |= (tau[bad] == 0) | (tau[bad] >= k_bad)
+            if open_.any():
+                i = int(np.argmax(open_))
+                raise ValidationError(
+                    f"replication {first + int(bad[i])}: Q(m, k) is "
+                    f"non-finite at k = {int(k_bad[i])}")
+        if not any(np.any((tau == 0) & live) for tau in taus):
+            break
+        k0 += length
+    return taus
+
+
 def _thresholds(scale: float, params: MonitoringParams, k0: int,
                 n: int) -> np.ndarray:
     """scale * g(m, k) for k = k0+1 .. k0+n, where scale = sigma_hat * c
     (so the product is (sigma_hat * c) * g); g is elementwise, so any split
     of the indices gives the same bits. MonitoringParams has checked m and
-    gamma and the indices start at 1, so the unchecked kernel suffices."""
-    return scale * _boundary(
-        params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float), params.gamma)
+    gamma and the indices start at 1, so the unchecked kernel suffices.
+    Raises ValidationError when the last threshold, the largest, is
+    non-finite, before numpy would warn of the overflow."""
+    g = _boundary(params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float),
+                  params.gamma)
+    # a product of Python floats rounds as numpy's does
+    if not math.isfinite(scale * float(g[-1])):
+        raise ValidationError(f"threshold is non-finite at k = {k0 + n}")
+    return scale * g
 
 
 class Monitor:
@@ -251,8 +270,8 @@ class Monitor:
     q_min <= 0 <= q_max); stat and threshold are the statistic and
     sigma_hat * c * g(m, k) at k (None before the first observation). All
     are plain floats. q adds the centered observations in the order of
-    scan_chunk's cumsum, and the thresholds come from _thresholds CHUNK
-    indices at a time, so a Monitor gives scan_chunk's bits on the same
+    partial_sums' cumsum, and the thresholds come from _thresholds CHUNK
+    indices at a time, so a Monitor gives first_stops' bits on the same
     stream however it is split between feed and update calls.
 
     training is the raw training sample (length params.m) or a
@@ -288,12 +307,15 @@ class Monitor:
         No value after that one is pulled from values, and a later call
         continues the run. Raises ValidationError on a value that is not a
         finite number or once params.horizon observations have been fed;
-        the state then stays at the last value accepted."""
+        the state then stays at the last value accepted. Also raises when
+        a threshold, or Q(m, k) at the end of the call, is non-finite (an
+        overflow could pass for a stop or hide one)."""
         k, q, q_min, q_max = self.k, self.q, self.q_min, self.q_max
         stat, thresh, block = self.stat, self.threshold, self._block
         mean, horizon = self._mean, self._horizon
         page, two_sided = self._page, self._two_sided
         isfinite = math.isfinite
+        stopped = False
         try:
             for x in values:
                 if k >= horizon:
@@ -327,8 +349,12 @@ class Monitor:
                     stat = abs(q) if two_sided else q
                 thresh = block[i]
                 if stat >= thresh:
-                    return True
-            return False
+                    stopped = True
+                    break
+            # a non-finite Q(m, k) stays so: one check per call finds it
+            if not isfinite(q):
+                raise ValidationError(f"Q(m, k) is non-finite at k = {k}")
+            return stopped
         finally:
             self.k, self.q, self.q_min, self.q_max = k, q, q_min, q_max
             self.stat, self.threshold, self._block = stat, thresh, block

@@ -36,8 +36,7 @@ import numpy as np
 
 from .asymptotics import compute_b_m, compute_normalization, solve_a_m
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
-from .detectors import (ScanCarry, boundary_g, chunk_bound, chunk_statistic,
-                        first_crossings, partial_sums)
+from .detectors import boundary_g, first_stops
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
@@ -67,36 +66,31 @@ class ReplicationRecord:
 
 
 def _row_summaries(train: np.ndarray):
-    """Each row's mean and standard deviation (ddof=1) of a C-contiguous
-    (count, m) block, with the bits of row.mean() and row.std(ddof=1): a
+    """Each row's mean and sd (ddof=1) of a C-contiguous (count, m) block,
+    which it consumes, in the bits of row.mean() and row.std(ddof=1): a
     block reduced along its rows sums each row pairwise, as a 1-D reduction
-    does. Slices of step rows keep each temporary within the generator's
-    (count, CHUNK) buffer."""
-    count, m = train.shape
-    step = max(1, count * CHUNK // m)
-    blocks = [train[i:i + step] for i in range(0, count, step)]
-    return (np.concatenate([b.mean(axis=1) for b in blocks]),
-            np.concatenate([b.std(axis=1, ddof=1) for b in blocks]))
+    does, and these are numpy's own variance steps, done in place."""
+    m = train.shape[1]
+    mean = train.mean(axis=1)
+    train -= mean[:, None]
+    np.square(train, out=train)
+    return mean, np.sqrt(train.sum(axis=1) / (m - 1))
 
 
-# overflow only makes values non-finite, and every one that matters is
-# rejected: the training summaries and thresholds, and Q(m, k) of each path
-# up to its stop
+# overflow only makes values non-finite, and each one that matters is
+# rejected, here or by first_stops
 @np.errstate(over="ignore", invalid="ignore")
 def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
                 seed: int, start: int, count: int, rules, shift=None):
     """First crossings of each (detector, c) rule on replications
-    [start, start + count).
-
-    shift is (kstar, delta) or None for change-free streams. Returns one
-    int array per rule with each path's 1-based stopping time, 0 when the
-    path did not stop or its training sample is constant. The streams are
-    generated and scanned CHUNK steps at a time, and generation ends as soon
-    as every path has stopped under every rule. Within a chunk a rule scans
-    exactly only the paths that detectors.chunk_bound does not settle.
-    Raises ValidationError naming the first replication whose training mean,
-    sd or threshold is non-finite, or whose Q(m, k) turns non-finite before
-    the path has stopped under every rule.
+    [start, start + count), with shift (kstar, delta) or None for
+    change-free streams: one int array per rule of each path's 1-based
+    stopping time, 0 when the path did not stop or its training sample is
+    constant. The streams are generated CHUNK steps at a time for
+    detectors.first_stops, which draws no chunk once every path has stopped
+    under every rule. Raises ValidationError naming the first replication
+    whose training mean, sd or threshold is non-finite, or whose Q(m, k)
+    turns non-finite before the path has stopped under every rule.
     """
     m, horizon = params.m, params.horizon
     g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
@@ -106,65 +100,29 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     train += mu
     mean, sd = _row_summaries(train)
     del train  # the (count, m) block is not needed past its mean and sd
-    scales = [sd * c for _, c in rules]
+    rules = [(detector, sd * c) for detector, c in rules]
     ok = np.isfinite(mean)
-    for scale in scales:
+    for _, scale in rules:
         ok &= np.isfinite(scale * g[-1])  # g rises, so g[-1] is its top
     if not ok.all():
         raise ValidationError(
             f"replication {start + int(np.argmin(ok))}: training mean, sd or "
             "threshold is non-finite")
-    live = sd > 0.0  # a constant training sample never stops
-    taus = [np.zeros(count, dtype=np.int64) for _ in rules]
-    scan = ScanCarry(count)
     stream_garch = replace(garch, burn_in=0)
-    for k0 in range(0, horizon, CHUNK):
-        length = min(CHUNK, horizon - k0)
-        x = generate_garch11_batch(stream_garch, length, count, seed,
-                                   first_stream=start, carry=carry)
-        x += mu
-        if shift is not None:
-            kstar, delta = shift
-            x[:, max(kstar - 1 - k0, 0):] += delta
-        q = partial_sums(x, mean, scan.q)
-        q_min, q_max = scan.q_min, scan.q_max
-        lo, hi = scan.advance(q)
-        g_chunk = g[k0:k0 + length]
-        g_min = g_chunk.min()
-        for (detector, _), tau, scale in zip(rules, taus, scales):
-            # a path whose bound is below its lowest threshold in the chunk,
-            # scale * g_min, cannot cross in it (the product rounds
-            # monotonely), so only the other open paths are scanned exactly
-            bound = chunk_bound(lo, hi, scan, params.side, detector)
-            rows = np.flatnonzero((tau == 0) & live & (bound >= scale * g_min))
-            if rows.size == 0:
-                continue
-            # copies of at most half the rows take less time and memory than
-            # scanning every row in place
-            sel = rows if rows.size * 2 <= count else slice(None)
-            stat = chunk_statistic(q[sel], q_min[sel], q_max[sel],
-                                   params.side, detector)
-            j = first_crossings(stat, scale[sel, None] * g_chunk)
-            if sel is not rows:
-                j = j[rows]
-            hit = j >= 0
-            tau[rows[hit]] = k0 + 1 + j[hit]
-        # a non-finite Q(m, k) could pass for a stop or hide one, so it is an
-        # error unless the path stopped under every rule before it
-        bad = np.flatnonzero(live & ~(np.isfinite(lo) & np.isfinite(hi)))
-        if bad.size:
-            k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
-            open_ = np.zeros(bad.size, dtype=bool)
-            for tau in taus:
-                open_ |= (tau[bad] == 0) | (tau[bad] >= k_bad)
-            if open_.any():
-                i = int(np.argmax(open_))
-                raise ValidationError(
-                    f"replication {start + int(bad[i])}: Q(m, k) is "
-                    f"non-finite at k = {int(k_bad[i])}")
-        if not any(np.any((tau == 0) & live) for tau in taus):
-            break
-    return taus
+
+    def chunks():
+        for k0 in range(0, horizon, CHUNK):
+            x = generate_garch11_batch(stream_garch, min(CHUNK, horizon - k0),
+                                       count, seed, first_stream=start,
+                                       carry=carry)
+            x += mu
+            if shift is not None:
+                kstar, delta = shift
+                x[:, max(kstar - 1 - k0, 0):] += delta
+            yield x
+
+    # a constant training sample never stops
+    return first_stops(chunks(), mean, rules, params.side, g, sd > 0.0, start)
 
 
 def run_replications(params: MonitoringParams, scenario: ChangeScenario,
@@ -335,7 +293,9 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[ReplicationRecord]:
-    """Records of a write_records_csv file; an empty field reads as None."""
+    """Records of a write_records_csv file; an empty field reads as None.
+    Raises ValidationError naming the row (1 is the first after the header)
+    and column of a field that does not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header, rows = next(reader, None), list(reader)
@@ -343,11 +303,19 @@ def read_records_csv(path) -> list[ReplicationRecord]:
              f"unexpected records header: {header}")
     _require(all(len(row) == len(header) for row in rows),
              "every records row needs one field per column")
-    # counts are int, normalized delays float
-    parsers = [float if name.startswith("nu_") else int for name in header]
-    return [ReplicationRecord(*(parse(v) if v else None
-                                for parse, v in zip(parsers, row)))
-            for row in rows]
+
+    def parse(i, name, v):
+        kind = float if name.startswith("nu_") else int
+        try:
+            return kind(v) if v else None
+        except ValueError:
+            raise ValidationError(
+                f"records row {i}, column {name}: {v!r} is not "
+                f"{'a number' if kind is float else 'an integer'}") from None
+
+    return [ReplicationRecord(*(parse(i, name, v)
+                                for name, v in zip(header, row)))
+            for i, row in enumerate(rows, start=1)]
 
 
 def write_density_csv(est: DensityEstimate, path) -> None:

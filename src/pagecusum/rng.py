@@ -1,6 +1,7 @@
 """Counter-based RNG streams for reproducible (parallel) Monte Carlo."""
 
 import operator
+import os
 
 import numpy as np
 
@@ -31,7 +32,8 @@ def rng_stream(seed: int, index: int) -> "np.random.Generator":
 
 def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
     """fn(start, count) on consecutive blocks of stream indices covering
-    0 .. reps-1, over min(threads, number of blocks) processes.
+    0 .. reps-1, over min(threads, number of blocks) processes, where
+    threads is first capped at the number of CPUs this process may use.
 
     block is the widest block allowed. Blocks are min(block, ceil(reps /
     threads)) wide, narrowed where needed so that there are at least
@@ -42,6 +44,9 @@ def _map_blocks(fn, reps: int, block: int, threads: int) -> list:
     must pickle: a module-level function or a functools.partial of one.
     """
     _require_count(threads, "threads", 1)
+    # the pool starts every worker at once; more than the CPUs only wait
+    threads = min(threads, len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     parts = min(threads, reps)
     width = min(block, -(-reps // parts))
     if parts > 1:

@@ -22,7 +22,8 @@ from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        experiments, generate_garch11, rng_stream, run_monitor,
                        run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
-from pagecusum.detectors import ScanCarry, first_crossings, scan_chunk
+from pagecusum.detectors import (chunk_statistic, first_crossings, first_stops,
+                                 partial_sums)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -64,18 +65,41 @@ def test_chunked_generation_equals_one_call(spec, n_paths, seed, first_stream,
 def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
     y = np.array(data)[None, :]
     mean = np.array([mean])
-    whole = scan_chunk(y, mean, ScanCarry(1), side, ("page", "ordinary"))
-    carry = ScanCarry(1)
-    parts, k = [], 0
+    # critical values from "most steps cross" to "none does"
+    rules = [(d, np.array([c])) for d in ("page", "ordinary")
+             for c in (1e-3, 0.5, 5.0, 50.0, 1e4)]
+    g = boundary_g(10, np.arange(1, y.shape[1] + 1), 0.25)
+    live = np.ones(1, dtype=bool)
+    whole = first_stops([y], mean, rules, side, g, live, 0)
+    pieces, k = [], 0
     for n in cuts + [y.shape[1]]:
         if k >= y.shape[1]:
             break
-        parts.append(scan_chunk(y[:, k:k + n], mean, carry, side,
-                                ("page", "ordinary")))
+        pieces.append(y[:, k:k + n])
         k += n
-    for j in range(2):
-        assert np.array_equal(np.concatenate([p[j] for p in parts], axis=1),
-                              whole[j])
+    parts = first_stops(pieces, mean, rules, side, g, live, 0)
+    for got, want in zip(parts, whole):
+        assert np.array_equal(got, want)
+
+
+def test_scan_draws_no_chunk_after_every_path_stops():
+    # every live path crosses on its first step, so one chunk decides them
+    # all; a path that may not stop never does, and does not keep the scan
+    # drawing
+    drawn = []
+
+    def chunks():
+        for k0 in range(0, 4 * CHUNK, CHUNK):
+            drawn.append(k0)
+            yield np.full((3, CHUNK), 1e3)
+
+    g = boundary_g(50, np.arange(1, 4 * CHUNK + 1), 0.0)
+    rules = [(d, np.ones(3)) for d in ("page", "ordinary")]
+    live = np.array([True, False, True])
+    taus = first_stops(chunks(), np.zeros(3), rules, "one_sided", g, live, 0)
+    assert drawn == [0]
+    for tau in taus:
+        assert tau.tolist() == [1, 0, 1]
 
 
 GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=20)
@@ -161,8 +185,8 @@ def study_taus(data, params, mu, rules, shift):
 
 
 def unbounded_taus(data, params, mu, rules, shift):
-    """The many-path scan without the chunk bound or early exit:
-    scan_chunk and first_crossings on every path of every chunk."""
+    """The many-path scan without the chunk bound, chunks or early exit:
+    chunk_statistic and first_crossings on every path's whole stream."""
     m, horizon = params.m, params.horizon
     x = data + mu
     train, stream = x[:, :m], x[:, m:]
@@ -172,17 +196,13 @@ def unbounded_taus(data, params, mu, rules, shift):
     mean = np.array([row.mean() for row in train])
     sd = np.array([row.std(ddof=1) for row in train])
     g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
-    carry = ScanCarry(len(data))
-    taus = [np.zeros(len(data), dtype=np.int64) for _ in rules]
-    for k0 in range(0, horizon, CHUNK):
-        stats = scan_chunk(stream[:, k0:k0 + CHUNK], mean, carry, params.side,
-                           tuple(d for d, _ in rules))
-        for tau, stat, (_, c) in zip(taus, stats, rules):
-            j = first_crossings(stat, (sd * c)[:, None] * g[k0:k0 + CHUNK])
-            new = (tau == 0) & (j >= 0)
-            tau[new] = k0 + 1 + j[new]
-    for tau in taus:
-        tau[~(sd > 0.0)] = 0
+    q = partial_sums(stream, mean, 0.0)
+    zeros = np.zeros(len(data))
+    taus = []
+    for detector, c in rules:
+        stat = chunk_statistic(q, zeros, zeros, params.side, detector)
+        j = first_crossings(stat, (sd * c)[:, None] * g)
+        taus.append(np.where((j >= 0) & (sd > 0.0), j + 1, 0))
     return taus
 
 

@@ -204,6 +204,18 @@ class TestMonitorCommand:
         payload = json.loads(out)
         assert payload["stopped"] is False and payload["tau"] is None
 
+    @pytest.mark.parametrize("c, stream, msg", [
+        ("1e308", [1.0], "threshold"),
+        ("1.0", [-1.7e308, -1.7e308, 1.0], "non-finite at k = 3")])
+    def test_overflow_exits_2(self, capsys, tmp_path, c, stream, msg):
+        train = tmp_path / "train.csv"
+        write_series(train, np.random.default_rng(2).standard_normal(50))
+        write_series(tmp_path / "stream.csv", stream)
+        code, out, err = run_cli(capsys, "monitor", "--train", str(train),
+                                 "--stream", str(tmp_path / "stream.csv"),
+                                 "--critical-value", c, "--detector", "page")
+        assert code == 2 and out == "" and msg in err
+
     def test_unknown_combination_fails_cleanly(self, capsys, tmp_path):
         rng = np.random.default_rng(3)
         train = tmp_path / "train.csv"
@@ -424,6 +436,25 @@ class TestDensityCommand:
         assert code == 0
         assert (dens_dir / "density_page.csv").read_bytes() == \
             (out_dir / "density_page.csv").read_bytes()
+
+    @pytest.mark.parametrize("column, value, kind", [
+        ("tau_q", "x", "an integer"), ("tau_page", "2.5", "an integer"),
+        ("nu_tilde", "abc", "a number")])
+    def test_malformed_field_exits_2_naming_row_and_column(
+            self, capsys, tmp_path, column, value, kind):
+        fields = {"rep": "0", "tau_page": "5", "tau_q": "7",
+                  "nu_page": "0.5", "nu_q": "-0.25", "nu_tilde": "1.5"}
+        rows = [",".join(fields), ",".join(fields.values())]
+        fields.update({"rep": "1", column: value})
+        rows.append(",".join(fields.values()))
+        path = tmp_path / "records.csv"
+        path.write_text("\r\n".join(rows) + "\r\n")
+        code, out, err = run_cli(capsys, "density", "--records", str(path),
+                                 "--out", str(tmp_path / "dens"))
+        assert code == 2 and out == ""
+        assert f"records row 2, column {column}: {value!r} is not {kind}" \
+            in err
+        assert not (tmp_path / "dens").exists()
 
 
 class TestTable1Command:

@@ -26,15 +26,22 @@ def snapshot(mon):
     return Snapshot(mon.k, mon.q, mon.q_min, mon.q_max)
 
 
+def kernel_statistic(x, mean, side, detector):
+    """The many-path kernel's (1, n) statistic over the whole stream x:
+    partial_sums and chunk_statistic on one row, as one chunk."""
+    q = detectors.partial_sums(np.asarray(x, dtype=float)[None, :],
+                               np.array([mean]), 0.0)
+    return detectors.chunk_statistic(q, np.zeros(1), np.zeros(1), side,
+                                      detector)
+
+
 def scan_oracle(train, stream, params, c):
     """(tau, stat, threshold) of the first crossing, or Nones: the many-path
-    kernel scan_chunk and _thresholds on one row holding the stream up to
-    the horizon, located by first_crossings."""
+    kernel and _thresholds on one row holding the stream up to the horizon,
+    located by first_crossings."""
     training = summarize_training(train)
     x = np.asarray(stream, dtype=float)[:params.horizon]
-    (stat,) = detectors.scan_chunk(x[None, :], np.array([training.mean]),
-                                   detectors.ScanCarry(1), params.side,
-                                   (params.detector,))
+    stat = kernel_statistic(x, training.mean, params.side, params.detector)
     thresh = detectors._thresholds(training.sigma_hat * c, params, 0, x.size)
     j = int(detectors.first_crossings(stat, thresh[None, :])[0])
     if j < 0:
@@ -471,7 +478,7 @@ class TestRunMonitor:
 def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
                                             kstar, gamma, detector, side):
     """run_monitor on an ndarray, a list and an iterator adds Q(m, k) in
-    scan_chunk's order and shares _thresholds' schedule, so each stops at
+    partial_sums' order and shares _thresholds' schedule, so each stops at
     the many-path kernel's tau with the same stat and threshold bits,
     whatever the offset and scale."""
     rng = rng_stream(seed, 0)
@@ -532,6 +539,41 @@ class TestMonitor:
         with pytest.raises(DegenerateTrainingError):
             Monitor([1.0] * 10, MonitoringParams(m=10), 1.7)
 
+    def test_overflowing_threshold_is_rejected(self):
+        # sigma_hat * c * g(m, k) overflows at k = 1, as a study's would
+        train = rng_stream(33, 0).standard_normal(10)
+        params = MonitoringParams(m=10)
+        msg = f"threshold is non-finite at k = {min(CHUNK, params.horizon)}$"
+        with pytest.raises(ValidationError, match=msg):
+            run_monitor(train, [0.0], params, 1e308)
+        mon = Monitor(train, params, 1e308)
+        with pytest.raises(ValidationError, match=msg):
+            mon.update(0.0)
+        assert mon.k == 0 and mon.threshold is None
+
+    @pytest.mark.parametrize("stream, detector, first", [
+        # Q(m, 1) overflows to +inf, which would read as a stop at k = 1
+        ([1e308], "ordinary", 1),
+        # Q(m, 2) overflows to -inf, the page statistic turns NaN and
+        # would never cross
+        ([-1.7e308, -1.7e308, 1.0], "page", 2)])
+    def test_non_finite_q_raises_not_stops(self, stream, detector, first):
+        training = TrainingSummary(m=2, mean=-1e308 if first == 1 else 0.0,
+                                   sigma_hat=1.0)
+        params = MonitoringParams(m=2, horizon_factor=5.0, detector=detector)
+        # a feed reports the k it ends at, update the first non-finite k
+        msg = rf"Q\(m, k\) is non-finite at k = {len(stream)}$"
+        for s in (stream, iter(stream)):
+            with pytest.raises(ValidationError, match=msg):
+                run_monitor(training, s, params, 1.0)
+        mon = Monitor(training, params, 1.0)
+        for x in stream[:first - 1]:
+            mon.update(x)
+        with pytest.raises(ValidationError, match=f"at k = {first}$"):
+            mon.update(stream[first - 1])
+        assert mon.k == first and not math.isfinite(mon.q)
+
+
     @pytest.mark.parametrize("c", [1.7, 100.0])
     def test_record_path_is_the_monitors_triples(self, c):
         rng = rng_stream(34, 0)
@@ -562,7 +604,7 @@ class TestMonitor:
          kstar=CHUNK, gamma=0.45, detector="page", side="two_sided")
 def test_monitor_matches_the_array_kernel_at_every_step(
         seed, m, n, offset, scale, shift, kstar, gamma, detector, side):
-    """Monitor.update gives scan_chunk's statistic and _thresholds' threshold
+    """Monitor.update gives the kernel's statistic and _thresholds' threshold
     at every k, bit for bit, across CHUNK edges and at any offset or scale."""
     rng = rng_stream(seed, 0)
     train = offset + scale * rng.standard_normal(m)
@@ -571,8 +613,7 @@ def test_monitor_matches_the_array_kernel_at_every_step(
     params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
                               horizon_factor=n / m + 1.0)
     training = summarize_training(train)
-    (stat,) = detectors.scan_chunk(stream[None, :], np.array([training.mean]),
-                                   detectors.ScanCarry(1), side, (detector,))
+    stat = kernel_statistic(stream, training.mean, side, detector)
     thresh = detectors._thresholds(training.sigma_hat * 1.7, params, 0, n)
     mon = Monitor(training, params, 1.7)
     got_stat, got_thresh = [], []
@@ -655,7 +696,7 @@ def test_feed_and_update_in_any_split_match_the_array_kernel(
         seed, m, n, c, shift, kstar, gamma, detector, side, data):
     """A stream split at random points between feed calls (on lists and on
     iterators) and single update calls leaves the Monitor, after every call,
-    in scan_chunk's and _thresholds' state at its k, bit for bit. Each feed
+    in the kernel's and _thresholds' state at its k, bit for bit. Each feed
     stops right after the first crossing and the next call resumes there. A
     non-finite value inside a batch raises with its index and leaves the
     state of the value before it."""
@@ -666,8 +707,7 @@ def test_feed_and_update_in_any_split_match_the_array_kernel(
     params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
                               horizon_factor=n / m + 1.0)
     training = summarize_training(train)
-    (stat,) = detectors.scan_chunk(stream[None, :], np.array([training.mean]),
-                                   detectors.ScanCarry(1), side, (detector,))
+    stat = kernel_statistic(stream, training.mean, side, detector)
     thresh = detectors._thresholds(training.sigma_hat * c, params, 0, n)
     q = np.cumsum(stream - training.mean)
     want = [(0, 0.0, 0.0, 0.0, None, None)] + list(zip(

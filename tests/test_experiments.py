@@ -384,18 +384,31 @@ class TestStudyFileBytes:
         assert path.read_bytes() == csv_writer_text(rows).encode()
 
 
+def assert_row_summaries(train):
+    """_row_summaries gives the bits of row.mean() and row.std(ddof=1); the
+    reference is taken first, as the call consumes the block."""
+    want_mean = np.array([row.mean() for row in train]).tobytes()
+    want_sd = np.array([row.std(ddof=1) for row in train]).tobytes()
+    mean, sd = experiments._row_summaries(train)
+    assert mean.tobytes() == want_mean
+    assert sd.tobytes() == want_sd
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 2001])
 @pytest.mark.parametrize("count", [1, 3, 250])
 def test_block_summaries_equal_row_summaries(m, count):
-    # at count 250 and m 2001 the row slices are 63 wide, and 63 does not
-    # divide 250. A numpy whose axis reduction sums rows in another order
-    # than a 1-D one fails here, before the goldens do
+    # a numpy whose axis reduction sums rows in another order than a 1-D
+    # one, or whose std takes other steps, fails here before the goldens do
     rng = rng_stream(31, m)
-    train = rng.standard_normal((count, m)) * 3.7 + 11.3
-    mean, sd = experiments._row_summaries(train)
-    assert mean.tobytes() == np.array([row.mean() for row in train]).tobytes()
-    assert sd.tobytes() == np.array([row.std(ddof=1)
-                                     for row in train]).tobytes()
+    assert_row_summaries(rng.standard_normal((count, m)) * 3.7 + 11.3)
+
+
+@pytest.mark.parametrize("offset, scale", [(1e6, 1e-3), (-1e6, 1e150),
+                                           (0.0, 1e-150)])
+def test_block_summaries_at_any_offset_and_scale(offset, scale):
+    rng = rng_stream(32, 0)
+    for m, count in ((2, 250), (129, 3), (5000, 1)):
+        assert_row_summaries(rng.standard_normal((count, m)) * scale + offset)
 
 
 class TestSimulateDir:

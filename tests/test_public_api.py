@@ -11,7 +11,8 @@ import pytest
 import pagecusum
 from pagecusum import ValidationError, detectors, wiener
 
-REMOVED = ("DetectorState", "step_detector", "WienerPath", "detector_stat")
+REMOVED = ("DetectorState", "step_detector", "WienerPath", "detector_stat",
+           "ScanCarry", "chunk_bound", "scan_chunk")
 
 
 def test_every_exported_name_resolves_once():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 
 import numpy as np
 import pytest
@@ -27,10 +28,20 @@ class FakePool:
         return map(fn, *iterables)
 
 
+CPUS = 8  # the usable CPU count the tests pretend to have
+
+
+def fake_cpus(mp, cpus=CPUS):
+    """Pretend this process may run on cpus CPUs."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+               raising=False)
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakePool.started = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    fake_cpus(monkeypatch)
     return FakePool.started
 
 
@@ -57,16 +68,36 @@ def test_blocks_cover_every_index_once(reps, block, threads):
     with pytest.MonkeyPatch.context() as mp:
         FakePool.started = []
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        fake_cpus(mp)
         blocks = rng._map_blocks(lambda start, count: (start, count), reps,
                                  block, threads)
     assert [i for s, c in blocks for i in range(s, s + c)] == list(range(reps))
     assert all(1 <= c <= block for _, c in blocks)
-    assert len(blocks) >= min(threads, reps)
+    assert len(blocks) >= min(threads, CPUS, reps)
     assert len({c for _, c in blocks[:-1]}) <= 1  # only the last is narrower
     if threads == 1 and reps <= block:
         assert len(blocks) == 1
-    workers = min(threads, len(blocks))
+    workers = min(threads, CPUS, len(blocks))
     assert FakePool.started == ([workers] if workers > 1 else [])
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_threads_capped_at_usable_cpus(fake_pool, monkeypatch, affinity):
+    # only the fake pool's max_workers is read; no process starts
+    if affinity:
+        fake_cpus(monkeypatch, 3)
+    else:  # a platform without sched_getaffinity falls back to cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    blocks = rng._map_blocks(lambda start, count: (start, count), 10, 500,
+                             4096)
+    assert blocks == [(0, 4), (4, 4), (8, 2)]
+    assert fake_pool == [3]
+    # one usable CPU runs every block in this process
+    fake_cpus(monkeypatch, 1)
+    assert rng._map_blocks(lambda start, count: (start, count), 10, 500,
+                           4096) == [(0, 10)]
+    assert fake_pool == [3]
 
 
 def test_default_width_keeps_both_workers(fake_pool):
