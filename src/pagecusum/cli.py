@@ -97,10 +97,6 @@ def _read_series_csv(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
 def _cmd_critvals(args) -> int:
     _require(not args.out or args.reps >= wiener.MIN_CACHE_REPS,
              f"--out needs --reps >= {wiener.MIN_CACHE_REPS}")
@@ -110,7 +106,7 @@ def _cmd_critvals(args) -> int:
         threads=args.threads)
     if args.out:
         wiener.save_estimate(est, args.out)
-    _print_json(est.to_json_dict())
+    print(json.dumps(est.to_json_dict()))
     return 0
 
 
@@ -137,15 +133,15 @@ def _cmd_asymptotics(args) -> int:
         payload["N"] = asym.compute_N(args.m, args.x, args.c, scenario.kstar,
                                       scenario.delta, scenario.sigma,
                                       args.gamma, norm.a_m)
-    _print_json(payload)
+    print(json.dumps(payload))
     return 0
 
 
 def _cmd_limit_cdf(args) -> int:
     from . import asymptotics as asym
     law = asym.LimitLaw.for_variant(args.case, d1=args.d1)
-    _print_json({"psi_upper": asym.limit_cdf_upper(args.x, law),
-                 "psi": asym.limit_cdf(args.x, law)})
+    print(json.dumps({"psi_upper": asym.limit_cdf_upper(args.x, law),
+                      "psi": asym.limit_cdf(args.x, law)}))
     return 0
 
 
@@ -178,15 +174,10 @@ def _cmd_generate(args) -> int:
 
 
 def _resolve_pair(cfg, gamma, alpha, side, cache_dir):
-    c_page = cfg.get("c_page")
-    if c_page is None:
-        c_page = wiener.resolve_critical_value(gamma, alpha, side, "page",
-                                               cache_dir)
-    c_q = cfg.get("c_q")
-    if c_q is None:
-        c_q = wiener.resolve_critical_value(gamma, alpha, side, "ordinary",
-                                            cache_dir)
-    return c_page, c_q
+    """(c_page, c_q): each from cfg, or resolved when cfg does not set it."""
+    return tuple(cfg[key] if key in cfg else wiener.resolve_critical_value(
+        gamma, alpha, side, detector, cache_dir)
+        for key, detector in (("c_page", "page"), ("c_q", "ordinary")))
 
 
 def _cmd_simulate(args) -> int:
@@ -254,25 +245,29 @@ def _cmd_monitor(args) -> int:
         result = run_monitor(train, stream, params, c)
     else:
         result = _traced_monitor(train, stream, params, c, args.trace)
-    _print_json({"stopped": result.stopped, "tau": result.tau,
-                 "stat_at_tau": result.stat,
-                 "threshold_at_tau": result.threshold})
+    print(json.dumps({"stopped": result.stopped, "tau": result.tau,
+                      "stat_at_tau": result.stat,
+                      "threshold_at_tau": result.threshold}))
     return 0
 
 
 def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
     """Feed the stream to a Monitor one value at a time and write k, stat
     and threshold after every step, up to the stop or the horizon, as CSV
-    (floats written with repr, so they read back to the same bits)."""
+    (floats written with repr, so they read back to the same bits). The
+    file is written once the run has ended without an error, so a failed
+    run leaves none."""
     mon = Monitor(train, params, c)
+    lines, result = ["k,stat,threshold\n"], StoppingResult(None)
+    for x in stream[:params.horizon].tolist():
+        stopped = mon.update(x)
+        lines.append(f"{mon.k},{mon.stat!r},{mon.threshold!r}\n")
+        if stopped:
+            result = StoppingResult(mon.k, mon.stat, mon.threshold)
+            break
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,stat,threshold\n")
-        for x in stream[:params.horizon].tolist():
-            stopped = mon.update(x)
-            fh.write(f"{mon.k},{mon.stat!r},{mon.threshold!r}\n")
-            if stopped:
-                return StoppingResult(mon.k, mon.stat, mon.threshold)
-    return StoppingResult(None)
+        fh.writelines(lines)
+    return result
 
 
 def _cmd_table1(args) -> int:

@@ -95,17 +95,19 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     first_stream + i)) exactly, so batching never changes the data.
 
     Passing the same carry to successive calls generates the paths piece by
-    piece: the first call starts the streams, each later call continues the
-    recursion where the previous one stopped. Every call draws spec.burn_in
-    values before the n it returns and discards them, so a continuation
-    passes a spec with burn_in=0; the pieces then concatenate to the output
-    of one call for their total length.
+    piece: the first call starts the streams and discards spec.burn_in
+    values, each later call continues the recursion where the last one
+    stopped, and the pieces concatenate to one call's output. A continuation
+    needs burn_in=0 (ValidationError otherwise) and ignores seed and
+    first_stream, as the carry's generators already hold the streams.
     """
     _require_count(n, "n", 1)
     _require_count(n_paths, "n_paths", 1)
     if carry is None:
         carry = GarchCarry()
-    if carry.rngs is None:
+    if carry.rngs is not None:
+        _require(spec.burn_in == 0, "a started carry needs burn_in=0")
+    else:
         carry.rngs = [rng_stream(seed, first_stream + i)
                       for i in range(n_paths)]
         carry.sig2 = np.full(n_paths, spec.unconditional_variance)

@@ -19,12 +19,13 @@ feed(values) advances (q, q_min, q_max) over an iterable up to the first
 crossing, and whose update(x) feeds one observation. run_monitor feeds every
 stream, materialized or lazy, to Monitor.feed.
 
-The many-path studies scan every path a chunk at a time with first_stops.
-partial_sums adds in Monitor's order and chunk_statistic forms the
-statistics, so a study and a Monitor give the same tau, statistic and
-threshold bits. Most chunks of a path cannot cross, and first_stops proves
-it cheaply: from the chunk's extremes lo = min Q and hi = max Q and the
-running extremes q_min and q_max after it, each statistic is at most
+The many-path studies scan every path a chunk at a time with first_stops,
+calibrated as a Monitor is (_row_summaries gives sigma_hat and _boundary
+g(m, k) a block of indices at a time); partial_sums adds in Monitor's order and
+chunk_statistic forms the statistics, so both give the same tau, statistic and
+threshold bits. Most chunks of a path cannot cross, and first_stops proves it
+cheaply: from the chunk's extremes lo = min Q and hi = max Q and the running
+extremes q_min and q_max after it, each statistic is at most
 
     ordinary one-sided   hi
     ordinary two-sided   max(hi, -lo)
@@ -97,8 +98,20 @@ def summarize_training(x) -> TrainingSummary:
              "training data contain a non-finite value")
     # finite data whose mean or sd overflows fail TrainingSummary's check
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = float(arr.mean()), float(arr.std(ddof=1))
-    return TrainingSummary(m=m, mean=mean, sigma_hat=sd)
+        mean, sd = _row_summaries(arr[None].copy())
+    return TrainingSummary(m=m, mean=float(mean[0]), sigma_hat=float(sd[0]))
+
+
+def _row_summaries(train: np.ndarray):
+    """Each row's mean and sd (ddof=1) of a C-contiguous (count, m) block,
+    which it consumes, in the bits of row.mean() and row.std(ddof=1): a
+    block reduced along its rows sums each row pairwise, as a 1-D reduction
+    does, and these are numpy's own variance steps, done in place."""
+    m = train.shape[1]
+    mean = train.mean(axis=1)
+    train -= mean[:, None]
+    np.square(train, out=train)
+    return mean, np.sqrt(train.sum(axis=1) / (m - 1))
 
 
 def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:
@@ -181,18 +194,18 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 # overflow only makes Q(m, k) non-finite, and that is rejected on every path
 # up to its stop
 @np.errstate(over="ignore", invalid="ignore")
-def first_stops(chunks, mean: np.ndarray, rules, side: str, g: np.ndarray,
+def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
                 live: np.ndarray, first: int):
     """Each path's 1-based stopping time under each rule, 0 where it never
     stops. chunks yields (paths, L) blocks of the next observations, mean
     holds the training means, rules (detector, sigma_hat * c) pairs with a
-    scale per path, g is g(m, k) for k = 1 .. horizon and live marks the
+    scale per path, params gives m, gamma and the side, and live marks the
     paths that may stop. Only the open paths that the bound of the module
     docstring cannot settle are scanned exactly, and no chunk is drawn once
     every live path has stopped under every rule. Raises ValidationError
     naming replication first + i when path i's Q(m, k) turns non-finite
     before it has stopped under every rule."""
-    count = mean.size
+    count, side = mean.size, params.side
     taus = [np.zeros(count, dtype=np.int64) for _ in rules]
     q_end, q_min, q_max = np.zeros(count), np.zeros(count), np.zeros(count)
     k0 = 0
@@ -205,7 +218,8 @@ def first_stops(chunks, mean: np.ndarray, rules, side: str, g: np.ndarray,
         before_min, before_max = q_min, q_max
         q_end = q[:, -1].copy()
         q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
-        g_chunk = g[k0:k0 + length]
+        g_chunk = _boundary(params.m, np.arange(k0 + 1, k0 + length + 1,
+                                                dtype=float), params.gamma)
         g_min = g_chunk.min()
         for (detector, scale), tau in zip(rules, taus):
             if detector == "ordinary":

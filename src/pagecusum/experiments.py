@@ -36,7 +36,7 @@ import numpy as np
 
 from .asymptotics import compute_b_m, compute_normalization, solve_a_m
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
-from .detectors import boundary_g, first_stops
+from .detectors import _row_summaries, boundary_g, first_stops
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
@@ -65,18 +65,6 @@ class ReplicationRecord:
     nu_tilde: float | None
 
 
-def _row_summaries(train: np.ndarray):
-    """Each row's mean and sd (ddof=1) of a C-contiguous (count, m) block,
-    which it consumes, in the bits of row.mean() and row.std(ddof=1): a
-    block reduced along its rows sums each row pairwise, as a 1-D reduction
-    does, and these are numpy's own variance steps, done in place."""
-    m = train.shape[1]
-    mean = train.mean(axis=1)
-    train -= mean[:, None]
-    np.square(train, out=train)
-    return mean, np.sqrt(train.sum(axis=1) / (m - 1))
-
-
 # overflow only makes values non-finite, and each one that matters is
 # rejected, here or by first_stops
 @np.errstate(over="ignore", invalid="ignore")
@@ -93,7 +81,8 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     turns non-finite before the path has stopped under every rule.
     """
     m, horizon = params.m, params.horizon
-    g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
+    # g's top, g(m, horizon); a one-index array rounds as the chunks do
+    g_top = boundary_g(m, [horizon], params.gamma)
     carry = GarchCarry()
     train = generate_garch11_batch(garch, m, count, seed,
                                    first_stream=start, carry=carry)
@@ -103,7 +92,7 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     rules = [(detector, sd * c) for detector, c in rules]
     ok = np.isfinite(mean)
     for _, scale in rules:
-        ok &= np.isfinite(scale * g[-1])  # g rises, so g[-1] is its top
+        ok &= np.isfinite(scale * g_top)
     if not ok.all():
         raise ValidationError(
             f"replication {start + int(np.argmin(ok))}: training mean, sd or "
@@ -122,7 +111,7 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
             yield x
 
     # a constant training sample never stops
-    return first_stops(chunks(), mean, rules, params.side, g, sd > 0.0, start)
+    return first_stops(chunks(), mean, rules, params, sd > 0.0, start)
 
 
 def run_replications(params: MonitoringParams, scenario: ChangeScenario,

@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+from pagecusum import detectors
+
+
+@pytest.fixture
+def boundary_calls(monkeypatch):
+    """Sizes of the index arrays passed to detectors._boundary."""
+    calls = []
+
+    kernel = detectors._boundary
+
+    def counting(m, k, gamma):
+        calls.append(np.size(k))
+        return kernel(m, k, gamma)
+
+    monkeypatch.setattr(detectors, "_boundary", counting)
+    return calls

@@ -57,6 +57,20 @@ def test_chunked_generation_equals_one_call(spec, n_paths, seed, first_stream,
         assert np.array_equal(chunked[i], single)
 
 
+def test_started_carry_refuses_a_burn_in_and_keeps_its_streams():
+    # burn-in drawn mid-stream would break the concatenation; seed and
+    # first_stream are ignored once the carry holds the streams
+    spec = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=50)
+    carry = GarchCarry()
+    head = generate_garch11_batch(spec, 10, 2, 1, carry=carry)
+    with pytest.raises(ValidationError, match="burn_in=0"):
+        generate_garch11_batch(spec, 10, 2, 1, carry=carry)
+    tail = generate_garch11_batch(replace(spec, burn_in=0), 10, 2, 99,
+                                  first_stream=7, carry=carry)
+    assert np.array_equal(np.concatenate([head, tail], axis=1),
+                          generate_garch11_batch(spec, 20, 2, 1))
+
+
 @SETTINGS
 @given(data=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
        mean=st.floats(-10.0, 10.0),
@@ -68,16 +82,16 @@ def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
     # critical values from "most steps cross" to "none does"
     rules = [(d, np.array([c])) for d in ("page", "ordinary")
              for c in (1e-3, 0.5, 5.0, 50.0, 1e4)]
-    g = boundary_g(10, np.arange(1, y.shape[1] + 1), 0.25)
+    params = MonitoringParams(m=10, gamma=0.25, side=side)
     live = np.ones(1, dtype=bool)
-    whole = first_stops([y], mean, rules, side, g, live, 0)
+    whole = first_stops([y], mean, rules, params, live, 0)
     pieces, k = [], 0
     for n in cuts + [y.shape[1]]:
         if k >= y.shape[1]:
             break
         pieces.append(y[:, k:k + n])
         k += n
-    parts = first_stops(pieces, mean, rules, side, g, live, 0)
+    parts = first_stops(pieces, mean, rules, params, live, 0)
     for got, want in zip(parts, whole):
         assert np.array_equal(got, want)
 
@@ -93,10 +107,10 @@ def test_scan_draws_no_chunk_after_every_path_stops():
             drawn.append(k0)
             yield np.full((3, CHUNK), 1e3)
 
-    g = boundary_g(50, np.arange(1, 4 * CHUNK + 1), 0.0)
     rules = [(d, np.ones(3)) for d in ("page", "ordinary")]
     live = np.array([True, False, True])
-    taus = first_stops(chunks(), np.zeros(3), rules, "one_sided", g, live, 0)
+    taus = first_stops(chunks(), np.zeros(3), rules, MonitoringParams(m=50),
+                       live, 0)
     assert drawn == [0]
     for tau in taus:
         assert tau.tolist() == [1, 0, 1]
@@ -104,6 +118,17 @@ def test_scan_draws_no_chunk_after_every_path_stops():
 
 GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=20)
 M = 40
+
+
+def test_study_computes_g_only_on_the_chunks_it_scans(boundary_calls):
+    # every path stops at k = 1, so g(m, k) is evaluated on the first chunk
+    # and on the top index of the up-front check, never on the whole horizon
+    params = MonitoringParams(m=M, gamma=0.25, horizon_factor=40.0)
+    assert params.horizon > 3 * CHUNK
+    recs = run_replications(params, ChangeScenario.at_kstar(50.0, 1), GARCH,
+                            8, 1.9, 1.8, seed=2)
+    assert all(r.tau_page == r.tau_q == 1 for r in recs)
+    assert sorted(boundary_calls) == [1, CHUNK]
 
 
 @st.composite

@@ -290,6 +290,20 @@ class TestMonitorCommand:
             assert int(k) == 100
             assert all(float(s) < float(t) for _, s, t in rows)
 
+    def test_failed_traced_run_leaves_no_trace_file(self, capsys, tmp_path):
+        # Q(m, k) overflows at k = 7, after six rows would have been written
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, np.random.default_rng(6).standard_normal(50))
+        write_series(stream, [0.1] * 5 + [-1.7e308, -1.7e308, 1.0])
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "monitor", "--train", str(train),
+                                 "--stream", str(stream), "--critical-value",
+                                 "1.0", "--trace", str(trace))
+        assert code == 2 and out == ""
+        assert "non-finite at k = 7" in err
+        assert sorted(os.listdir(tmp_path)) == ["stream.csv", "train.csv"]
+
 
 class TestGenerateCommand:
     CONFIG = ("omega = 0.5\nalpha = 0.2\nbeta = 0.3\nburn_in = 50\n"

@@ -321,20 +321,6 @@ class TestRunMonitor:
                                                  0.25)
         assert [thr for _, _, thr in path] == expected.tolist()
 
-    @pytest.fixture
-    def boundary_calls(self, monkeypatch):
-        """Sizes of the index arrays passed to detectors._boundary."""
-        calls = []
-
-        kernel = detectors._boundary
-
-        def counting(m, k, gamma):
-            calls.append(np.size(k))
-            return kernel(m, k, gamma)
-
-        monkeypatch.setattr(detectors, "_boundary", counting)
-        return calls
-
     def test_lazy_run_evaluates_the_boundary_once_per_chunk(self,
                                                             boundary_calls):
         train, _ = self.make_data(15)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        ValidationError, emit_table1, empirical_size,
                        generate_garch11, kde, rng_stream, run_monitor,
-                       run_replications)
-from pagecusum import experiments
+                       run_replications, summarize_training)
+from pagecusum import detectors, experiments
 from pagecusum.datagen import CHUNK, generate_garch11_batch
 from pagecusum.experiments import (RECORD_COLUMNS, DensityEstimate,
                                    ReplicationRecord, densities_from_records,
@@ -385,13 +385,17 @@ class TestStudyFileBytes:
 
 
 def assert_row_summaries(train):
-    """_row_summaries gives the bits of row.mean() and row.std(ddof=1); the
-    reference is taken first, as the call consumes the block."""
+    """_row_summaries gives the bits of row.mean() and row.std(ddof=1), and
+    summarize_training gives each row's bits; the references are taken
+    first, as the call consumes the block."""
     want_mean = np.array([row.mean() for row in train]).tobytes()
     want_sd = np.array([row.std(ddof=1) for row in train]).tobytes()
-    mean, sd = experiments._row_summaries(train)
+    singles = [summarize_training(row) for row in train]
+    mean, sd = detectors._row_summaries(train)
     assert mean.tobytes() == want_mean
     assert sd.tobytes() == want_sd
+    assert np.array([s.mean for s in singles]).tobytes() == want_mean
+    assert np.array([s.sigma_hat for s in singles]).tobytes() == want_sd
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 2001])
