@@ -129,8 +129,11 @@ def boundary_g(m: int, k, gamma: float):
     _require_count(m, "m", 1)
     karr = np.asarray(k, dtype=float)
     _require(bool(np.all(karr >= 1)), "k must be >= 1")
-    val = _boundary(m, karr, gamma)
-    return float(val) if np.isscalar(k) else val
+    if np.isscalar(k):
+        # numpy's 0-d arithmetic can round a scalar k one ulp away from the
+        # same k in an array; a one-element array gives the array's bits
+        return float(_boundary(m, karr.reshape(1), gamma)[0])
+    return _boundary(m, karr, gamma)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Counter-based RNG streams for reproducible (parallel) Monte Carlo."""
 
+import functools
 import operator
 import os
 
@@ -14,20 +15,48 @@ _UINT64 = 1 << 64
 BOOTSTRAP_STREAM = 1 << 62
 
 
+class _StreamKey(tuple):
+    """The Philox key of one stream, (index, seed) mod 2**64, standing in
+    for its seed sequence.
+
+    Philox asks its seed sequence for two 64-bit key words, low word first,
+    so no SeedSequence is built and no OS entropy is drawn. The class is
+    registered as a numpy ISeedSequence at the first stream (_philox), so
+    that importing this module loads no numpy.random.
+    """
+
+    __slots__ = ()
+
+    def generate_state(self, n_words, dtype=None):
+        return np.array(self, dtype=np.uint64)
+
+
+@functools.cache
+def _philox():
+    """numpy's Philox class, once _StreamKey is registered as a seed
+    sequence; numpy.random loads at this first call."""
+    from numpy.random import Philox
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_StreamKey)
+    return Philox
+
+
 # Generator annotations are quoted here and in datagen and wiener, so that
 # numpy.random loads at the first stream drawn, not at import
 def rng_stream(seed: int, index: int) -> "np.random.Generator":
     """Independent generator for stream `index` under master `seed`.
 
-    Streams are Philox counter-based and keyed directly by (seed, index), so
-    any worker can recreate stream i without touching the other streams.
-    Results are therefore identical no matter how work is batched or
-    distributed over processes.
+    Streams are Philox counter-based and keyed directly by (seed, index):
+    the key is (seed mod 2**64) * 2**64 + (index mod 2**64), so any worker
+    can recreate stream i without touching the other streams. Results are
+    therefore identical no matter how work is batched or distributed over
+    processes. No OS entropy is drawn, and the generator carries no
+    spawnable seed sequence (Generator.spawn raises).
     """
     # float keys round many indices to one stream; numpy ints overflow in %
     seed, index = operator.index(seed), operator.index(index)
-    key = (seed % _UINT64) * _UINT64 + (index % _UINT64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = _StreamKey((index % _UINT64, seed % _UINT64))
+    return np.random.Generator(_philox()(key))
 
 
 def _map_blocks(fn, reps: int, block: int, threads: int) -> list:

@@ -105,6 +105,26 @@ class TestBoundary:
             vals = boundary_g(50, np.arange(1, 5000), gamma)
             assert np.all(np.diff(vals) > 0)
 
+    def test_scalar_k_has_the_bits_of_an_index_array(self):
+        assert boundary_g(10, 273, 0.25) == \
+            boundary_g(10, np.arange(1, 274), 0.25)[-1]
+        for m in [*range(2, 300, 7), 10**5, 10**6]:
+            for gamma in (0.0, 0.1, 0.25, 0.45, 0.49):
+                for factor in (1, 3, 20):
+                    K = factor * m
+                    full = K <= 2 * 10**6
+                    if full:
+                        want = boundary_g(m, np.arange(1, K + 1), gamma)
+                    for k in {1, 2, max(1, K // 3), K - 1, K}:
+                        # longer horizons use the 1000 indices up to k, to
+                        # keep memory small
+                        lo = 1 if full else max(1, k - 999)
+                        if not full:
+                            want = boundary_g(m, np.arange(lo, k + 1), gamma)
+                        assert boundary_g(m, k, gamma) == want[k - lo]
+                        assert boundary_g(m, np.int64(k), gamma) == \
+                            want[k - lo]
+
     def test_domain(self):
         with pytest.raises(ValidationError):
             boundary_g(100, 10, 0.5)

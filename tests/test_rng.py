@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -133,3 +134,50 @@ def test_numpy_integer_seed_keys_the_same_streams():
     for seed, index in ((1.0, 0), (1, 2.0)):
         with pytest.raises(TypeError):
             rng.rng_stream(seed, index)
+
+
+def keyed_philox(seed, index):
+    """The generator rng_stream stands for, keyed through Philox's key=."""
+    key = (int(seed) % 2**64) * 2**64 + int(index) % 2**64
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_state(gen):
+    """Counter, key, buffer and the half-used 32-bit word, as lists."""
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(),
+            state["state"]["key"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+DRAWS = (lambda g: g.standard_normal(7), lambda g: g.random(5),
+         # three 32-bit draws leave half of a 64-bit word buffered
+         lambda g: g.integers(0, 1000, size=3),
+         lambda g: g.standard_normal(2), lambda g: g.integers(0, 2**40, 2),
+         lambda g: g.integers(0, 10, size=5), lambda g: g.random(3))
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**70 + 3, np.int64(-5),
+                                  np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("index", [0, 2**64 - 1, rng.BOOTSTRAP_STREAM,
+                                   np.uint64(2**64 - 1), np.int32(7)])
+def test_stream_is_the_keyed_philox(seed, index):
+    got, want = rng.rng_stream(seed, index), keyed_philox(seed, index)
+    assert philox_state(got) == philox_state(want)
+    for draw in DRAWS:
+        assert draw(got).tobytes() == draw(want).tobytes()
+        assert philox_state(got) == philox_state(want)
+
+
+def test_pickled_stream_continues_the_same_draws():
+    gen = rng.rng_stream(11, 3)
+    gen.integers(0, 1000, size=3)  # leave a half-used 32-bit buffer
+    copy = pickle.loads(pickle.dumps(gen))
+    assert philox_state(copy) == philox_state(gen)
+    for draw in DRAWS:
+        assert draw(copy).tobytes() == draw(gen).tobytes()
+
+
+def test_stream_has_no_spawnable_seed_sequence():
+    with pytest.raises(TypeError):
+        rng.rng_stream(1, 2).spawn(1)

@@ -11,6 +11,7 @@ from pagecusum import (REFERENCE_CRITICAL_VALUES, ValidationError,
                        estimate_critical_value, functional_ordinary,
                        functional_page, resolve_critical_value, rng_stream,
                        sample_wiener_path, simulate_functional_values)
+from pagecusum.rng import BOOTSTRAP_STREAM
 from pagecusum.wiener import (CriticalValueEstimate, load_estimate,
                               refine_wiener_path, save_estimate)
 
@@ -165,6 +166,51 @@ def test_one_pass_kernel_matches_batch_oracle_bitwise(T, n_rows, gamma, side,
         assert page >= ordinary
 
 
+def adversarial_rows(kind, T, n_rows, seed):
+    """(n_rows, T) values of W at t = 1/T .. 1 that stress the page scan's
+    block bounds: flat, monotone, tied, negative and huge paths."""
+    z = np.random.default_rng(seed).standard_normal((n_rows, T))
+    walk = np.cumsum(z, axis=1)
+    if kind == "zero":
+        return np.zeros((n_rows, T))
+    if kind == "rising":
+        return np.cumsum(np.abs(z), axis=1)
+    if kind == "falling":
+        return -np.cumsum(np.abs(z), axis=1)
+    if kind == "plateaus":  # ties, long runs and zeros of either sign
+        return np.round(walk / 3.0)
+    if kind == "negative":
+        return -np.abs(walk) - 1.0
+    if kind == "huge":
+        return 1e150 * walk
+    if kind == "huge_negative":
+        return -1e150 * (np.abs(walk) + 1.0)
+    return walk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T=st.one_of(st.integers(2, 3000), st.sampled_from([129, 257, 385])),
+       n_rows=st.integers(1, 3),
+       kind=st.sampled_from(["zero", "rising", "falling", "plateaus",
+                             "negative", "huge", "huge_negative", "walk"]),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       side=st.sampled_from(["one_sided", "two_sided"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(T=2, n_rows=1, kind="zero", gamma=0.45, side="one_sided", seed=0)
+@example(T=129, n_rows=2, kind="huge", gamma=0.0, side="two_sided", seed=1)
+@example(T=3000, n_rows=2, kind="plateaus", gamma=0.25, side="one_sided",
+         seed=2)
+def test_page_block_scan_matches_unpruned_scan_bitwise(T, n_rows, kind, gamma,
+                                                       side, seed):
+    w = adversarial_rows(kind, T, n_rows, seed)
+    got = wiener._functional_values(iter(w), T, gamma, side, "page")
+    want = functional_batch_oracle(w, gamma, side, "page")
+    # a zero supremum takes its sign from the order in which a max reduction
+    # meets tied zeros, which neither scan pins; + 0.0 maps -0.0 to 0.0 and
+    # leaves every other value's bits alone
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
 def test_simulation_draws_one_stream_per_path(monkeypatch):
     calls = []
 
@@ -222,6 +268,25 @@ class TestEstimates:
         with pytest.raises(ValidationError):
             estimate_critical_value(0.1, 0.1, "one_sided", "page", reps=50,
                                     T=64)
+
+
+@pytest.mark.parametrize("reps", [100, 101, 1024, 4097, 2**15 + 1])
+def test_grouped_bootstrap_matches_per_row_loop(monkeypatch, reps):
+    # values rounded to two decimals, so quantiles meet ties; at 2**15 + 1
+    # each group holds one resample row
+    vals = np.round(np.random.default_rng(reps).standard_normal(reps), 2)
+    monkeypatch.setattr(wiener, "simulate_functional_values",
+                        lambda *args, **kwargs: vals)
+    for alpha in (0.1, 0.05, 0.01):
+        est = estimate_critical_value(0.0, alpha, "one_sided", "page",
+                                      reps=reps, T=2, seed=reps)
+        boot_rng = rng_stream(reps, BOOTSTRAP_STREAM)
+        boots = np.empty(200)
+        for b in range(200):
+            idx = boot_rng.integers(0, reps, size=reps)
+            boots[b] = np.quantile(vals[idx], 1.0 - alpha)
+        assert est.std_err == float(boots.std(ddof=1))
+        assert est.c == float(np.quantile(vals, 1.0 - alpha))
 
 
 class TestCache:
