@@ -25,6 +25,11 @@ knife-edge (regime II) scenario: m=200, gamma=0.25, kstar=floor(200**(1/3)),
 a horizon of 60 steps and 60 replications. meta.json thus carries non-null
 d1 and c1, and records.csv has rows where neither, one or both detectors
 stopped, so empty fields are pinned next to filled ones.
+
+tests/golden/generate/ holds `pagecusum generate` files next to the configs
+that made them: change.cfg has GARCH(1,1) errors, a burn-in, mu != 0 and a
+change at kstar = 616, in the second CHUNK of the stream; null.cfg has no
+change. They pin the location model, the burn-in and the CSV bytes.
 """
 
 import csv
@@ -49,6 +54,7 @@ NULL_TAUS_CSV = os.path.join(os.path.dirname(__file__), "golden", "null_taus",
 NULL_TAUS_COLUMNS = ("rep", "page_one", "ordinary_one", "page_two",
                      "ordinary_two")
 CRITVALS_FILES = sorted(os.listdir(CRITVALS_DIR))
+GENERATE_DIR = os.path.join(os.path.dirname(__file__), "golden", "generate")
 REGIME2_DIR = os.path.join(os.path.dirname(__file__), "golden",
                            "regime2_study")
 GOLDEN_FILES = ("density_page.csv", "density_q.csv", "density_tilde.csv",
@@ -169,3 +175,14 @@ def test_null_taus_match_golden(monkeypatch, block, threads):
     for col in got[1:]:  # some paths stop, in both chunks, and some do not
         assert 0 < sum(t > 0 for t in col) < 300
         assert max(col) > 512
+
+
+@pytest.mark.parametrize("name, seed", [("change", 13), ("null", 4)])
+def test_generate_matches_golden(tmp_path, capsys, name, seed):
+    out = tmp_path / f"{name}.csv"
+    code = dispatch(["generate", "--spec",
+                     os.path.join(GENERATE_DIR, f"{name}.cfg"),
+                     "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _read(tmp_path, f"{name}.csv") == _read(GENERATE_DIR, f"{name}.csv")
