@@ -7,9 +7,10 @@ it re-arms itself after downward excursions and reacts faster to late
 changes.
 """
 
+import numpy as np
+
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       StreamSpec, generate_garch11, generate_stream,
-                       resolve_critical_value, rng_stream, run_monitor,
+                       location_paths, resolve_critical_value, run_monitor,
                        summarize_training)
 
 m = 500
@@ -17,10 +18,16 @@ kstar = 150          # the shift enters this many steps into monitoring
 delta = 0.8
 garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3)
 
-innovations = generate_garch11(garch, m + 2000, rng_stream(seed=7, index=0))
-spec = StreamSpec(mu=0.0, scenario=ChangeScenario.at_kstar(delta, kstar),
-                  m=m, length=2000)
-training, stream = generate_stream(spec, innovations)
+
+def series(scenario):
+    """Training sample and 2000-step stream of replication 0 with seed 7:
+    location_paths yields the (1, m) training block, then the stream in
+    pieces. Each call draws the same GARCH errors."""
+    train, *pieces = location_paths(garch, 0.0, scenario, m, 2000, seed=7)
+    return train[0], np.concatenate(pieces, axis=1)[0]
+
+
+training, stream = series(ChangeScenario.at_kstar(delta, kstar))
 
 summary = summarize_training(training)
 print(f"training: m={m}, mean={summary.mean:+.4f}, "
@@ -41,8 +48,7 @@ for detector in ("page", "ordinary"):
 
 print()
 print("same data, change-free stream (null behaviour):")
-null_spec = StreamSpec(mu=0.0, scenario=None, m=m, length=2000)
-training0, stream0 = generate_stream(null_spec, innovations)
+training0, stream0 = series(None)
 for detector in ("page", "ordinary"):
     params = MonitoringParams(m=m, gamma=0.25, alpha=0.1, detector=detector)
     c = resolve_critical_value(params.gamma, params.alpha, params.side,

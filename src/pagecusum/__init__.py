@@ -19,11 +19,12 @@ _EXPORTS = {name: module for module, names in {
     "asymptotics": "AsymptoticNormalization ConvergenceError LimitLaw "
                    "compute_N compute_b_m compute_d2 compute_normalization "
                    "limit_cdf limit_cdf_upper solve_a_m solve_d1",
-    "datagen": "Garch11Spec StreamSpec generate_garch11 generate_stream",
+    "datagen": "Garch11Spec",
     "detectors": "DegenerateTrainingError Monitor StoppingResult "
                  "TrainingSummary boundary_g run_monitor summarize_training",
     "experiments": "DensityEstimate ReplicationRecord emit_table1 "
-                   "empirical_size kde run_replications simulate_to_dir",
+                   "empirical_size kde location_paths run_replications "
+                   "simulate_to_dir",
     "model": "CaseLabel ChangeScenario MonitoringParams ValidationError "
              "classify_case compute_eta eta_zero_beta resolve_kstar "
              "validate_scenario",

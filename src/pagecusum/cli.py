@@ -6,7 +6,7 @@ sample results are written as CSV. Exit codes: 0 success, 2 validation
 error (one-line diagnostic on stderr), 1 runtime failure.
 
 asymptotics and experiments are imported by the commands that use them, so
-that monitor, generate and critvals do not load them.
+that monitor and critvals do not load them.
 """
 
 import argparse
@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from . import wiener
-from .datagen import Garch11Spec, StreamSpec, generate_garch11, generate_stream
+from .datagen import Garch11Spec
 from .detectors import Monitor, StoppingResult, run_monitor
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require)
-from .rng import rng_stream
 
 _SIDE_FLAG = {"one": "one_sided", "two": "two_sided"}
 
@@ -146,6 +145,7 @@ def _cmd_limit_cdf(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import experiments
     cfg = _read_config(args.spec, _GENERATE_KEYS)
     for key in ("omega", "m"):
         _require(key in cfg, f"config must set '{key}'")
@@ -160,15 +160,22 @@ def _cmd_generate(args) -> int:
     if delta != 0.0:
         scenario = ChangeScenario.from_exponent(
             delta, cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
-    spec = StreamSpec(mu=cfg.get("mu", 0.0), scenario=scenario, m=m,
-                      length=length)
-    innovations = generate_garch11(garch, m + length, rng_stream(args.seed, 0))
-    training, stream = generate_stream(spec, innovations)
+    # one replication, so each piece is (1, n): its text is built in
+    # csv.writer's bytes, and an overflow is rejected before the file opens
+    lines, done = ["x"], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (x,) in experiments.location_paths(
+                garch, cfg.get("mu", 0.0), scenario, m, length, args.seed):
+            finite = np.isfinite(x)
+            if not finite.all():
+                raise ValidationError(
+                    f"value {done + int(np.argmin(finite)) + 1} of the "
+                    "series overflows to a non-finite number")
+            lines.append("\r\n".join(map(repr, x.tolist())))
+            done += x.size
+    lines.append("")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"])
-        for v in np.concatenate([training, stream]):
-            writer.writerow([repr(float(v))])
+        fh.write("\r\n".join(lines))
     print(f"wrote {m + length} values to {args.out}")
     return 0
 

@@ -1,12 +1,11 @@
-"""Simulation-study processes: GARCH(1,1) innovations and the location model.
+"""GARCH(1,1) innovations for the simulation studies.
 
-The observed series is X_i = mu + eps_i before the change and
-X_i = mu + eps_i + delta from global index m + kstar on (1-based), where the
-innovations eps_i are zero-mean but possibly conditionally heteroskedastic.
-GARCH(1,1) innovations with alpha_g + beta_g < 1 satisfy the invariance
-principles the monitoring theory rests on (they are uncorrelated martingale
-differences with finite variance; the theory additionally assumes a moment of
-order nu > 2, which holds here and plays no algorithmic role).
+The innovations eps_i are zero-mean but possibly conditionally
+heteroskedastic. GARCH(1,1) innovations with alpha_g + beta_g < 1 satisfy the
+invariance principles the monitoring theory rests on (they are uncorrelated
+martingale differences with finite variance; the theory additionally assumes a
+moment of order nu > 2, which holds here and plays no algorithmic role).
+experiments.location_paths builds the location model on them.
 """
 
 import math
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChangeScenario, _require, _require_count
+from .model import _require, _require_count
 from .rng import rng_stream
 
 
@@ -46,27 +45,6 @@ class Garch11Spec:
         return self.omega / (1.0 - self.alpha_g - self.beta_g)
 
 
-def generate_garch11(spec: Garch11Spec, n: int,
-                     rng: "np.random.Generator") -> np.ndarray:
-    """One path of n innovations.
-
-    The recursion starts at the stationary variance with eps_0 = 0; the first
-    spec.burn_in values are discarded. With alpha_g = beta_g = 0 this
-    collapses to i.i.d. N(0, omega).
-    """
-    _require_count(n, "n", 1)
-    total = spec.burn_in + n
-    z = rng.standard_normal(total)
-    eps = np.empty(total)
-    sig2 = spec.unconditional_variance
-    e_prev = 0.0
-    for i in range(total):
-        sig2 = spec.omega + spec.alpha_g * e_prev * e_prev + spec.beta_g * sig2
-        e_prev = math.sqrt(sig2) * z[i]
-        eps[i] = e_prev
-    return eps[spec.burn_in:]
-
-
 # time steps per piece of generation: each path's normals are drawn this many
 # at a time, and replication studies generate and scan their streams in
 # pieces of this length (chunked Philox draws equal one long draw)
@@ -91,8 +69,11 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
                            carry: GarchCarry | None = None) -> np.ndarray:
     """(n_paths, n) array of independent paths with per-path RNG streams.
 
-    Row i reproduces generate_garch11(spec, n, rng_stream(seed,
-    first_stream + i)) exactly, so batching never changes the data.
+    The recursion starts at the stationary variance with eps_0 = 0; the first
+    spec.burn_in values are discarded. With alpha_g = beta_g = 0 this
+    collapses to i.i.d. N(0, omega). Row i draws its normals from
+    rng_stream(seed, first_stream + i) alone, so a path is the same in any
+    batch.
 
     Passing the same carry to successive calls generates the paths piece by
     piece: the first call starts the streams and discards spec.burn_in
@@ -147,37 +128,3 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
             first = t0 + skip - spec.burn_in
             out[:, first:first + length - skip] = rows[skip:].T
     return out
-
-
-@dataclass(frozen=True)
-class StreamSpec:
-    """Location-model series: baseline mean mu, a change scenario (or None
-    for a change-free series), training length m and monitoring length."""
-
-    mu: float
-    scenario: ChangeScenario | None
-    m: int
-    length: int
-
-    def __post_init__(self):
-        _require_count(self.m, "m", 2)
-        _require_count(self.length, "length", 1)
-
-
-def generate_stream(spec: StreamSpec, innovations):
-    """Split innovations into (training, stream) and inject the mean shift.
-
-    The shift enters at global 1-based index m + kstar, i.e. at stream
-    position kstar; observation m + kstar - 1 is still unshifted. A kstar
-    beyond the stream length (or scenario None) leaves the series unchanged,
-    which is how null-hypothesis streams are produced.
-    """
-    eps = np.asarray(innovations, dtype=float)
-    need = spec.m + spec.length
-    _require(eps.size >= need, "innovations must cover m + length values")
-    x = spec.mu + eps[:need]
-    if spec.scenario is not None:
-        start = spec.m + spec.scenario.kstar - 1
-        if start < need:
-            x[start:] += spec.scenario.delta
-    return x[:spec.m], x[spec.m:]

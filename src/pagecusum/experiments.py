@@ -1,9 +1,10 @@
 """Replication harness: paired stopping times, normalized delays, empirical
 sizes, density estimates, and the normalization table.
 
-Every replication draws a fresh GARCH training sample and monitoring stream
-from its own RNG stream, runs the page and ordinary detectors on the same
-data, and records the stopping times together with their normalized versions
+Every replication draws a fresh training sample and monitoring stream from
+location_paths, on its own RNG stream, runs the page and ordinary detectors
+on the same data, and records the stopping times together with their
+normalized versions
 
     nu_page  = (tau_page - a_m(c_page)) / b_m(c_page)
     nu_q     = (tau_q    - a_m(c_q))    / b_m(c_q)
@@ -65,30 +66,56 @@ class ReplicationRecord:
     nu_tilde: float | None
 
 
+def location_paths(garch: Garch11Spec, mu: float,
+                   scenario: ChangeScenario | None, m: int, length: int,
+                   seed: int, start: int = 0, count: int = 1):
+    """Location-model series of replications [start, start + count):
+    X_i = mu + eps_i, plus delta from global 1-based index m + kstar on
+    (stream position kstar; scenario None, or a kstar past length, gives
+    a change-free series). Replication r's GARCH(1,1) errors come from
+    RNG stream (seed, r).
+
+    Yields the (count, m) training block, then the (count, <= CHUNK)
+    pieces of the monitoring stream, length values in all. A piece is
+    drawn only when asked for, and the generator keeps none it has handed
+    out. Raises ValidationError at the first piece unless m >= 2 and
+    length >= 1.
+    """
+    _require_count(m, "m", 2)
+    _require_count(length, "length", 1)
+    carry, first = GarchCarry(), 0  # first: 0-based index of a piece's start
+    for n in [m] + [min(CHUNK, length - k0) for k0 in range(0, length, CHUNK)]:
+        x = generate_garch11_batch(garch, n, count, seed, start, carry)
+        x += mu
+        if scenario is not None:
+            x[:, max(m + scenario.kstar - 1 - first, 0):] += scenario.delta
+        yield x
+        del x
+        garch, first = replace(garch, burn_in=0), first + n
+
+
 # overflow only makes values non-finite, and each one that matters is
 # rejected, here or by first_stops
 @np.errstate(over="ignore", invalid="ignore")
 def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
-                seed: int, start: int, count: int, rules, shift=None):
-    """First crossings of each (detector, c) rule on replications
-    [start, start + count), with shift (kstar, delta) or None for
-    change-free streams: one int array per rule of each path's 1-based
-    stopping time, 0 when the path did not stop or its training sample is
-    constant. The streams are generated CHUNK steps at a time for
-    detectors.first_stops, which draws no chunk once every path has stopped
-    under every rule. Raises ValidationError naming the first replication
-    whose training mean, sd or threshold is non-finite, or whose Q(m, k)
-    turns non-finite before the path has stopped under every rule.
+                seed: int, start: int, count: int, rules, scenario=None):
+    """First crossings of each (detector, c) rule on the location_paths
+    replications [start, start + count), under scenario or, with None,
+    change-free: one int array per rule of each path's 1-based stopping
+    time, 0 when the path did not stop or its training sample is
+    constant. detectors.first_stops draws no piece of the stream once
+    every path has stopped under every rule. Raises ValidationError naming
+    the first replication whose training mean, sd or threshold is
+    non-finite, or whose Q(m, k) turns non-finite before the path has
+    stopped under every rule.
     """
     m, horizon = params.m, params.horizon
     # g's top, g(m, horizon); a one-index array rounds as the chunks do
     g_top = boundary_g(m, [horizon], params.gamma)
-    carry = GarchCarry()
-    train = generate_garch11_batch(garch, m, count, seed,
-                                   first_stream=start, carry=carry)
-    train += mu
-    mean, sd = _row_summaries(train)
-    del train  # the (count, m) block is not needed past its mean and sd
+    paths = location_paths(garch, mu, scenario, m, horizon, seed, start,
+                           count)
+    # the training block is freed before the first piece of the stream
+    mean, sd = _row_summaries(next(paths))
     rules = [(detector, sd * c) for detector, c in rules]
     ok = np.isfinite(mean)
     for _, scale in rules:
@@ -97,21 +124,8 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
         raise ValidationError(
             f"replication {start + int(np.argmin(ok))}: training mean, sd or "
             "threshold is non-finite")
-    stream_garch = replace(garch, burn_in=0)
-
-    def chunks():
-        for k0 in range(0, horizon, CHUNK):
-            x = generate_garch11_batch(stream_garch, min(CHUNK, horizon - k0),
-                                       count, seed, first_stream=start,
-                                       carry=carry)
-            x += mu
-            if shift is not None:
-                kstar, delta = shift
-                x[:, max(kstar - 1 - k0, 0):] += delta
-            yield x
-
     # a constant training sample never stops
-    return first_stops(chunks(), mean, rules, params, sd > 0.0, start)
+    return first_stops(paths, mean, rules, params, sd > 0.0, start)
 
 
 def run_replications(params: MonitoringParams, scenario: ChangeScenario,
@@ -132,7 +146,7 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     a_q, b_q = norm_q.a_m, norm_q.b_m
     fn = functools.partial(_block_taus, params, garch, mu, seed,
                            rules=(("page", c_page), ("ordinary", c_q)),
-                           shift=(scenario.kstar, scenario.delta))
+                           scenario=scenario)
     parts = _map_blocks(fn, reps, _BLOCK, threads)
     taus_page = np.concatenate([page for page, _ in parts]).tolist()
     taus_q = np.concatenate([q for _, q in parts]).tolist()

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from garch_loop import generate_garch11
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        ValidationError, boundary_g, empirical_size,
-                       experiments, generate_garch11, rng_stream, run_monitor,
-                       run_replications)
+                       experiments, rng_stream, run_monitor, run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
 from pagecusum.detectors import (chunk_statistic, first_crossings, first_stops,
                                  partial_sums)
@@ -202,11 +202,14 @@ class PresetData:
 
 
 def study_taus(data, params, mu, rules, shift):
-    """_block_taus on the preset data (the GARCH arguments are unused)."""
+    """_block_taus on the preset data (the GARCH arguments are unused),
+    with shift (kstar, delta) or None."""
+    scenario = None if shift is None else ChangeScenario.at_kstar(
+        shift[1], shift[0])
     with mock.patch.object(experiments, "generate_garch11_batch",
                            PresetData(data)):
         return experiments._block_taus(params, GARCH, mu, 0, 0,
-                                       data.shape[0], rules, shift)
+                                       data.shape[0], rules, scenario)
 
 
 def unbounded_taus(data, params, mu, rules, shift):
@@ -256,8 +259,9 @@ def rule_sets(draw):
        side=st.sampled_from(["one_sided", "two_sided"]),
        gamma=st.sampled_from([0.0, 0.25, 0.45]), rules=rule_sets(),
        mu=st.floats(-3.0, 3.0).filter(lambda v: v != 0.0),
-       shift=st.one_of(st.none(), st.tuples(st.integers(1, 1800),
-                                            st.floats(-2.0, 2.0))),
+       shift=st.one_of(st.none(), st.tuples(
+           st.integers(1, 1800),
+           st.floats(-2.0, 2.0).filter(lambda v: v != 0.0))),
        constant=st.booleans())
 def test_bounded_scan_equals_unbounded_scan(spec, n_paths, seed, m,
                                             horizon_factor, side, gamma,

@@ -46,7 +46,8 @@ def test_import_leaves_out_scipy_special():
 
 
 # what a start-up must not load: the process pool, numpy.random, and the
-# modules that monitor, generate and critvals never use
+# modules that monitor and critvals never use (generate and simulate import
+# experiments when they run)
 NOT_AT_STARTUP = ("concurrent.futures", "multiprocessing", "numpy.random",
                   "pagecusum.experiments", "pagecusum.asymptotics")
 
@@ -357,6 +358,35 @@ class TestGenerateCommand:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize("line, argv, name", [
+        ("m = 1", [], "m"), ("m = 0", [], "m"),
+        ("length = 0", [], "length"), ("length = 60", ["--n", "0"], "length"),
+        ("length = 60", ["--n", "-3"], "length"),
+    ])
+    def test_short_series_rejected(self, capsys, tmp_path, line, argv, name):
+        # the training sample needs two values, the stream one
+        spec = tmp_path / "gen.cfg"
+        key = line.split()[0]
+        spec.write_text(self.CONFIG.replace(
+            "m = 40" if key == "m" else "length = 60", line))
+        code, out, err = run_cli(capsys, "generate", "--spec", str(spec),
+                                 *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == "" and f"{name} must be" in err
+        assert os.listdir(tmp_path) == ["gen.cfg"]
+
+    def test_overflow_exits_2_and_writes_no_file(self, capsys, tmp_path):
+        # the GARCH variance overflows to -inf at value 53 with seed 2; the
+        # suite turns a RuntimeWarning into an error, which would exit 1
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(self.CONFIG.replace("omega = 0.5", "omega = 1e306")
+                        .replace("alpha = 0.2", "alpha = 0.5")
+                        .replace("beta = 0.3", "beta = 0.45"))
+        code, out, err = run_cli(capsys, "generate", "--spec", str(spec),
+                                 "--seed", "2", "--out",
+                                 str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert "value 53 of the series overflows" in err
+        assert os.listdir(tmp_path) == ["gen.cfg"]
 
 SIM_CONFIG = ("m = 60\ngamma = 0.0\nalpha = 0.1\nside = one_sided\n"
               "delta = 1.5\nkstar = 2\nhorizon_factor = 4\nreps = 40\n"

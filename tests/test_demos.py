@@ -1,4 +1,5 @@
-"""Smoke test: the demos run to completion against the current API.
+"""Smoke test: the demos, and README's library quickstart, run to completion
+against the current API.
 
 02_critical_values.py is left out: it estimates critical values at
 reference resolution, which takes about 13 s on a 2-core machine against
@@ -7,6 +8,7 @@ covered by test_wiener.py and the critvals golden.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -27,3 +29,16 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # the quickstart and the Monitor example after it, as one script, so a
+    # name removed from the package cannot linger in the docs
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            flags=re.M | re.S)
+    proc = subprocess.run([sys.executable, "-c", "\n".join(blocks[:2])],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "change detected at k=" in proc.stdout

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from garch_loop import generate_garch11
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       ValidationError, emit_table1, empirical_size,
-                       generate_garch11, kde, rng_stream, run_monitor,
-                       run_replications, summarize_training)
+                       ValidationError, emit_table1, empirical_size, kde,
+                       rng_stream, run_monitor, run_replications,
+                       summarize_training)
 from pagecusum import detectors, experiments
 from pagecusum.datagen import CHUNK, generate_garch11_batch
 from pagecusum.experiments import (RECORD_COLUMNS, DensityEstimate,
@@ -363,7 +364,10 @@ class TestStudyFileBytes:
                                               tmp_path / "records.csv")
 
     def test_repr_writer_fails_the_records_property(self, tmp_path):
-        @WRITER_SETTINGS
+        # no shrink phase: the failure is expected, and shrinking it took
+        # nearly all of the test's 15 s
+        @settings(WRITER_SETTINGS,
+                  phases=[Phase.explicit, Phase.reuse, Phase.generate])
         @given(records=RECORDS)
         def prop(records):
             assert_records_bytes_match_csv_writer(

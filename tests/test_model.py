@@ -1,11 +1,11 @@
 import pytest
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       StreamSpec, TrainingSummary, ValidationError,
-                       boundary_g, classify_case, compute_b_m, compute_eta,
+                       TrainingSummary, ValidationError, boundary_g,
+                       classify_case, compute_b_m, compute_eta,
                        compute_normalization, empirical_size,
-                       estimate_critical_value, eta_zero_beta,
-                       generate_garch11, kde, resolve_kstar, rng_stream,
+                       estimate_critical_value, eta_zero_beta, kde,
+                       location_paths, resolve_kstar, rng_stream,
                        run_replications, sample_wiener_path, solve_a_m,
                        validate_scenario)
 from pagecusum.datagen import generate_garch11_batch
@@ -17,8 +17,8 @@ PARAMS = MonitoringParams(m=20, horizon_factor=1.0)
 @pytest.mark.parametrize("call", [
     lambda: MonitoringParams(m=100.0),
     lambda: ChangeScenario.at_kstar(1.0, 2.0),
-    lambda: StreamSpec(0.0, None, m=2.5, length=10),
-    lambda: StreamSpec(0.0, None, m=20, length=10.0),
+    lambda: next(location_paths(GARCH, 0.0, None, 2.5, 10, seed=0)),
+    lambda: next(location_paths(GARCH, 0.0, None, 20, 10.0, seed=0)),
     lambda: run_replications(PARAMS, ChangeScenario.at_kstar(1.0, 2), GARCH,
                              2.5, 1.7, 1.6, seed=1),
     lambda: run_replications(PARAMS, ChangeScenario.at_kstar(1.0, 2), GARCH,
@@ -30,7 +30,7 @@ PARAMS = MonitoringParams(m=20, horizon_factor=1.0)
                                     reps=100, T=10.5),
     lambda: sample_wiener_path(10.5, rng_stream(0, 0)),
     lambda: kde([1.0, 2.0, 3.0], 0.0, 4.0, points=2.5),
-    lambda: generate_garch11(GARCH, 2.5, rng_stream(0, 0)),
+    lambda: generate_garch11_batch(GARCH, 2.5, 1, seed=0),
     lambda: generate_garch11_batch(GARCH, 4, 2.5, seed=0),
     lambda: solve_a_m(1.7, 100.5, 3.5, 1.0),
     lambda: compute_b_m(10.0, 1.0, 1.0, 0.25, 2.5),

@@ -48,7 +48,8 @@ def test_traced_study_records_its_layer_spans(tmp_path):
 def test_traced_size_run_records_generation_and_boundary_spans():
     # the tracer wraps generate_garch11_batch and boundary_g only as
     # experiments globals and names a span after the defining module, so
-    # these spans exist only if _block_taus calls the globals; without them
+    # these spans exist only if location_paths and _block_taus call the
+    # globals; without them
     # datagen.garch_batch_ns and datagen.samples_generated read 0
     params = MonitoringParams(m=50, horizon_factor=12.0)
     garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=10)

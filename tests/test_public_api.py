@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import pagecusum
-from pagecusum import ValidationError, detectors, wiener
+from pagecusum import ValidationError, datagen, detectors, wiener
 
 REMOVED = ("DetectorState", "step_detector", "WienerPath", "detector_stat",
-           "ScanCarry", "chunk_bound", "scan_chunk")
+           "ScanCarry", "chunk_bound", "scan_chunk", "generate_garch11",
+           "StreamSpec", "generate_stream")
 
 
 def test_every_exported_name_resolves_once():
@@ -31,6 +32,7 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in pagecusum.__all__
         assert not hasattr(pagecusum, name)
+        assert not hasattr(datagen, name)
         assert not hasattr(detectors, name)
         assert not hasattr(wiener, name)
 
