@@ -160,9 +160,9 @@ def _cmd_generate(args) -> int:
     if delta != 0.0:
         scenario = ChangeScenario.from_exponent(
             delta, cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
-    # one replication, so each piece is (1, n): its text is built in
-    # csv.writer's bytes, and an overflow is rejected before the file opens
-    lines, done = ["x"], 0
+    # one replication, so each piece is (1, n) and its text one row per
+    # value; an overflow is rejected before the file opens
+    texts, done = ["x"], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for (x,) in experiments.location_paths(
                 garch, cfg.get("mu", 0.0), scenario, m, length, args.seed):
@@ -171,11 +171,9 @@ def _cmd_generate(args) -> int:
                 raise ValidationError(
                     f"value {done + int(np.argmin(finite)) + 1} of the "
                     "series overflows to a non-finite number")
-            lines.append("\r\n".join(map(repr, x.tolist())))
+            texts.append("\r\n".join(map(repr, x.tolist())))
             done += x.size
-    lines.append("")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+    experiments.write_csv_text(args.out, texts)
     print(f"wrote {m + length} values to {args.out}")
     return 0
 

@@ -70,10 +70,11 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     """(n_paths, n) array of independent paths with per-path RNG streams.
 
     The recursion starts at the stationary variance with eps_0 = 0; the first
-    spec.burn_in values are discarded. With alpha_g = beta_g = 0 this
-    collapses to i.i.d. N(0, omega). Row i draws its normals from
-    rng_stream(seed, first_stream + i) alone, so a path is the same in any
-    batch.
+    spec.burn_in values are discarded: the result is a view past them, each
+    row contiguous, of the (n_paths, burn_in + n) array they were made in.
+    With alpha_g = beta_g = 0 this collapses to i.i.d. N(0, omega). Row i
+    draws its normals from rng_stream(seed, first_stream + i) alone, so a
+    path is the same in any batch.
 
     Passing the same carry to successive calls generates the paths piece by
     piece: the first call starts the streams and discards spec.burn_in
@@ -99,20 +100,21 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     omega, alpha_g, beta_g = (np.full(n_paths, v) for v in
                               (spec.omega, spec.alpha_g, spec.beta_g))
     total = spec.burn_in + n
-    out = np.empty((n_paths, n))
-    z = np.empty((n_paths, min(CHUNK, total)))
-    eps = np.empty((z.shape[1], n_paths))  # time-major: one row per step
+    # normals go straight into out's rows, burn-in included; the step runs on
+    # a time-major copy of each piece, as stepping on out's columns is slower
+    out = np.empty((n_paths, total))
+    eps = np.empty((min(CHUNK, total), n_paths))  # time-major: one row per step
     tmp = np.empty(n_paths)
     sig2, e_prev = carry.sig2, carry.e_prev
     # locals and a positional out cut the dispatch of each call: the step
     # alone takes about 24 ns per sample at 250 paths, 29 with out= keywords
     multiply, add, sqrt = np.multiply, np.add, np.sqrt
     for t0 in range(0, total, CHUNK):
-        length = min(CHUNK, total - t0)
+        piece = out[:, t0:t0 + CHUNK]
         for i, rng in enumerate(carry.rngs):
-            rng.standard_normal(out=z[i, :length])
-        rows = eps[:length]
-        rows[...] = z[:, :length].T
+            rng.standard_normal(out=piece[i])
+        rows = eps[:piece.shape[1]]
+        rows[...] = piece.T
         for row in rows:
             # sig2 = (omega + (alpha_g*e)*e) + beta_g*sig2; eps = sqrt(sig2)*z
             multiply(e_prev, alpha_g, tmp)
@@ -123,8 +125,5 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
             multiply(row, sqrt(sig2, tmp), row)
             e_prev = row
         carry.e_prev = e_prev = e_prev.copy()
-        skip = max(spec.burn_in - t0, 0)  # burn-in rows in this piece
-        if skip < length:
-            first = t0 + skip - spec.burn_in
-            out[:, first:first + length - skip] = rows[skip:].T
-    return out
+        piece[...] = rows.T
+    return out[:, spec.burn_in:]

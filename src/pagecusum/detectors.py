@@ -21,11 +21,12 @@ stream, materialized or lazy, to Monitor.feed.
 
 The many-path studies scan every path a chunk at a time with first_stops,
 calibrated as a Monitor is (_row_summaries gives sigma_hat and _boundary
-g(m, k) a block of indices at a time); partial_sums adds in Monitor's order and
-chunk_statistic forms the statistics, so both give the same tau, statistic and
-threshold bits. Most chunks of a path cannot cross, and first_stops proves it
-cheaply: from the chunk's extremes lo = min Q and hi = max Q and the running
-extremes q_min and q_max after it, each statistic is at most
+g(m, k) a block of indices at a time); partial_sums adds in Monitor's order,
+over each chunk's own array, and chunk_statistic forms the statistics, so both
+give the same tau, statistic and threshold bits. Most chunks of a path cannot
+cross, and first_stops proves it cheaply: from the chunk's extremes lo = min Q
+and hi = max Q and the running extremes q_min and q_max after it, each
+statistic is at most
 
     ordinary one-sided   hi
     ordinary two-sided   max(hi, -lo)
@@ -103,10 +104,11 @@ def summarize_training(x) -> TrainingSummary:
 
 
 def _row_summaries(train: np.ndarray):
-    """Each row's mean and sd (ddof=1) of a C-contiguous (count, m) block,
-    which it consumes, in the bits of row.mean() and row.std(ddof=1): a
-    block reduced along its rows sums each row pairwise, as a 1-D reduction
-    does, and these are numpy's own variance steps, done in place."""
+    """Each row's mean and sd (ddof=1) of a (count, m) block whose rows are
+    contiguous (a view past leading columns will do), which it consumes, in
+    the bits of row.mean() and row.std(ddof=1): such a block reduced along
+    its rows sums each row pairwise, as a 1-D reduction does (an F-ordered
+    block does not), and these are numpy's own variance steps, in place."""
     m = train.shape[1]
     mean = train.mean(axis=1)
     train -= mean[:, None]
@@ -156,16 +158,15 @@ class StoppingResult:
 
 def partial_sums(x: np.ndarray, mean: np.ndarray,
                  q0: np.ndarray) -> np.ndarray:
-    """(paths, L) array of Q(m, k) over one chunk, where x holds the next L
-    monitored observations of each path, mean the (paths,) training means
-    and q0 each path's Q(m, k) before the chunk."""
-    paths, length = x.shape
-    buf = np.empty((paths, length + 1))
-    buf[:, 0] = q0
-    np.subtract(x, mean[:, None], out=buf[:, 1:])
-    # cumsum([q, y_1, ..., y_L]) adds in the order of one cumsum over the
-    # whole stream, so chunking never changes a bit (q + cumsum(y) would)
-    return np.cumsum(buf, axis=1, out=buf)[:, 1:]
+    """(paths, L) array of Q(m, k) over one chunk, written over x, which
+    holds the next L monitored observations of each path; mean holds the
+    (paths,) training means and q0 each path's Q(m, k) before the chunk."""
+    np.subtract(x, mean[:, None], out=x)
+    # fl(y_1 + q) = fl(q + y_1), so this adds in the order of one cumsum over
+    # [q, y_1, ..., y_L], and so of the whole stream: chunking never changes a
+    # bit (q + cumsum(y) would)
+    x[:, 0] += q0
+    return np.cumsum(x, axis=1, out=x)
 
 
 def chunk_statistic(q: np.ndarray, q_min: np.ndarray, q_max: np.ndarray,
@@ -200,14 +201,15 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
                 live: np.ndarray, first: int):
     """Each path's 1-based stopping time under each rule, 0 where it never
-    stops. chunks yields (paths, L) blocks of the next observations, mean
-    holds the training means, rules (detector, sigma_hat * c) pairs with a
-    scale per path, params gives m, gamma and the side, and live marks the
-    paths that may stop. Only the open paths that the bound of the module
-    docstring cannot settle are scanned exactly, and no chunk is drawn once
-    every live path has stopped under every rule. Raises ValidationError
-    naming replication first + i when path i's Q(m, k) turns non-finite
-    before it has stopped under every rule."""
+    stops; it overwrites its chunks. chunks yields (paths, L) blocks of the
+    next observations, mean holds the training means, rules (detector,
+    sigma_hat * c) pairs with a scale per path, params gives m, gamma and
+    the side, and live marks the paths that may stop. Only the open paths
+    that the bound of the module docstring cannot settle are scanned
+    exactly, and no chunk is drawn once every live path has stopped under
+    every rule. Raises ValidationError naming replication first + i when
+    path i's Q(m, k) turns non-finite before it has stopped under every
+    rule."""
     count, side = mean.size, params.side
     taus = [np.zeros(count, dtype=np.int64) for _ in rules]
     q_end, q_min, q_max = np.zeros(count), np.zeros(count), np.zeros(count)
@@ -236,14 +238,9 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
             rows = np.flatnonzero((tau == 0) & live & (bound >= scale * g_min))
             if rows.size == 0:
                 continue
-            # copies of at most half the rows take less time and memory than
-            # scanning every row in place
-            sel = rows if rows.size * 2 <= count else slice(None)
-            stat = chunk_statistic(q[sel], before_min[sel], before_max[sel],
-                                   side, detector)
-            j = first_crossings(stat, scale[sel, None] * g_chunk)
-            if sel is not rows:
-                j = j[rows]
+            stat = chunk_statistic(q[rows], before_min[rows],
+                                   before_max[rows], side, detector)
+            j = first_crossings(stat, scale[rows, None] * g_chunk)
             hit = j >= 0
             tau[rows[hit]] = k0 + 1 + j[hit]
         bad = np.flatnonzero(live & ~(np.isfinite(lo) & np.isfinite(hi)))

@@ -269,13 +269,22 @@ def emit_table1(c_page_by_gamma: dict, c_q_by_gamma: dict, m_values,
                     row[f"b_{tag}"] = b
                 rows.append(row)
     if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TABLE1_COLUMNS)
-            for row in rows:  # the a and b columns to six decimals
-                writer.writerow([row[k] for k in TABLE1_COLUMNS[:4]]
-                                + [f"{row[k]:.6f}" for k in TABLE1_COLUMNS[4:]])
+        lines = [",".join(TABLE1_COLUMNS)] + [
+            ",".join([str(row[k]) for k in TABLE1_COLUMNS[:4]]
+                     + [f"{row[k]:.6f}" for k in TABLE1_COLUMNS[4:]])
+            for row in rows]  # the a and b columns to six decimals
+        write_csv_text(out_path, ["\r\n".join(lines)])
     return rows
+
+
+def write_csv_text(path, texts) -> None:
+    """Write each text (rows joined by \\r\\n) and a \\r\\n after it to path:
+    csv.writer's bytes for fields that need no quoting, with no write per
+    row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for text in texts:
+            fh.write(text)
+            fh.write("\r\n")
 
 
 RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord))
@@ -283,16 +292,13 @@ RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord))
 
 def write_records_csv(records, path) -> None:
     """A RECORD_COLUMNS header, then one row per record, None as an empty
-    field. The text is built whole and written once, in csv.writer's bytes:
-    str of each value (a float's repr, so parsing restores it) and \\r\\n
-    after every line."""
+    field, written once by write_csv_text: str of each value (a float's
+    repr, so parsing restores it)."""
     row = operator.attrgetter(*RECORD_COLUMNS)
     lines = [",".join(RECORD_COLUMNS)]
     lines += [",".join(["" if v is None else str(v) for v in row(r)])
               for r in records]
-    lines.append("")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+    write_csv_text(path, ["\r\n".join(lines)])
 
 
 def read_records_csv(path) -> list[ReplicationRecord]:
@@ -323,13 +329,11 @@ def read_records_csv(path) -> list[ReplicationRecord]:
 
 def write_density_csv(est: DensityEstimate, path) -> None:
     """An x,density header, then one row per grid point with the repr of
-    each float, written once in csv.writer's bytes."""
+    each float, written once by write_csv_text."""
     lines = ["x,density"]
     lines += [f"{x!r},{d!r}"
               for x, d in zip(est.grid.tolist(), est.density.tolist())]
-    lines.append("")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+    write_csv_text(path, ["\r\n".join(lines)])
 
 
 _DENSITY_FILES = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",

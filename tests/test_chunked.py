@@ -9,6 +9,7 @@ that non-finite training or stream values raise where they would otherwise
 read as a path that never stops.
 """
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -84,12 +85,12 @@ def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
              for c in (1e-3, 0.5, 5.0, 50.0, 1e4)]
     params = MonitoringParams(m=10, gamma=0.25, side=side)
     live = np.ones(1, dtype=bool)
-    whole = first_stops([y], mean, rules, params, live, 0)
+    whole = first_stops([y.copy()], mean, rules, params, live, 0)
     pieces, k = [], 0
     for n in cuts + [y.shape[1]]:
         if k >= y.shape[1]:
             break
-        pieces.append(y[:, k:k + n])
+        pieces.append(y[:, k:k + n].copy())
         k += n
     parts = first_stops(pieces, mean, rules, params, live, 0)
     for got, want in zip(parts, whole):
@@ -117,6 +118,26 @@ def test_scan_draws_no_chunk_after_every_path_stops():
 
 
 GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=20)
+
+
+def test_a_stream_piece_costs_little_beyond_its_output():
+    # generate_garch11_batch holds one time-major copy of a piece beside its
+    # output, and partial_sums sums in the piece's own array; numpy reports
+    # its buffers to tracemalloc
+    spec = replace(GARCH, burn_in=0)
+    generate_garch11_batch(spec, 8, 2, 0)  # imports Philox before measuring
+    tracemalloc.start()
+    try:
+        x = generate_garch11_batch(spec, CHUNK, 250, 1)
+        assert tracemalloc.get_traced_memory()[1] < 2.5 * x.nbytes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        partial_sums(x, np.zeros(250), np.zeros(250))
+        assert tracemalloc.get_traced_memory()[1] - before < x.nbytes / 4
+    finally:
+        tracemalloc.stop()
+
+
 M = 40
 
 

@@ -29,7 +29,7 @@ def snapshot(mon):
 def kernel_statistic(x, mean, side, detector):
     """The many-path kernel's (1, n) statistic over the whole stream x:
     partial_sums and chunk_statistic on one row, as one chunk."""
-    q = detectors.partial_sums(np.asarray(x, dtype=float)[None, :],
+    q = detectors.partial_sums(np.array(x, dtype=float)[None, :],
                                np.array([mean]), 0.0)
     return detectors.chunk_statistic(q, np.zeros(1), np.zeros(1), side,
                                       detector)

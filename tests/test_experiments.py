@@ -419,6 +419,19 @@ def test_block_summaries_at_any_offset_and_scale(offset, scale):
         assert_row_summaries(rng.standard_normal((count, m)) * scale + offset)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(0, 600),
+       count=st.integers(1, 40), m=st.integers(2, 700),
+       scale=st.floats(1e-150, 1e150))
+def test_row_summaries_of_a_view_past_leading_columns(seed, b, count, m,
+                                                      scale):
+    # generate_garch11_batch returns a training block as a view past its
+    # burn-in columns: the rows of such a view are contiguous, and that is
+    # all that _row_summaries needs for row.mean()'s bits
+    block = rng_stream(seed, 0).standard_normal((count, b + m)) * scale
+    assert_row_summaries(block[:, b:])
+
+
 class TestSimulateDir:
     def test_outputs_and_meta(self, tmp_path):
         params, scenario = small_setup(delta=1.5, kstar=2, m=60,
