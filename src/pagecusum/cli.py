@@ -5,12 +5,17 @@ monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
 error (one-line diagnostic on stderr), 1 runtime failure.
 
+monitor reads its training file whole and its stream one line at a time, up
+to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
+it is written.
+
 asymptotics and experiments are imported by the commands that use them, so
 that monitor and critvals do not load them.
 """
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -54,7 +59,7 @@ _SIMULATE_KEYS = {
 
 
 def _read_config(path, schema) -> dict:
-    """Flat key=value file; '#' comments allowed; unknown keys rejected."""
+    """Flat key=value file; '#' comments; unknown or repeated keys fail."""
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,6 +71,8 @@ def _read_config(path, schema) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in schema:
                 raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in cfg:
+                raise ValidationError(f"{path}:{lineno}: repeated key '{key}'")
             try:
                 cfg[key] = schema[key](val)
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -74,15 +81,17 @@ def _read_config(path, schema) -> dict:
     return cfg
 
 
-def _read_series_csv(path) -> np.ndarray:
-    """Single column of finite decimal values, optional header 'x'."""
-    values = []
+def _read_series_csv(path):
+    """Yield a single-column CSV's finite values (optional header 'x')."""
+    value = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or not row[0].strip():
-                continue
-            cell = row[0].strip()
-            if i == 0 and cell.lower() == "x":
+        reader = csv.reader(fh)
+        for row in reader:
+            if any(field.strip() for field in row[1:]):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: more than one column")
+            cell = row[0].strip() if row else ""
+            if not cell or reader.line_num == 1 and cell.lower() == "x":
                 continue
             try:
                 value = float(cell)
@@ -91,9 +100,8 @@ def _read_series_csv(path) -> np.ndarray:
                     f"{path}: non-numeric value '{cell}'") from None
             _require(math.isfinite(value),
                      f"{path}: non-finite value '{cell}'")
-            values.append(value)
-    _require(len(values) > 0, f"{path}: no data values")
-    return np.asarray(values)
+            yield value
+    _require(value is not None, f"{path}: no data values")
 
 
 def _cmd_critvals(args) -> int:
@@ -234,9 +242,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    train = _read_series_csv(args.train)
-    stream = _read_series_csv(args.stream)
-    params = MonitoringParams(m=train.size, gamma=args.gamma,
+    train = list(_read_series_csv(args.train))
+    params = MonitoringParams(m=len(train), gamma=args.gamma,
                               alpha=args.alpha,
                               side=_SIDE_FLAG[args.side],
                               detector=args.detector,
@@ -246,6 +253,7 @@ def _cmd_monitor(args) -> int:
         c = wiener.resolve_critical_value(params.gamma, params.alpha,
                                           params.side, params.detector,
                                           args.cache)
+    stream = _read_series_csv(args.stream)
     if args.trace is None:
         result = run_monitor(train, stream, params, c)
     else:
@@ -264,7 +272,7 @@ def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
     run leaves none."""
     mon = Monitor(train, params, c)
     lines, result = ["k,stat,threshold\n"], StoppingResult(None)
-    for x in stream[:params.horizon].tolist():
+    for x in itertools.islice(stream, params.horizon):
         stopped = mon.update(x)
         lines.append(f"{mon.k},{mon.stat!r},{mon.threshold!r}\n")
         if stopped:

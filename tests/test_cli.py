@@ -1,13 +1,22 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pagecusum
-from pagecusum.cli import dispatch
+from pagecusum import MonitoringParams, ValidationError, run_monitor
+from pagecusum.cli import build_parser, dispatch
 from pagecusum.wiener import CriticalValueEstimate, save_estimate
 
 
@@ -568,3 +577,253 @@ def test_non_finite_flag_or_config_value_exits_2(capsys, tmp_path, argv):
         "delta = 1.0", "delta = nan"))
     code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
+
+
+class TestStreamReadAsMonitored:
+    """monitor reads its stream one line at a time and stops at tau or the
+    horizon, so nothing after either is parsed."""
+
+    GARBAGE = ["not a number", "nan", "1.0,2.0", "inf"]
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_lines_after_tau_are_never_read(self, capsys, tmp_path, trace):
+        rng = np.random.default_rng(1)
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, rng.standard_normal(50))
+        stream.write_text("x\n0.0\n100.0\n" + "\n".join(self.GARBAGE) + "\n")
+        argv = ["monitor", "--train", str(train), "--stream", str(stream),
+                "--critical-value", "1.5"]
+        if trace:
+            argv += ["--trace", str(tmp_path / "trace.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["tau"] == 2
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_lines_past_the_horizon_are_never_read(self, capsys, tmp_path,
+                                                   trace):
+        rng = np.random.default_rng(2)
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, rng.standard_normal(20))
+        # horizon 20: twenty values, then lines that would fail the run
+        stream.write_text("\n".join([repr(v) for v in
+                                     rng.standard_normal(20).tolist()]
+                                    + self.GARBAGE) + "\n")
+        argv = ["monitor", "--train", str(train), "--stream", str(stream),
+                "--critical-value", "50", "--horizon-factor", "1"]
+        if trace:
+            argv += ["--trace", str(tmp_path / "trace.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"stopped": False, "tau": None,
+                                   "stat_at_tau": None,
+                                   "threshold_at_tau": None}
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_empty_stream_exits_2(self, capsys, tmp_path, trace):
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, np.random.default_rng(3).standard_normal(20))
+        stream.write_text("x\n\n")
+        argv = ["monitor", "--train", str(train), "--stream", str(stream),
+                "--critical-value", "1.5"]
+        if trace:
+            argv += ["--trace", str(tmp_path / "trace.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{stream}: no data values" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_open_pipe_is_read_only_up_to_tau(self, tmp_path):
+        train = tmp_path / "train.csv"
+        write_series(train, np.random.default_rng(4).standard_normal(50))
+        src = os.path.dirname(os.path.dirname(pagecusum.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pagecusum", "monitor", "--train",
+             str(train), "--stream", "/dev/stdin", "--critical-value", "1.5"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            # tau = 3; the writer keeps the pipe open after it
+            proc.stdin.write("x\n0.0\n0.0\n100.0\n")
+            proc.stdin.flush()
+            code = proc.wait(timeout=30)
+            out, err = proc.stdout.read(), proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert code == 0 and err == ""
+        assert json.loads(out)["tau"] == 3
+
+
+class TestSingleColumnAndSingleKey:
+    @pytest.mark.parametrize("where", ["train", "stream"])
+    @pytest.mark.parametrize("text, lineno", [
+        ("x\n0.1\n0.2,garbage\n", 3),
+        ("x,y\n0.1,garbage\n", 1),
+        ("0.1\n0.2\n0.3,,4\n", 3)], ids=["row", "header", "third"])
+    def test_row_with_a_second_field_exits_2(self, capsys, tmp_path, where,
+                                              text, lineno):
+        rng = np.random.default_rng(5)
+        files = {"train": tmp_path / "train.csv",
+                 "stream": tmp_path / "stream.csv"}
+        write_series(files["train"], rng.standard_normal(50))
+        write_series(files["stream"], rng.standard_normal(30))
+        files[where].write_text(text)
+        code, out, err = run_cli(capsys, "monitor", "--train",
+                                 str(files["train"]), "--stream",
+                                 str(files["stream"]), "--critical-value",
+                                 "50")
+        assert code == 2 and out == ""
+        assert f"{files[where]}:{lineno}: more than one column" in err
+
+    def test_empty_trailing_field_is_one_column(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        train = tmp_path / "train.csv"
+        stream = tmp_path / "stream.csv"
+        write_series(train, rng.standard_normal(50))
+        write_series(stream, rng.standard_normal(30))
+        code, plain, _ = run_cli(capsys, "monitor", "--train", str(train),
+                                 "--stream", str(stream),
+                                 "--critical-value", "1.5")
+        stream.write_text("".join(line + ", \n" for line in
+                                  stream.read_text().splitlines()))
+        code2, out, _ = run_cli(capsys, "monitor", "--train", str(train),
+                                "--stream", str(stream),
+                                "--critical-value", "1.5")
+        assert code == code2 == 0 and out == plain
+
+    @pytest.mark.parametrize("command, flag, config, lineno", [
+        ("generate", "--spec", TestGenerateCommand.CONFIG + "m = 5\n", 11),
+        ("simulate", "--config", SIM_CONFIG + "reps = 4\n", 14)],
+        ids=["generate", "simulate"])
+    def test_repeated_config_key_exits_2(self, capsys, tmp_path, command,
+                                         flag, config, lineno):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, command, flag, str(cfg), "--out",
+                                 str(out_path))
+        key = config.splitlines()[-1].split()[0]
+        assert code == 2 and out == ""
+        assert f"{cfg}:{lineno}: repeated key '{key}'" in err
+        assert not out_path.exists()
+
+
+def _monitor_json(result):
+    return json.dumps({"stopped": result.stopped, "tau": result.tau,
+                       "stat_at_tau": result.stat,
+                       "threshold_at_tau": result.threshold}) + "\n"
+
+
+def _dispatch_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+values = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.45])
+@pytest.mark.parametrize("side", ["one", "two"])
+@pytest.mark.parametrize("detector", ["page", "ordinary"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(train=st.lists(values, min_size=2, max_size=30),
+       stream=st.lists(values, min_size=1, max_size=80),
+       c=st.floats(0.05, 3.0),
+       horizon_factor=st.sampled_from([0.5, 1.0, 2.5]))
+def test_monitor_command_matches_run_monitor(detector, side, gamma, train,
+                                             stream, c, horizon_factor):
+    """The command prints run_monitor's result on the floats of its files,
+    bit for bit, and its trace ends at that result."""
+    params = MonitoringParams(
+        m=len(train), gamma=gamma,
+        side={"one": "one_sided", "two": "two_sided"}[side],
+        detector=detector, horizon_factor=horizon_factor)
+    try:
+        want_code, want = 0, _monitor_json(
+            run_monitor(train, stream, params, c))
+    except ValidationError:  # constant training data
+        want_code, want = 2, ""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("train.csv", "stream.csv", "trace.csv")}
+        for name, series in (("train.csv", train), ("stream.csv", stream)):
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write("x\n" + "".join(f"{v!r}\n" for v in series))
+        argv = ["monitor", "--train", paths["train.csv"], "--stream",
+                paths["stream.csv"], "--gamma", repr(gamma), "--side", side,
+                "--detector", detector, "--critical-value", repr(c),
+                "--horizon-factor", repr(horizon_factor)]
+        code, out, _ = _dispatch_quietly(argv)
+        assert (code, out) == (want_code, want)
+        code, traced, _ = _dispatch_quietly(argv + ["--trace",
+                                                    paths["trace.csv"]])
+        assert (code, traced) == (want_code, want)
+        if code:
+            assert not os.path.exists(paths["trace.csv"])
+            return
+        with open(paths["trace.csv"], encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+    payload = json.loads(out)
+    if payload["stopped"]:
+        assert rows[-1] == (f"{payload['tau']},{payload['stat_at_tau']!r},"
+                            f"{payload['threshold_at_tau']!r}")
+    else:
+        assert len(rows) - 1 == min(len(stream), params.horizon)
+    assert rows[-1].startswith(f"{len(rows) - 1},")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands():
+    """Each `pagecusum ...` line of README's "Command line" block, with its
+    continuation lines joined."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## Command line\n", 1)[1].split("```")[1]
+    return [" ".join(line.split()[1:])
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("pagecusum ")]
+
+
+def expansions(line):
+    """argv lists for every choice of one alternative in each [a | b]."""
+    parts = re.split(r"\[([^\]]*)\]", line)
+    choices = [[part] if i % 2 == 0 else part.split("|")
+               for i, part in enumerate(parts)]
+    return [" ".join(combo).split() for combo in itertools.product(*choices)]
+
+
+def test_readme_names_every_subcommand():
+    names = {line.split()[0] for line in readme_commands()}
+    assert names == {"critvals", "monitor", "asymptotics", "limit-cdf",
+                     "generate", "simulate", "density", "table1"}
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    # argparse takes an unambiguous prefix of a flag, so the docs must name
+    # each flag in full
+    flags = {flag for action in commands[line.split()[0]]._actions
+             for flag in action.option_strings}
+    for argv in expansions(line):
+        assert {a for a in argv if a.startswith("--")} <= flags, argv
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pagecusum "
+                        f"{' '.join(argv)}")
