@@ -21,10 +21,12 @@ garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3)
 
 def series(scenario):
     """Training sample and 2000-step stream of replication 0 with seed 7:
-    location_paths yields the (1, m) training block, then the stream in
-    pieces. Each call draws the same GARCH errors."""
-    train, *pieces = location_paths(garch, 0.0, scenario, m, 2000, seed=7)
-    return train[0], np.concatenate(pieces, axis=1)[0]
+    location_paths yields the training, then the stream, in (1, <= 512)
+    pieces, so the joined series is split at m. Each call draws the same
+    GARCH errors."""
+    x = np.concatenate(list(location_paths(garch, 0.0, scenario, m, 2000,
+                                           seed=7)), axis=1)[0]
+    return x[:m], x[m:]
 
 
 training, stream = series(ChangeScenario.at_kstar(delta, kstar))

@@ -3,7 +3,8 @@
 Subcommands: critvals, asymptotics, limit-cdf, generate, simulate, density,
 monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
-error (one-line diagnostic on stderr), 1 runtime failure.
+error or a path that does not exist (one-line diagnostic on stderr), 1
+runtime failure.
 
 monitor reads its training file whole and its stream one line at a time, up
 to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
@@ -96,10 +97,10 @@ def _read_series_csv(path):
             try:
                 value = float(cell)
             except ValueError:
-                raise ValidationError(
-                    f"{path}: non-numeric value '{cell}'") from None
+                raise ValidationError(f"{path}:{reader.line_num}: "
+                                      f"non-numeric value '{cell}'") from None
             _require(math.isfinite(value),
-                     f"{path}: non-finite value '{cell}'")
+                     f"{path}:{reader.line_num}: non-finite value '{cell}'")
             yield value
     _require(value is not None, f"{path}: no data values")
 
@@ -399,6 +400,10 @@ def dispatch(argv) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        # a path that names nothing is a usage error, as a bad --cache is
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"failure: {exc}", file=sys.stderr)

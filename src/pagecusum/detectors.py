@@ -87,7 +87,8 @@ def _series(x, what: str) -> np.ndarray:
 
 
 def summarize_training(x) -> TrainingSummary:
-    """Sample mean and standard deviation (ddof=1) of the training data.
+    """Sample mean and standard deviation (ddof=1) of the training data,
+    from _row_summaries over CHUNK-long slices, as a study path's are.
 
     Raises ValidationError on ragged, non-numeric or non-finite values and
     DegenerateTrainingError when all observations are equal.
@@ -99,21 +100,45 @@ def summarize_training(x) -> TrainingSummary:
              "training data contain a non-finite value")
     # finite data whose mean or sd overflows fail TrainingSummary's check
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = _row_summaries(arr[None].copy())
+        mean, sd = _row_summaries(arr[None, k0:k0 + CHUNK].copy()
+                                  for k0 in range(0, m, CHUNK))
     return TrainingSummary(m=m, mean=float(mean[0]), sigma_hat=float(sd[0]))
 
 
-def _row_summaries(train: np.ndarray):
-    """Each row's mean and sd (ddof=1) of a (count, m) block whose rows are
-    contiguous (a view past leading columns will do), which it consumes, in
-    the bits of row.mean() and row.std(ddof=1): such a block reduced along
-    its rows sums each row pairwise, as a 1-D reduction does (an F-ordered
-    block does not), and these are numpy's own variance steps, in place."""
-    m = train.shape[1]
-    mean = train.mean(axis=1)
-    train -= mean[:, None]
-    np.square(train, out=train)
-    return mean, np.sqrt(train.sum(axis=1) / (m - 1))
+def _row_summaries(pieces):
+    """Each row's mean and sd (ddof=1) of the (count, m) training that
+    pieces, (count, k) blocks of consecutive columns, split; it consumes
+    each block. A block whose rows are contiguous (a view past leading
+    columns will do) sums each row pairwise along its rows, as a 1-D
+    reduction does (an F-ordered block does not), so numpy's own variance
+    steps, in place, give each row's mean and sum of squared deviations ss
+    in the bits of row.mean() and of the sum that row.var() divides by k.
+    Blocks are combined as they arrive by the pairwise update of Chan,
+    Golub and LeVeque (1983), with n values so far:
+
+        d = mean_block - mean
+        mean = mean + d * (k / (n + k))
+        ss = (ss + ss_block) + (d * d) * (n * k / (n + k))
+
+    each ratio rounded once from the exact one; sd = sqrt(ss / (m - 1)).
+    One block thus gives the bits of row.mean() and row.std(ddof=1)."""
+    n = 0
+    for x in pieces:
+        k = x.shape[1]
+        mean_x = x.mean(axis=1)
+        x -= mean_x[:, None]
+        np.square(x, out=x)
+        ss_x = x.sum(axis=1)
+        # x would keep this block alive while pieces draws the next one
+        del x
+        if n == 0:
+            mean, ss = mean_x, ss_x
+        else:
+            d = mean_x - mean
+            mean = mean + d * (k / (n + k))
+            ss = (ss + ss_x) + (d * d) * (n * k / (n + k))
+        n += k
+    return mean, np.sqrt(ss / (n - 1))
 
 
 def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:

@@ -27,6 +27,7 @@ and regime keys from the fields of ChangeScenario, Garch11Spec and CaseLabel.
 
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
@@ -75,16 +76,20 @@ def location_paths(garch: Garch11Spec, mu: float,
     a change-free series). Replication r's GARCH(1,1) errors come from
     RNG stream (seed, r).
 
-    Yields the (count, m) training block, then the (count, <= CHUNK)
-    pieces of the monitoring stream, length values in all. A piece is
-    drawn only when asked for, and the generator keeps none it has handed
-    out. Raises ValidationError at the first piece unless m >= 2 and
-    length >= 1.
+    Yields the training in ceil(m / CHUNK) pieces of shape (count,
+    <= CHUNK), then the monitoring stream in pieces of the same shape,
+    m + length values in all. The pieces of each part are cut at
+    multiples of CHUNK from its start, so the last piece of the training
+    may be short, and np.concatenate(list(...), axis=1) gives the whole
+    series, to be split at column m. A piece is drawn only when asked
+    for, and the generator keeps none it has handed out. Raises
+    ValidationError at the first piece unless m >= 2 and length >= 1.
     """
     _require_count(m, "m", 2)
     _require_count(length, "length", 1)
     carry, first = GarchCarry(), 0  # first: 0-based index of a piece's start
-    for n in [m] + [min(CHUNK, length - k0) for k0 in range(0, length, CHUNK)]:
+    for n in [min(CHUNK, size - k0) for size in (m, length)
+              for k0 in range(0, size, CHUNK)]:
         x = generate_garch11_batch(garch, n, count, seed, start, carry)
         x += mu
         if scenario is not None:
@@ -114,8 +119,8 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     g_top = boundary_g(m, [horizon], params.gamma)
     paths = location_paths(garch, mu, scenario, m, horizon, seed, start,
                            count)
-    # the training block is freed before the first piece of the stream
-    mean, sd = _row_summaries(next(paths))
+    # the training pieces, one alive at a time; the stream pieces follow
+    mean, sd = _row_summaries(itertools.islice(paths, -(-m // CHUNK)))
     rules = [(detector, sd * c) for detector, c in rules]
     ok = np.isfinite(mean)
     for _, scale in rules:

@@ -138,6 +138,23 @@ def test_a_stream_piece_costs_little_beyond_its_output():
         tracemalloc.stop()
 
 
+def test_a_study_holds_one_training_piece_at_a_time():
+    # the training is drawn and summarized CHUNK columns at a time, so a
+    # replication's memory does not grow with m: a (50, 20000) training
+    # block alone would take 8 MB
+    count, m = 50, 20_000
+    params = MonitoringParams(m=m, horizon_factor=0.01)
+    generate_garch11_batch(GARCH, 8, 2, 0)  # imports Philox before measuring
+    tracemalloc.start()
+    try:
+        experiments._block_taus(params, GARCH, 0.0, 3, 0, count,
+                                (("page", 1.7),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * count * (GARCH.burn_in + CHUNK) * 8
+
+
 M = 40
 
 

@@ -716,6 +716,56 @@ class TestSingleColumnAndSingleKey:
         assert not out_path.exists()
 
 
+class TestBadPathsAndValues:
+    @pytest.mark.parametrize("bad, message", [
+        ("abc", "non-numeric value 'abc'"), ("nan", "non-finite value 'nan'"),
+        ("-inf", "non-finite value '-inf'")], ids=["text", "nan", "inf"])
+    @pytest.mark.parametrize("where", ["train", "stream"])
+    def test_bad_value_is_named_by_its_line(self, capsys, tmp_path, where,
+                                            bad, message):
+        rng = np.random.default_rng(7)
+        files = {"train": tmp_path / "train.csv",
+                 "stream": tmp_path / "stream.csv"}
+        write_series(files["train"], rng.standard_normal(50))
+        write_series(files["stream"], rng.standard_normal(30))
+        lines = files[where].read_text().splitlines()
+        lines[6] = bad  # line 7, the header being line 1
+        files[where].write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "monitor", "--train",
+                                 str(files["train"]), "--stream",
+                                 str(files["stream"]), "--critical-value",
+                                 "50")
+        assert code == 2 and out == ""
+        assert err == f"error: {files[where]}:7: {message}\n"
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["monitor", "--train", "{none}", "--stream", "{stream}"], "none"),
+        (["monitor", "--train", "{train}", "--stream", "{none}"], "none"),
+        (["monitor", "--train", "{train}", "--stream", "{none}", "--trace",
+          "{out}"], "none"),
+        (["generate", "--spec", "{none}", "--out", "{out}"], "none"),
+        (["generate", "--spec", "{gen}", "--out", "{none}/x.csv"],
+         "none/x.csv"),
+        (["simulate", "--config", "{none}", "--out", "{out}"], "none"),
+        (["density", "--records", "{none}", "--out", "{out}"], "none")],
+        ids=["train", "stream", "traced-stream", "spec", "generate-out",
+             "config", "records"])
+    def test_a_path_that_does_not_exist_exits_2(self, capsys, tmp_path, argv,
+                                                missing):
+        rng = np.random.default_rng(8)
+        paths = {name: str(tmp_path / name)
+                 for name in ("train", "stream", "gen", "out", "none")}
+        write_series(tmp_path / "train", rng.standard_normal(50))
+        write_series(tmp_path / "stream", rng.standard_normal(30))
+        (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG)
+        code, out, err = run_cli(capsys, *(arg.format(**paths)
+                                           for arg in argv))
+        assert code == 2 and out == ""
+        assert err == (f"error: {tmp_path / missing}: "
+                       "No such file or directory\n")
+        assert not (tmp_path / "out").exists()
+
+
 def _monitor_json(result):
     return json.dumps({"stopped": result.stopped, "tau": result.tau,
                        "stat_at_tau": result.stat,

@@ -202,7 +202,8 @@ specs = st.builds(Garch11Spec, omega=st.floats(0.1, 4.0),
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(spec=specs, case=location_cases(), m=st.integers(2, 60),
+@given(spec=specs, case=location_cases(),
+       m=st.one_of(st.integers(2, 60), st.integers(CHUNK - 2, 2 * CHUNK + 3)),
        count=st.sampled_from([1, 3]), start=st.integers(1, 1000),
        seed=st.integers(0, 2**32),
        mu=st.floats(-5.0, 5.0).filter(lambda v: v != 0.0),
@@ -215,8 +216,9 @@ def test_rows_equal_the_loop_plus_mu_plus_the_shift(spec, case, m, count,
                                                                   kstar)
     pieces = list(location_paths(spec, mu, scenario, m, length, seed, start,
                                  count))
-    assert [p.shape[1] for p in pieces[1:]] == [
-        min(CHUNK, length - k0) for k0 in range(0, length, CHUNK)]
+    # the training, then the stream, each cut at multiples of CHUNK
+    assert [p.shape[1] for p in pieces] == [
+        min(CHUNK, n - k0) for n in (m, length) for k0 in range(0, n, CHUNK)]
     x = np.concatenate(pieces, axis=1)
     for i, row in enumerate(x):
         want = mu + generate_garch11(spec, m + length,

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,21 +390,77 @@ class TestStudyFileBytes:
         assert path.read_bytes() == csv_writer_text(rows).encode()
 
 
+def chan_summaries(train):
+    """Each row's mean and sd by the combination _row_summaries documents,
+    computed row by row in Python floats over CHUNK-long slices, from each
+    slice's 1-D mean() and sum of squared deviations."""
+    means, sds = [], []
+    for row in train:
+        n = 0
+        for k0 in range(0, row.size, CHUNK):
+            piece = row[k0:k0 + CHUNK]
+            k = piece.size
+            mean_p = float(piece.mean())
+            ss_p = float(((piece - mean_p) ** 2).sum())
+            if n == 0:
+                mean, ss = mean_p, ss_p
+            else:
+                d = mean_p - mean
+                mean = mean + d * (k / (n + k))
+                ss = (ss + ss_p) + (d * d) * (n * k / (n + k))
+            n += k
+        means.append(mean)
+        sds.append(math.sqrt(ss / (n - 1)))
+    return np.array(means), np.array(sds)
+
+
+# the distance allowed from the exact mean and sd, in units of
+# EPS * (|mean| + sd) and of EPS * (1 + |mean| / sd) * sd: combining block
+# moments loses about |mean| / sd relative digits of the sd, as each
+# block's mean carries a rounding error of order EPS * |mean|
+EPS = np.finfo(float).eps
+EXACT_TOL = 32.0
+
+
+def assert_near_exact(row, mean, sd):
+    """mean and sd lie within EXACT_TOL of row's exact mean and sd, taken
+    with Fraction arithmetic on its float values."""
+    values = [Fraction(v) for v in row.tolist()]
+    exact_mean = sum(values) / len(values)
+    exact_var = sum((v - exact_mean) ** 2 for v in values) / (len(values) - 1)
+    exact_sd = math.sqrt(exact_var)
+    ratio = abs(float(exact_mean)) / exact_sd
+    assert abs(Fraction(mean) - exact_mean) <= EXACT_TOL * EPS * Fraction(
+        abs(float(exact_mean)) + exact_sd)
+    assert abs(sd - exact_sd) <= EXACT_TOL * EPS * (1.0 + ratio) * exact_sd
+
+
 def assert_row_summaries(train):
-    """_row_summaries gives the bits of row.mean() and row.std(ddof=1), and
-    summarize_training gives each row's bits; the references are taken
-    first, as the call consumes the block."""
-    want_mean = np.array([row.mean() for row in train]).tobytes()
-    want_sd = np.array([row.std(ddof=1) for row in train]).tobytes()
+    """_row_summaries over CHUNK-long column slices of train, and
+    summarize_training of each row, give numpy's row.mean() and
+    row.std(ddof=1) up to CHUNK columns and chan_summaries' bits past it,
+    where up to three rows are also checked against their exact moments.
+    The references are taken first, as the call consumes the slices."""
+    m = train.shape[1]
+    if m <= CHUNK:
+        want_mean = np.array([row.mean() for row in train])
+        want_sd = np.array([row.std(ddof=1) for row in train])
+    else:
+        want_mean, want_sd = chan_summaries(train)
+        for row, mean, sd in list(zip(train, want_mean, want_sd))[:3]:
+            assert_near_exact(row, mean, sd)
     singles = [summarize_training(row) for row in train]
-    mean, sd = detectors._row_summaries(train)
-    assert mean.tobytes() == want_mean
-    assert sd.tobytes() == want_sd
-    assert np.array([s.mean for s in singles]).tobytes() == want_mean
-    assert np.array([s.sigma_hat for s in singles]).tobytes() == want_sd
+    mean, sd = detectors._row_summaries(train[:, k0:k0 + CHUNK]
+                                        for k0 in range(0, m, CHUNK))
+    assert mean.tobytes() == want_mean.tobytes()
+    assert sd.tobytes() == want_sd.tobytes()
+    assert np.array([s.mean for s in singles]).tobytes() == want_mean.tobytes()
+    assert np.array([s.sigma_hat for s in singles]).tobytes() == \
+        want_sd.tobytes()
 
 
-@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 2001])
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 127, 128, 129, CHUNK,
+                               CHUNK + 1, 1000, 2001])
 @pytest.mark.parametrize("count", [1, 3, 250])
 def test_block_summaries_equal_row_summaries(m, count):
     # a numpy whose axis reduction sums rows in another order than a 1-D
@@ -430,6 +488,34 @@ def test_row_summaries_of_a_view_past_leading_columns(seed, b, count, m,
     # all that _row_summaries needs for row.mean()'s bits
     block = rng_stream(seed, 0).standard_normal((count, b + m)) * scale
     assert_row_summaries(block[:, b:])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(m=st.one_of(st.integers(CHUNK - 8, CHUNK + 8),
+                   st.integers(2 * CHUNK - 8, 2 * CHUNK + 8),
+                   st.integers(1490, 1510)),
+       count=st.integers(1, 4), start=st.integers(0, 1000),
+       seed=st.integers(0, 2**32 - 1), mu=st.floats(-50.0, 50.0))
+def test_study_sigma_hat_equals_summarize_training(m, count, start, seed, mu):
+    # the sd and mean a study path is scaled by are summarize_training's
+    # of the same training values, whatever the number of pieces
+    seen = []
+    real = experiments._row_summaries
+
+    def spy(pieces):
+        seen.append(real(pieces))
+        return seen[-1]
+
+    params = MonitoringParams(m=m, horizon_factor=0.01)
+    with mock.patch.object(experiments, "_row_summaries", spy):
+        experiments._block_taus(params, GARCH, mu, seed, start, count,
+                                (("page", 1.5),))
+    (mean, sd), = seen
+    for i in range(count):
+        row = mu + generate_garch11(GARCH, m, rng_stream(seed, start + i))
+        single = summarize_training(row)
+        assert single.mean == mean[i]
+        assert single.sigma_hat == sd[i]
 
 
 class TestSimulateDir:
