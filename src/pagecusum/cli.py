@@ -3,8 +3,8 @@
 Subcommands: critvals, asymptotics, limit-cdf, generate, simulate, density,
 monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
-error or a path that does not exist (one-line diagnostic on stderr), 1
-runtime failure.
+error or a path that does not exist or names a directory where a file is
+wanted (one-line diagnostic on stderr), 1 runtime failure.
 
 monitor reads its training file whole and its stream one line at a time, up
 to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
@@ -401,8 +401,9 @@ def dispatch(argv) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        # a path that names nothing is a usage error, as a bad --cache is
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        # a path that names nothing, or a directory where a file is wanted,
+        # is a usage error, as a bad --cache is
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

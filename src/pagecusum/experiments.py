@@ -43,11 +43,11 @@ from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
 
-# widest block of replications per work unit. A GARCH time step is seven
-# ufunc calls on the whole block, mostly call overhead: the step alone takes
-# about 48 ns per sample at 125 paths, 24 at 250 and 12-13 at 500 on a 2-core
-# VM. A block's arrays stay a few MB, and every path is computed on its own,
-# so width never moves data
+# widest block of replications per work unit. A GARCH time step is two
+# ufunc calls on the whole block, plus a few whole-piece passes: without its
+# normals it takes about 12-20 ns per sample at 125 paths, 11-16 at 250 and
+# 11-15 at 500 on a 2-core VM. A block's arrays stay a few MB, and every
+# path is computed on its own, so width never moves data
 _BLOCK = 500
 
 

@@ -10,16 +10,19 @@ import numpy as np
 def generate_garch11(spec, n, rng):
     """One path of n innovations from the generator rng.
 
-    The recursion starts at the stationary variance with eps_0 = 0; the first
-    spec.burn_in values are discarded.
+    The recursion starts at the stationary variance with eps_0 = z_0 = 0; the
+    first spec.burn_in values are discarded. Each step is the batch's, in the
+    batch's order of operations: the coefficient a = alpha_g*z_prev^2 +
+    beta_g, then sig2 = a*sig2 + omega, then eps = sqrt(sig2)*z.
     """
     total = spec.burn_in + n
     z = rng.standard_normal(total)
     eps = np.empty(total)
     sig2 = spec.unconditional_variance
-    e_prev = 0.0
+    z_prev = 0.0
     for i in range(total):
-        sig2 = spec.omega + spec.alpha_g * e_prev * e_prev + spec.beta_g * sig2
-        e_prev = math.sqrt(sig2) * z[i]
-        eps[i] = e_prev
+        a = spec.alpha_g * (z_prev * z_prev) + spec.beta_g
+        sig2 = a * sig2 + spec.omega
+        z_prev = z[i]
+        eps[i] = math.sqrt(sig2) * z_prev
     return eps[spec.burn_in:]

@@ -765,6 +765,38 @@ class TestBadPathsAndValues:
                        "No such file or directory\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, bad, reason", [
+        (["monitor", "--train", "{d}", "--stream", "{d}"], "d",
+         "Is a directory"),
+        (["monitor", "--train", "{train}", "--stream", "{d}"], "d",
+         "Is a directory"),
+        (["generate", "--spec", "{d}", "--out", "{out}"], "d",
+         "Is a directory"),
+        (["simulate", "--config", "{d}", "--out", "{out}"], "d",
+         "Is a directory"),
+        (["density", "--records", "{d}", "--out", "{out}"], "d",
+         "Is a directory"),
+        (["generate", "--spec", "{gen}", "--out", "{d}"], "d",
+         "Is a directory"),
+        (["generate", "--spec", "{gen}", "--out", "{train}/x.csv"],
+         "train/x.csv", "Not a directory")],
+        ids=["train", "stream", "spec", "config", "records", "generate-out",
+             "out-through-a-file"])
+    def test_a_directory_where_a_file_is_wanted_exits_2(self, capsys,
+                                                        tmp_path, argv, bad,
+                                                        reason):
+        rng = np.random.default_rng(9)
+        paths = {name: str(tmp_path / name)
+                 for name in ("train", "d", "gen", "out")}
+        (tmp_path / "d").mkdir()
+        write_series(tmp_path / "train", rng.standard_normal(50))
+        (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG)
+        code, out, err = run_cli(capsys, *(arg.format(**paths)
+                                           for arg in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / bad}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def _monitor_json(result):
     return json.dumps({"stopped": result.stopped, "tau": result.tau,

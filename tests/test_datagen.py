@@ -99,6 +99,47 @@ class TestGarchGenerator:
             single = generate_garch11(STUDY_GARCH, 300, rng_stream(9, 5 + i))
             assert np.array_equal(batch[i], single)
 
+    @pytest.mark.parametrize("omega", [0.7, 2.0, 1e-3])
+    def test_no_garch_terms_give_exactly_scaled_normals(self, omega):
+        # with alpha_g = beta_g = 0 every sig2 is omega itself, so a value is
+        # sqrt(omega)*z bit for bit, past the burn-in and across CHUNK edges
+        spec = Garch11Spec(omega=omega, burn_in=37)
+        n = 2 * CHUNK + 5
+        batch = generate_garch11_batch(spec, n, 3, seed=12, first_stream=2)
+        for i in range(3):
+            z = rng_stream(12, 2 + i).standard_normal(37 + n)[37:]
+            assert np.array_equal(batch[i], math.sqrt(omega) * z)
+
+    @pytest.mark.parametrize("spec", [
+        STUDY_GARCH,
+        Garch11Spec(omega=0.01, alpha_g=0.09, beta_g=0.9, burn_in=37),
+        Garch11Spec(omega=1e-3, alpha_g=0.6, beta_g=0.39, burn_in=0),
+    ])
+    @pytest.mark.parametrize("n", [CHUNK - 1, 3 * CHUNK + 7])
+    def test_batch_is_close_to_the_textbook_form(self, spec, n):
+        # the batch steps sig2 = (alpha_g*z^2 + beta_g)*sig2 + omega, which
+        # is sig2 = omega + alpha_g*eps^2 + beta_g*sig2 rounded differently;
+        # the bound was fixed before the first run
+        batch = generate_garch11_batch(spec, n, 6, seed=21, first_stream=40)
+        for i in range(6):
+            want = textbook_garch11(spec, n, rng_stream(21, 40 + i))
+            assert np.all(np.abs(batch[i] - want) <= 1e-13 * np.abs(want))
+
+
+def textbook_garch11(spec, n, rng):
+    """One path in the textbook form sig2 = omega + alpha_g*eps_prev^2 +
+    beta_g*sig2, one Python float step at a time."""
+    total = spec.burn_in + n
+    z = rng.standard_normal(total)
+    eps = np.empty(total)
+    sig2 = spec.unconditional_variance
+    e_prev = 0.0
+    for i in range(total):
+        sig2 = spec.omega + spec.alpha_g * e_prev * e_prev + spec.beta_g * sig2
+        e_prev = math.sqrt(sig2) * z[i]
+        eps[i] = e_prev
+    return eps[spec.burn_in:]
+
 
 def series(*args, **kwargs):
     """location_paths joined into one (count, m + length) array."""
