@@ -4,7 +4,9 @@ Subcommands: critvals, asymptotics, limit-cdf, generate, simulate, density,
 monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
 error or a path that does not exist or names a directory where a file is
-wanted (one-line diagnostic on stderr), 1 runtime failure.
+wanted (one-line diagnostic on stderr), 1 runtime failure. Every output
+path is checked before the command does any work, so a bad one fails at
+once and leaves nothing written.
 
 monitor reads its training file whole and its stream one line at a time, up
 to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
@@ -16,6 +18,7 @@ that monitor and critvals do not load them.
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import math
@@ -103,6 +106,27 @@ def _read_series_csv(path):
                      f"{path}:{reader.line_num}: non-finite value '{cell}'")
             yield value
     _require(value is not None, f"{path}: no data values")
+
+
+def _check_output(path, directory: bool) -> None:
+    """Raise, naming path, the error that writing there would raise, before
+    any work is done: a file must not be a directory, and its parent must
+    exist; a directory, made with its missing parents, must not be an
+    existing non-directory, nor lie under one."""
+    parent = path if directory else os.path.dirname(path) or "."
+    head = os.path.normpath(parent)  # the nearest existing ancestor
+    while not os.path.exists(head) and head != os.path.dirname(head):
+        head = os.path.dirname(head)
+    if not directory and os.path.isdir(path):
+        code = errno.EISDIR
+    elif head and not os.path.isdir(head):
+        code = errno.ENOTDIR
+    elif not (directory or os.path.isdir(parent)):
+        code = errno.ENOENT
+    else:
+        return
+    # OSError picks the subclass of the code (IsADirectoryError, ...)
+    raise OSError(code, os.strerror(code), path)
 
 
 def _cmd_critvals(args) -> int:
@@ -317,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="JSON cache file (requires reps >= 1000)")
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_critvals)
+    p.set_defaults(func=_cmd_critvals, out_files=("out",))
 
     p = sub.add_parser("asymptotics",
                        help="centering/scaling sequences and regime label")
@@ -346,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the monitoring length from the config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, out_files=("out",))
 
     p = sub.add_parser("simulate", help="replication study -> records + densities")
     p.add_argument("--config", required=True, help="key=value config file")
@@ -356,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None,
                    help="directory of critvals JSON files")
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, out_dirs=("out",))
 
     p = sub.add_parser("density", help="re-run KDE on an existing records.csv")
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--points", type=int, default=401)
-    p.set_defaults(func=_cmd_density)
+    p.set_defaults(func=_cmd_density, out_dirs=("out",))
 
     p = sub.add_parser("monitor", help="run one monitoring pass over CSV data")
     p.add_argument("--train", required=True)
@@ -377,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None,
                    help="also write k,stat,threshold after every step to "
                         "this CSV")
-    p.set_defaults(func=_cmd_monitor)
+    p.set_defaults(func=_cmd_monitor, out_files=("trace",))
 
     p = sub.add_parser("table1",
                        help="normalization table over the canonical scenarios")
     p.add_argument("--alpha", type=_finite, default=0.1)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_table1)
+    p.set_defaults(func=_cmd_table1, out_files=("out",))
 
     return parser
 
@@ -397,6 +421,11 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for names, directory in ((getattr(args, "out_files", ()), False),
+                                 (getattr(args, "out_dirs", ()), True)):
+            for name in names:
+                if getattr(args, name) is not None:
+                    _check_output(getattr(args, name), directory)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -226,61 +226,81 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
                 live: np.ndarray, first: int):
     """Each path's 1-based stopping time under each rule, 0 where it never
-    stops; it overwrites its chunks. chunks yields (paths, L) blocks of the
-    next observations, mean holds the training means, rules (detector,
-    sigma_hat * c) pairs with a scale per path, params gives m, gamma and
-    the side, and live marks the paths that may stop. Only the open paths
-    that the bound of the module docstring cannot settle are scanned
-    exactly, and no chunk is drawn once every live path has stopped under
-    every rule. Raises ValidationError naming replication first + i when
-    path i's Q(m, k) turns non-finite before it has stopped under every
-    rule."""
-    count, side = mean.size, params.side
-    taus = [np.zeros(count, dtype=np.int64) for _ in rules]
-    q_end, q_min, q_max = np.zeros(count), np.zeros(count), np.zeros(count)
+    stops; it overwrites its chunks. mean holds the training means, rules
+    (detector, sigma_hat * c) pairs with a scale per path, params gives m,
+    gamma and the side, and live marks the paths that may stop.
+
+    chunks is a generator paused before the stream, as location_paths is
+    after its training. Each block of the next observations is asked for
+    by sending it the ascending positions, among the rows it last yielded,
+    of the paths still open under some rule, the live ones at first, and
+    it yields a (len(positions), L) block of those paths alone. So a path
+    is drawn only up to the chunk where it settles, a dead one not at
+    all, and no chunk is drawn once every live path has stopped under
+    every rule. The running Q(m, k), its extremes, the means and the
+    scales are kept for the open paths only. Only the open paths that the
+    bound of the module docstring cannot settle are scanned exactly.
+    Raises ValidationError naming replication first + i when path i's
+    Q(m, k) turns non-finite before it has stopped under every rule."""
+    side = params.side
+    taus = [np.zeros(mean.size, dtype=np.int64) for _ in rules]
+    # idx: the open paths, as indices of mean; keep: their positions among
+    # the rows of the last chunk
+    idx = keep = np.flatnonzero(live)
+    mean, scales = mean[idx], [scale[idx] for _, scale in rules]
+    q_end = q_min = q_max = np.zeros(idx.size)  # none is written in place
     k0 = 0
-    for x in chunks:
+    while idx.size:
+        try:
+            x = chunks.send(keep)
+        except StopIteration:
+            break
         length = x.shape[1]
         q = partial_sums(x, mean, q_end)
         # min and max round nothing, so the extremes after the chunk equal
         # the last column of its running minimum and maximum
         lo, hi = q.min(axis=1), q.max(axis=1)
         before_min, before_max = q_min, q_max
-        q_end = q[:, -1].copy()
         q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
         g_chunk = _boundary(params.m, np.arange(k0 + 1, k0 + length + 1,
                                                 dtype=float), params.gamma)
         g_min = g_chunk.min()
-        for (detector, scale), tau in zip(rules, taus):
+        open_ = np.zeros(idx.size, dtype=bool)
+        for (detector, _), scale, tau in zip(rules, scales, taus):
             if detector == "ordinary":
                 bound = np.maximum(hi, -lo) if side == "two_sided" else hi
             else:
                 bound = hi - q_min
                 if side == "two_sided":
                     np.maximum(bound, q_max - lo, out=bound)
+            wait = tau[idx] == 0
             # a path whose bound is below its lowest threshold in the chunk,
             # scale * g_min, cannot cross in it
-            rows = np.flatnonzero((tau == 0) & live & (bound >= scale * g_min))
-            if rows.size == 0:
-                continue
-            stat = chunk_statistic(q[rows], before_min[rows],
-                                   before_max[rows], side, detector)
-            j = first_crossings(stat, scale[rows, None] * g_chunk)
-            hit = j >= 0
-            tau[rows[hit]] = k0 + 1 + j[hit]
-        bad = np.flatnonzero(live & ~(np.isfinite(lo) & np.isfinite(hi)))
+            rows = np.flatnonzero(wait & (bound >= scale * g_min))
+            if rows.size:
+                stat = chunk_statistic(q[rows], before_min[rows],
+                                       before_max[rows], side, detector)
+                j = first_crossings(stat, scale[rows, None] * g_chunk)
+                crossed = j >= 0
+                tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
+                wait[rows[crossed]] = False
+            open_ |= wait
+        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
         if bad.size:
             k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
-            open_ = np.zeros(bad.size, dtype=bool)
+            unsettled = np.zeros(bad.size, dtype=bool)
             for tau in taus:
-                open_ |= (tau[bad] == 0) | (tau[bad] >= k_bad)
-            if open_.any():
-                i = int(np.argmax(open_))
+                t = tau[idx[bad]]
+                unsettled |= (t == 0) | (t >= k_bad)
+            if unsettled.any():
+                i = int(np.argmax(unsettled))
                 raise ValidationError(
-                    f"replication {first + int(bad[i])}: Q(m, k) is "
+                    f"replication {first + int(idx[bad[i]])}: Q(m, k) is "
                     f"non-finite at k = {int(k_bad[i])}")
-        if not any(np.any((tau == 0) & live) for tau in taus):
-            break
+        keep = np.flatnonzero(open_)
+        idx, mean, q_end = idx[keep], mean[keep], q[keep, -1]
+        q_min, q_max = q_min[keep], q_max[keep]
+        scales = [scale[keep] for scale in scales]
         k0 += length
     return taus
 

@@ -20,6 +20,13 @@ one block. Each GARCH time step is a few numpy calls on a whole block, so
 wider blocks pay less call overhead per path. Workers return only tau arrays;
 records and stop counts are built from them in the calling process.
 
+A block narrows as its paths settle: detectors.first_stops sends
+location_paths the paths still open after each stream piece, and the
+constant-training ones are dropped before the first, so each path's GARCH
+errors are drawn and stepped only up to the piece where it has stopped
+under every rule. Every path runs on its own stream and recursion, so the
+stopping times are those of the whole block.
+
 The study files follow the dataclasses they serialize: records.csv has one
 column per ReplicationRecord field, and meta.json takes its scenario, GARCH
 and regime keys from the fields of ChangeScenario, Garch11Spec and CaseLabel.
@@ -84,6 +91,13 @@ def location_paths(garch: Garch11Spec, mu: float,
     series, to be split at column m. A piece is drawn only when asked
     for, and the generator keeps none it has handed out. Raises
     ValidationError at the first piece unless m >= 2 and length >= 1.
+
+    A caller that needs only some of the paths narrows the rest away: it
+    sends the generator the ascending positions, among the rows of the
+    piece just yielded, of the paths to go on with, and the pieces from
+    then on hold those rows alone, in that order. Each path is drawn and
+    stepped as it is in the whole block, so its values keep their bits.
+    A plain next(), or a for loop, keeps every row.
     """
     _require_count(m, "m", 2)
     _require_count(length, "length", 1)
@@ -94,8 +108,11 @@ def location_paths(garch: Garch11Spec, mu: float,
         x += mu
         if scenario is not None:
             x[:, max(m + scenario.kstar - 1 - first, 0):] += scenario.delta
-        yield x
+        keep = yield x
         del x
+        if keep is not None and len(keep) < count:
+            carry.keep(keep)
+            count = len(keep)
         garch, first = replace(garch, burn_in=0), first + n
 
 
@@ -108,11 +125,12 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     replications [start, start + count), under scenario or, with None,
     change-free: one int array per rule of each path's 1-based stopping
     time, 0 when the path did not stop or its training sample is
-    constant. detectors.first_stops draws no piece of the stream once
-    every path has stopped under every rule. Raises ValidationError naming
-    the first replication whose training mean, sd or threshold is
-    non-finite, or whose Q(m, k) turns non-finite before the path has
-    stopped under every rule.
+    constant. detectors.first_stops narrows the block to the live paths
+    before the first stream piece and to the open ones after each, so a
+    path is drawn only up to the piece where it has stopped under every
+    rule. Raises ValidationError naming the first replication whose
+    training mean, sd or threshold is non-finite, or whose Q(m, k) turns
+    non-finite before the path has stopped under every rule.
     """
     m, horizon = params.m, params.horizon
     # g's top, g(m, horizon); a one-index array rounds as the chunks do
@@ -222,8 +240,14 @@ def kde(samples, grid_lo: float, grid_hi: float,
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     for start in range(0, x.size, 4096):
         chunk = x[start:start + 4096]
-        z = (grid[None, :] - chunk[:, None]) / h
-        dens += np.exp(-0.5 * z * z).sum(axis=0)
+        # exp(-z*z/2) formed in z's own array: one (chunk, points) array
+        # alive, where exp(-0.5 * z * z) made three. Scaling by -0.5 is
+        # exact, so the bits are the same
+        z = grid[None, :] - chunk[:, None]
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        dens += np.exp(z, out=z).sum(axis=0)
     return DensityEstimate(grid=grid, density=dens * norm, bandwidth=h,
                            n=int(x.size))
 

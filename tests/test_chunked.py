@@ -1,12 +1,13 @@
 """Properties of chunked generation and the carried-state scan.
 
 Replication studies and size runs generate GARCH data and scan it CHUNK
-steps at a time, stopping early once every path has decided. These
-properties pin that the pieces reproduce one-shot generation and the
-per-replication monitor exactly, wherever the chunk edges fall, that
-the chunk bound skips the exact scan only where no path can cross, and
-that non-finite training or stream values raise where they would otherwise
-read as a path that never stops.
+steps at a time, and draw each path only up to the chunk where it has
+decided. These properties pin that the pieces reproduce one-shot
+generation and the per-replication monitor exactly, wherever the chunk
+edges fall and however the block narrows, that the chunk bound skips the
+exact scan only where no path can cross, that a study draws each path
+exactly up to its stop, and that non-finite training or stream values
+raise where they would otherwise read as a path that never stops.
 """
 
 import tracemalloc
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from garch_loop import generate_garch11
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
                        ValidationError, boundary_g, empirical_size,
-                       experiments, rng_stream, run_monitor, run_replications)
+                       experiments, location_paths, rng_stream, run_monitor,
+                       run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
 from pagecusum.detectors import (chunk_statistic, first_crossings, first_stops,
                                  partial_sums)
@@ -58,6 +60,35 @@ def test_chunked_generation_equals_one_call(spec, n_paths, seed, first_stream,
         assert np.array_equal(chunked[i], single)
 
 
+@SETTINGS
+@given(spec=specs, count=st.integers(2, 6), seed=st.integers(0, 2**32),
+       start=st.integers(0, 1000), m=st.sampled_from([2, 37, 600]),
+       length=st.integers(1, 3 * CHUNK + 5), kstar=st.integers(1, 1000),
+       data=st.data())
+def test_narrowed_paths_keep_their_values(spec, count, seed, start, m,
+                                          length, kstar, data):
+    # sending positions narrows the block; each remaining path goes on
+    # with the values it has in the whole block
+    args = (spec, 0.3, ChangeScenario.at_kstar(1.5, kstar), m, length, seed,
+            start, count)
+    whole = np.concatenate(list(location_paths(*args)), axis=1)
+    rows, col = np.arange(count), 0
+    paths = location_paths(*args)
+    x = next(paths)
+    while True:
+        assert np.array_equal(x, whole[rows, col:col + x.shape[1]])
+        col += x.shape[1]
+        kept = data.draw(st.lists(st.booleans(), min_size=rows.size,
+                                  max_size=rows.size).filter(any))
+        keep = np.flatnonzero(kept)
+        rows = rows[keep]
+        try:
+            x = paths.send(keep)
+        except StopIteration:
+            break
+    assert col == m + length
+
+
 def test_started_carry_refuses_a_burn_in_and_keeps_its_streams():
     # burn-in drawn mid-stream would break the concatenation; seed and
     # first_stream are ignored once the carry holds the streams
@@ -70,6 +101,25 @@ def test_started_carry_refuses_a_burn_in_and_keeps_its_streams():
                                   first_stream=7, carry=carry)
     assert np.array_equal(np.concatenate([head, tail], axis=1),
                           generate_garch11_batch(spec, 20, 2, 1))
+
+
+def sent_pieces(y, widths, drawn=None):
+    """A producer for first_stops, started as location_paths is after its
+    training: y's columns in pieces of the given widths, each piece cut to
+    the rows sent for it (positions among the rows of the piece before).
+    drawn, a list, gets each piece's (first column, rows)."""
+    def pieces():
+        rows, k = np.arange(y.shape[0]), 0
+        keep = yield  # where location_paths yields the training
+        for n in widths:
+            rows = rows[keep]
+            if drawn is not None:
+                drawn.append((k, rows.tolist()))
+            keep = yield y[rows, k:k + n].copy()
+            k += n
+    gen = pieces()
+    next(gen)
+    return gen
 
 
 @SETTINGS
@@ -85,34 +135,30 @@ def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
              for c in (1e-3, 0.5, 5.0, 50.0, 1e4)]
     params = MonitoringParams(m=10, gamma=0.25, side=side)
     live = np.ones(1, dtype=bool)
-    whole = first_stops([y.copy()], mean, rules, params, live, 0)
-    pieces, k = [], 0
+    whole = first_stops(sent_pieces(y, [y.shape[1]]), mean, rules, params,
+                        live, 0)
+    widths, k = [], 0
     for n in cuts + [y.shape[1]]:
         if k >= y.shape[1]:
             break
-        pieces.append(y[:, k:k + n].copy())
+        widths.append(min(n, y.shape[1] - k))
         k += n
-    parts = first_stops(pieces, mean, rules, params, live, 0)
+    parts = first_stops(sent_pieces(y, widths), mean, rules, params, live, 0)
     for got, want in zip(parts, whole):
         assert np.array_equal(got, want)
 
 
 def test_scan_draws_no_chunk_after_every_path_stops():
     # every live path crosses on its first step, so one chunk decides them
-    # all; a path that may not stop never does, and does not keep the scan
-    # drawing
+    # all; a path that may not stop is never drawn, and does not keep the
+    # scan drawing
     drawn = []
-
-    def chunks():
-        for k0 in range(0, 4 * CHUNK, CHUNK):
-            drawn.append(k0)
-            yield np.full((3, CHUNK), 1e3)
-
     rules = [(d, np.ones(3)) for d in ("page", "ordinary")]
     live = np.array([True, False, True])
-    taus = first_stops(chunks(), np.zeros(3), rules, MonitoringParams(m=50),
-                       live, 0)
-    assert drawn == [0]
+    taus = first_stops(sent_pieces(np.full((3, 4 * CHUNK), 1e3), [CHUNK] * 4,
+                                   drawn),
+                       np.zeros(3), rules, MonitoringParams(m=50), live, 0)
+    assert drawn == [(0, [0, 2])]
     for tau in taus:
         assert tau.tolist() == [1, 0, 1]
 
@@ -227,27 +273,39 @@ def test_replications_equal_full_horizon_monitor(change, delta, side, gamma,
 
 class PresetData:
     """Stands in for generate_garch11_batch in _block_taus: hands out the
-    columns of a fixed (paths, m + horizon) array in the order asked for."""
+    columns of a fixed (paths, m + horizon) array in the order asked for,
+    in the rows the carry has kept (a path's row is its replication less
+    the block's start). calls gets each call's (n_paths, n)."""
 
     def __init__(self, data):
-        self.data, self.pos = data, 0
+        self.data, self.pos, self.calls = data, 0, []
 
     def __call__(self, spec, n, n_paths, seed, first_stream=0, carry=None):
-        assert n_paths == self.data.shape[0]
-        out = self.data[:, self.pos:self.pos + n].copy()
+        if carry.origin is None:
+            carry.rngs, carry.origin = [None] * n_paths, np.arange(n_paths)
+            carry.sig2 = carry.z_prev = np.zeros(n_paths)
+        assert n_paths == carry.origin.size
+        self.calls.append((n_paths, n))
+        out = self.data[carry.origin, self.pos:self.pos + n]
         self.pos += n
         return out
 
 
-def study_taus(data, params, mu, rules, shift):
+def study_taus(data, params, mu, rules, shift, start=0, preset=None):
     """_block_taus on the preset data (the GARCH arguments are unused),
-    with shift (kstar, delta) or None."""
+    with shift (kstar, delta) or None, as replications [start, start +
+    paths); preset, a PresetData of data, records the calls."""
     scenario = None if shift is None else ChangeScenario.at_kstar(
         shift[1], shift[0])
     with mock.patch.object(experiments, "generate_garch11_batch",
-                           PresetData(data)):
-        return experiments._block_taus(params, GARCH, mu, 0, 0,
+                           preset or PresetData(data)):
+        return experiments._block_taus(params, GARCH, mu, 0, start,
                                        data.shape[0], rules, scenario)
+
+
+def training_sd(data, m, mu):
+    """Each path's training sd, in the bits of the study's for m <= CHUNK."""
+    return np.array([row.std(ddof=1) for row in data[:, :m] + mu])
 
 
 def unbounded_taus(data, params, mu, rules, shift):
@@ -260,7 +318,7 @@ def unbounded_taus(data, params, mu, rules, shift):
         kstar, delta = shift
         stream[:, kstar - 1:] += delta
     mean = np.array([row.mean() for row in train])
-    sd = np.array([row.std(ddof=1) for row in train])
+    sd = training_sd(data, m, mu)
     g = boundary_g(m, np.arange(1, horizon + 1), params.gamma)
     q = partial_sums(stream, mean, 0.0)
     zeros = np.zeros(len(data))
@@ -270,6 +328,14 @@ def unbounded_taus(data, params, mu, rules, shift):
         j = first_crossings(stat, (sd * c)[:, None] * g)
         taus.append(np.where((j >= 0) & (sd > 0.0), j + 1, 0))
     return taus
+
+
+def stream_drawn(taus, live, horizon):
+    """Stream values a study draws for each path: up to the end of the
+    chunk where its last rule stops, the horizon when a rule never stops
+    it, and none when its training cannot calibrate it."""
+    last = np.max([np.where(tau == 0, horizon, tau) for tau in taus], axis=0)
+    return np.where(live, np.minimum(horizon, -(-last // CHUNK) * CHUNK), 0)
 
 
 @st.composite
@@ -287,10 +353,12 @@ def rule_sets(draw):
 # of earlier chunks let the page bound reach them
 @example(spec=Garch11Spec(omega=1.0, burn_in=0), n_paths=3, seed=1, m=57,
          horizon_factor=31.1, side="one_sided", gamma=0.0,
-         rules=(("page", 3.0),), mu=0.5, shift=(600, 0.8), constant=False)
+         rules=(("page", 3.0),), mu=0.5, shift=(600, 0.8), constant=False,
+         jumps=[None] * 6, start=0)
 @example(spec=Garch11Spec(omega=1.0, burn_in=0), n_paths=3, seed=1, m=57,
          horizon_factor=31.1, side="two_sided", gamma=0.0,
-         rules=(("page", 3.0),), mu=0.5, shift=(600, -0.8), constant=False)
+         rules=(("page", 3.0),), mu=0.5, shift=(600, -0.8), constant=False,
+         jumps=[None] * 6, start=0)
 @given(spec=specs, n_paths=st.integers(1, 6), seed=st.integers(0, 2**32),
        m=st.sampled_from([20, 40, 57]),
        horizon_factor=st.sampled_from([9.3, 27.0, 31.1]),
@@ -300,19 +368,36 @@ def rule_sets(draw):
        shift=st.one_of(st.none(), st.tuples(
            st.integers(1, 1800),
            st.floats(-2.0, 2.0).filter(lambda v: v != 0.0))),
-       constant=st.booleans())
+       constant=st.booleans(),
+       jumps=st.lists(st.one_of(st.none(), st.integers(1, 1800)),
+                      min_size=6, max_size=6),
+       start=st.sampled_from([0, 37]))
 def test_bounded_scan_equals_unbounded_scan(spec, n_paths, seed, m,
                                             horizon_factor, side, gamma,
-                                            rules, mu, shift, constant):
+                                            rules, mu, shift, constant,
+                                            jumps, start):
+    # a path's level may jump by 4 at its own step, so the paths stop in
+    # different chunks and the block narrows as they do; no horizon (186
+    # to 1773) is a multiple of CHUNK
     params = MonitoringParams(m=m, gamma=gamma, side=side,
                               horizon_factor=horizon_factor)
     data = generate_garch11_batch(spec, m + params.horizon, n_paths, seed)
+    for row, k in zip(data, jumps):
+        if k is not None:
+            row[m + k - 1:] += 4.0
     if constant:
         data[0, :m] = 0.7  # one path whose training cannot calibrate it
-    got = study_taus(data, params, mu, rules, shift)
+    preset = PresetData(data)
+    got = study_taus(data, params, mu, rules, shift, start, preset)
     want = unbounded_taus(data, params, mu, rules, shift)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    # every training piece is drawn whole, then each path up to its stop
+    pieces = -(-m // CHUNK)
+    assert [rows for rows, _ in preset.calls[:pieces]] == [n_paths] * pieces
+    live = training_sd(data, m, mu) > 0.0
+    assert sum(rows * n for rows, n in preset.calls[pieces:]) == \
+        stream_drawn(want, live, params.horizon).sum()
 
 
 @pytest.mark.parametrize("side", ["one_sided", "two_sided"])
@@ -383,3 +468,61 @@ def test_non_finite_stream_after_the_stop_is_ignored(k):
     with pytest.raises(ValidationError, match=f"replication 0: .* k = {k}$"):
         study_taus(data, BAD_PARAMS, 0.0, (("page", 1e3), ("ordinary", 1e9)),
                    None)
+
+
+def test_non_finite_stream_after_narrowing():
+    # path 0 stops at k = 1 and leaves the block after the first chunk:
+    # a non-finite value of it in the second is never drawn, and one of
+    # path 2, still open there, is named by its replication
+    data = generate_garch11_batch(GARCH, M + BAD_PARAMS.horizon, 3, 7)
+    data[0, M] += 1e6
+    rules = (("page", 1e3), ("ordinary", 1e3))
+    k = CHUNK + 8
+    want = study_taus(data, BAD_PARAMS, 0.0, rules, None, start=40)
+    data[0, M + k - 1] = np.inf
+    preset = PresetData(data)
+    got = study_taus(data, BAD_PARAMS, 0.0, rules, None, 40, preset)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert [n_paths for n_paths, _ in preset.calls] == [3, 3, 2, 2, 2]
+    data[2, M + k - 1] = np.nan
+    with pytest.raises(ValidationError,
+                       match=rf"^replication 42: Q\(m, k\) is non-finite at "
+                             rf"k = {k}$"):
+        study_taus(data, BAD_PARAMS, 0.0, rules, None, start=40)
+
+
+def test_a_size_run_draws_each_path_only_up_to_its_stop(monkeypatch):
+    # the GARCH samples drawn equal, path by path, the burn-in, the
+    # training and the stream up to the end of the chunk where the path
+    # stops (the horizon when it does not, nothing when its training is
+    # constant)
+    params = MonitoringParams(m=100, horizon_factor=30.0)  # horizon 3000
+    reps, dead = 40, 5
+    drawn, found = [], []
+    generate, stops = experiments.generate_garch11_batch, \
+        experiments.first_stops
+
+    def counted(spec, n, n_paths, seed, first_stream=0, carry=None):
+        fresh = carry.rngs is None
+        x = generate(spec, n, n_paths, seed, first_stream, carry)
+        drawn.append(n_paths * (spec.burn_in + n))
+        if fresh:  # the whole training of the block, as m <= CHUNK
+            x[dead - first_stream] = 0.0
+        return x
+
+    def kept(*args):
+        found.append(stops(*args))
+        return found[-1]
+
+    monkeypatch.setattr(experiments, "generate_garch11_batch", counted)
+    monkeypatch.setattr(experiments, "first_stops", kept)
+    size = empirical_size(params, GARCH, reps, 1.0, seed=11)
+    [(tau,)] = found
+    assert size == np.count_nonzero(tau) / reps
+    live = np.arange(reps) != dead
+    assert sum(drawn) == (GARCH.burn_in + params.m) * reps + \
+        stream_drawn([tau], live, params.horizon).sum()
+    # the case is not trivial: paths stop in several chunks, and some never
+    pieces = set((-(-tau[tau > 0] // CHUNK)).tolist())
+    assert len(pieces) >= 2 and np.count_nonzero(live & (tau == 0)) >= 2

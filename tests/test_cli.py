@@ -798,6 +798,78 @@ class TestBadPathsAndValues:
         assert not (tmp_path / "out").exists()
 
 
+# each command with an output path, and the calls that do its work
+OUTPUT_COMMANDS = {
+    "critvals": (["critvals", "--gamma", "0", "--alpha", "0.1", "--reps",
+                  "1000", "--grid", "32", "--out", "{bad}"],
+                 [("wiener", "estimate_critical_value")]),
+    "generate": (["generate", "--spec", "{gen}", "--out", "{bad}"],
+                 [("experiments", "location_paths")]),
+    "table1": (["table1", "--out", "{bad}"],
+               [("wiener", "resolve_critical_value"),
+                ("experiments", "emit_table1")]),
+    "monitor": (["monitor", "--train", "{train}", "--stream", "{train}",
+                 "--critical-value", "1.5", "--trace", "{bad}"],
+                [("cli", "_read_series_csv"), ("cli", "Monitor")]),
+    "simulate": (["simulate", "--config", "{sim}", "--out", "{bad}"],
+                 [("experiments", "simulate_to_dir")]),
+    "density": (["density", "--records", "{records}", "--out", "{bad}"],
+                [("experiments", "read_records_csv"),
+                 ("experiments", "densities_from_records")]),
+}
+# (bad path, reason) of a file output and of a directory output
+BAD_FILE_OUTPUTS = {"a-directory": ("d", "Is a directory"),
+                    "missing-parent": ("none/x", "No such file or directory"),
+                    "parent-is-a-file": ("f/x", "Not a directory")}
+BAD_DIR_OUTPUTS = {"a-file": ("f", "Not a directory"),
+                   "under-a-file": ("f/sub", "Not a directory")}
+
+
+def _bad_output_cases():
+    for command in OUTPUT_COMMANDS:
+        bad = BAD_DIR_OUTPUTS if command in ("simulate", "density") \
+            else BAD_FILE_OUTPUTS
+        for case, (path, reason) in bad.items():
+            yield pytest.param(command, path, reason,
+                               id=f"{command}-{case}")
+
+
+def _tree(root):
+    return sorted((d, sorted(dirs), sorted(files))
+                  for d, dirs, files in os.walk(root))
+
+
+@pytest.mark.parametrize("command, bad, reason", _bad_output_cases())
+def test_a_bad_output_path_exits_2_before_any_work(capsys, tmp_path,
+                                                   monkeypatch, command, bad,
+                                                   reason):
+    import pagecusum.cli
+    import pagecusum.experiments
+    argv, work = OUTPUT_COMMANDS[command]
+    calls = []
+    for module, name in work:
+        def fail(*args, _name=name, **kwargs):
+            calls.append(_name)
+            raise AssertionError(f"{_name} ran before the output check")
+        monkeypatch.setattr(getattr(pagecusum, module), name, fail)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("x\n1.0\n")
+    write_series(tmp_path / "train", np.random.default_rng(10)
+                 .standard_normal(50))
+    (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG)
+    (tmp_path / "sim").write_text(SIM_CONFIG)
+    (tmp_path / "records").write_text(
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,5,6,0.1,0.2,0.3\n")
+    before = _tree(tmp_path)
+    paths = {name: str(tmp_path / name)
+             for name in ("gen", "sim", "records", "train")}
+    code, out, err = run_cli(capsys, *(arg.format(bad=str(tmp_path / bad),
+                                                  **paths) for arg in argv))
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: {tmp_path / bad}: {reason}\n"
+    assert _tree(tmp_path) == before
+
+
 def _monitor_json(result):
     return json.dumps({"stopped": result.stopped, "tau": result.tau,
                        "stat_at_tau": result.stat,
