@@ -5,8 +5,9 @@ monitor, table1. Scalar results are printed as single-line JSON; tabular and
 sample results are written as CSV. Exit codes: 0 success, 2 validation
 error or a path that does not exist or names a directory where a file is
 wanted (one-line diagnostic on stderr), 1 runtime failure. Every output
-path is checked before the command does any work, so a bad one fails at
-once and leaves nothing written.
+path is checked before the command does any work, so a bad one, or one that
+is also an input file of the command, fails at once and leaves nothing
+written. Input files are read as UTF-8, with or without a byte-order mark.
 
 monitor reads its training file whole and its stream one line at a time, up
 to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
@@ -65,7 +66,7 @@ _SIMULATE_KEYS = {
 def _read_config(path, schema) -> dict:
     """Flat key=value file; '#' comments; unknown or repeated keys fail."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -88,7 +89,7 @@ def _read_config(path, schema) -> dict:
 def _read_series_csv(path):
     """Yield a single-column CSV's finite values (optional header 'x')."""
     value = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if any(field.strip() for field in row[1:]):
@@ -127,6 +128,17 @@ def _check_output(path, directory: bool) -> None:
         return
     # OSError picks the subclass of the code (IsADirectoryError, ...)
     raise OSError(code, os.strerror(code), path)
+
+
+def _check_not_input(args, name) -> None:
+    """Raise, naming both flags, when output --name is an existing regular
+    file that is also one of the command's input files (args.in_files), so
+    writing it would overwrite data the command reads."""
+    path = getattr(args, name)
+    if os.path.isfile(path):
+        for source in getattr(args, "in_files", ()):
+            _require(not os.path.samefile(path, getattr(args, source)),
+                     f"{path}: --{name} names the --{source} input file")
 
 
 def _cmd_critvals(args) -> int:
@@ -311,12 +323,9 @@ def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
 def _cmd_table1(args) -> int:
     from . import experiments
     gammas = (0.0, 0.25, 0.45)
-    c_page = {g: wiener.resolve_critical_value(g, args.alpha, "one_sided",
-                                               "page", args.cache)
-              for g in gammas}
-    c_q = {g: wiener.resolve_critical_value(g, args.alpha, "one_sided",
-                                            "ordinary", args.cache)
-           for g in gammas}
+    pairs = [_resolve_pair({}, g, args.alpha, "one_sided", args.cache)
+             for g in gammas]
+    c_page, c_q = (dict(zip(gammas, cs)) for cs in zip(*pairs))
     rows = experiments.emit_table1(c_page, c_q, (100, 1000, 10000),
                                    out_path=args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -370,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the monitoring length from the config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate, out_files=("out",))
+    p.set_defaults(func=_cmd_generate, out_files=("out",),
+                   in_files=("spec",))
 
     p = sub.add_parser("simulate", help="replication study -> records + densities")
     p.add_argument("--config", required=True, help="key=value config file")
@@ -401,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None,
                    help="also write k,stat,threshold after every step to "
                         "this CSV")
-    p.set_defaults(func=_cmd_monitor, out_files=("trace",))
+    p.set_defaults(func=_cmd_monitor, out_files=("trace",),
+                   in_files=("train", "stream"))
 
     p = sub.add_parser("table1",
                        help="normalization table over the canonical scenarios")
@@ -426,6 +437,7 @@ def dispatch(argv) -> int:
             for name in names:
                 if getattr(args, name) is not None:
                     _check_output(getattr(args, name), directory)
+                    _check_not_input(args, name)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

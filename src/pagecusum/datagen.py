@@ -63,27 +63,23 @@ CHUNK = 512
 
 
 class GarchCarry:
-    """Where a batch of GARCH(1,1) paths stopped: one generator per path,
-    the last (sig2, z) of each, and each path's row in the call that
-    started the carry (its stream is first_stream + that row). Empty until
-    the first generate_garch11_batch call that is given it. keep(rows)
-    narrows it to some of its paths, so the next call continues those
-    alone."""
+    """Where a batch of GARCH(1,1) paths stopped: one generator per path
+    and the last (sig2, z) of each. Empty until the first
+    generate_garch11_batch call that is given it. keep(rows) narrows it to
+    some of its paths, so the next call continues those alone."""
 
-    __slots__ = ("rngs", "sig2", "z_prev", "origin")
+    __slots__ = ("rngs", "sig2", "z_prev")
 
     def __init__(self):
         self.rngs = None
         self.sig2 = None
         self.z_prev = None
-        self.origin = None
 
     def keep(self, rows) -> None:
         """Keep only the paths at the ascending positions rows."""
         self.rngs = [self.rngs[i] for i in rows]
         self.sig2 = self.sig2[rows]
         self.z_prev = self.z_prev[rows]
-        self.origin = self.origin[rows]
 
 
 def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
@@ -118,7 +114,6 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     else:
         carry.rngs = [rng_stream(seed, first_stream + i)
                       for i in range(n_paths)]
-        carry.origin = np.arange(n_paths)
         carry.sig2 = np.full(n_paths, spec.unconditional_variance)
         carry.z_prev = np.zeros(n_paths)
     _require(len(carry.rngs) == n_paths, "carry holds a different path count")

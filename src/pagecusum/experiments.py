@@ -133,8 +133,7 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     non-finite before the path has stopped under every rule.
     """
     m, horizon = params.m, params.horizon
-    # g's top, g(m, horizon); a one-index array rounds as the chunks do
-    g_top = boundary_g(m, [horizon], params.gamma)
+    g_top = boundary_g(m, horizon, params.gamma)
     paths = location_paths(garch, mu, scenario, m, horizon, seed, start,
                            count)
     # the training pieces, one alive at a time; the stream pieces follow
@@ -334,7 +333,7 @@ def read_records_csv(path) -> list[ReplicationRecord]:
     """Records of a write_records_csv file; an empty field reads as None.
     Raises ValidationError naming the row (1 is the first after the header)
     and column of a field that does not parse."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, rows = next(reader, None), list(reader)
     _require(header == list(RECORD_COLUMNS),

@@ -34,10 +34,6 @@ from .model import (DETECTORS, SIDES, ValidationError, _require,
                     _require_count, _require_gamma)
 from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
 
-# paths per work unit, the grain of the fan-out over workers. Each path is
-# drawn and scored on its own, so results do not depend on the block size
-_BLOCK = 256
-
 # bootstrap resamples behind a standard error, and the most resample indices
 # drawn at once: the cap keeps a group's index and value arrays under 1 MB
 # whatever reps is
@@ -80,14 +76,14 @@ def refine_wiener_path(path, rng: "np.random.Generator") -> np.ndarray:
     return values
 
 
-def _functional_values(rows, T: int, gamma: float, side: str,
+def _functional_values(rows, count: int, T: int, gamma: float, side: str,
                        detector: str) -> np.ndarray:
-    """Grid suprema of each row of T values of W at t = 1/T .. 1.
+    """Grid suprema of the count rows of T values of W at t = 1/T .. 1.
 
     Each row is scored as soon as `rows` yields it, in a few reused scratch
-    arrays; rows are only read. 1 - j/T serves as both 1 - s and 1 - t, and
-    at gamma = 0 the weight t**(-gamma) is 1.0, so its multiply, which would
-    change no bit, is skipped.
+    arrays, into a (count,) array; rows are only read. 1 - j/T serves as
+    both 1 - s and 1 - t, and at gamma = 0 the weight t**(-gamma) is 1.0,
+    so its multiply, which would change no bit, is skipped.
 
     page: factor the inner infimum, inf_s ((1-t)/(1-s)) W(s)
       = (1-t) * running-min X(t) of r(s) = W(s)/(1-s) over s = 0 .. t,
@@ -110,15 +106,15 @@ def _functional_values(rows, T: int, gamma: float, side: str,
     t = np.arange(1, T + 1) / T
     weight = t ** (-gamma) if gamma else None
     two_sided = side == "two_sided"
-    sup = []
+    sup = np.empty(count)
     if detector == "ordinary":
         x = np.empty(T)
-        for w in rows:
+        for i, w in enumerate(rows):
             row = np.abs(w, out=x) if two_sided else w
             if weight is not None:
                 row = np.multiply(row, weight, out=x)
-            sup.append(row.max())
-        return np.array(sup)
+            sup[i] = row.max()
+        return sup
     one_minus = 1.0 - t[:-1]
     starts = np.arange(0, T - 1, _PAGE_BLOCK)
     spans = list(zip(starts.tolist(), starts[1:].tolist() + [T - 1]))
@@ -128,7 +124,7 @@ def _functional_values(rows, T: int, gamma: float, side: str,
     # running min (max) of r through the end of each block; [0] is r(0)
     lo_end = np.zeros(len(starts) + 1)
     hi_end = np.zeros(len(starts) + 1)
-    for w in rows:
+    for i, w in enumerate(rows):
         head = w[:-1]
         np.divide(head, one_minus, out=r)
         np.minimum.reduceat(r, starts, out=lo_end[1:])
@@ -158,8 +154,8 @@ def _functional_values(rows, T: int, gamma: float, side: str,
             if weight is not None:
                 d *= weight[a:b]
             best = max(best, d.max())
-        sup.append(best)
-    return np.array(sup)
+        sup[i] = best
+    return sup
 
 
 def _functional(path, gamma: float, side: str, detector: str) -> float:
@@ -171,8 +167,8 @@ def _functional(path, gamma: float, side: str, detector: str) -> float:
              "a Wiener path contains a non-finite value")
     _require_gamma(gamma)
     _require(side in SIDES, f"side must be one of {SIDES}")
-    return float(_functional_values([path[1:]], path.size - 1, gamma, side,
-                                    detector)[0])
+    return float(_functional_values([path[1:]], 1, path.size - 1, gamma,
+                                    side, detector)[0])
 
 
 def functional_ordinary(path, gamma: float, side: str = "one_sided") -> float:
@@ -196,7 +192,7 @@ def _simulate_block(seed: int, T: int, gamma: float, side: str,
     """Functional values for paths [start, start + count); order-stable."""
     w = np.empty(T)
     paths = (_fill_path(rng_stream(seed, start + i), w) for i in range(count))
-    return _functional_values(paths, T, gamma, side, detector)
+    return _functional_values(paths, count, T, gamma, side, detector)
 
 
 def simulate_functional_values(gamma: float, side: str, detector: str,
@@ -213,7 +209,7 @@ def simulate_functional_values(gamma: float, side: str, detector: str,
     _require_count(T, "T", 2)
     _require_count(reps, "reps", 1)
     fn = functools.partial(_simulate_block, seed, T, gamma, side, detector)
-    return np.concatenate(_map_blocks(fn, reps, _BLOCK, threads))
+    return np.concatenate(_map_blocks(fn, reps, reps, threads))
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,8 @@ def load_estimate(path) -> CriticalValueEstimate:
     """Read a file written by save_estimate.
 
     Raises KeyError for a missing field and ValidationError for a field whose
-    JSON type does not match CriticalValueEstimate's or a non-finite number.
+    JSON type does not match CriticalValueEstimate's, a non-finite number or
+    reps below MIN_CACHE_REPS, which save_estimate would not have written.
     """
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
@@ -316,6 +313,9 @@ def load_estimate(path) -> CriticalValueEstimate:
                  f"{path}: field '{f.name}' has the wrong type or is not "
                  f"finite: {value!r}")
         values[f.name] = value
+    _require(values["reps"] >= MIN_CACHE_REPS,
+             f"{path}: field 'reps' is below {MIN_CACHE_REPS}: "
+             f"{values['reps']}")
     return CriticalValueEstimate(**values)
 
 

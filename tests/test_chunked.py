@@ -274,19 +274,21 @@ def test_replications_equal_full_horizon_monitor(change, delta, side, gamma,
 class PresetData:
     """Stands in for generate_garch11_batch in _block_taus: hands out the
     columns of a fixed (paths, m + horizon) array in the order asked for,
-    in the rows the carry has kept (a path's row is its replication less
-    the block's start). calls gets each call's (n_paths, n)."""
+    in the rows the carry has kept. The carry's rngs hold the row ids (a
+    path's row is its replication less the block's start), which
+    GarchCarry.keep narrows as it narrows generators. calls gets each
+    call's (n_paths, n)."""
 
     def __init__(self, data):
         self.data, self.pos, self.calls = data, 0, []
 
     def __call__(self, spec, n, n_paths, seed, first_stream=0, carry=None):
-        if carry.origin is None:
-            carry.rngs, carry.origin = [None] * n_paths, np.arange(n_paths)
+        if carry.rngs is None:
+            carry.rngs = list(range(n_paths))
             carry.sig2 = carry.z_prev = np.zeros(n_paths)
-        assert n_paths == carry.origin.size
+        assert n_paths == len(carry.rngs)
         self.calls.append((n_paths, n))
-        out = self.data[carry.origin, self.pos:self.pos + n]
+        out = self.data[carry.rngs, self.pos:self.pos + n]
         self.pos += n
         return out
 

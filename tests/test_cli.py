@@ -870,6 +870,74 @@ def test_a_bad_output_path_exits_2_before_any_work(capsys, tmp_path,
     assert _tree(tmp_path) == before
 
 
+# each command with an input file, and the input that gets a byte-order mark
+BOM_CASES = {
+    "train": ["monitor", "--train", "{train}", "--stream", "{stream}",
+              "--critical-value", "1.5", "--trace", "{out}/trace.csv"],
+    "stream": ["monitor", "--train", "{train}", "--stream", "{stream}",
+               "--critical-value", "1.5", "--trace", "{out}/trace.csv"],
+    "gen": ["generate", "--spec", "{gen}", "--out", "{out}/x.csv"],
+    "sim": ["simulate", "--config", "{sim}", "--out", "{out}"],
+    "records": ["density", "--records", "{records}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("source", BOM_CASES)
+def test_an_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path,
+                                                          source):
+    # Excel's "CSV UTF-8" starts a file with the UTF-8 byte-order mark
+    rng = np.random.default_rng(11)
+    train, stream = rng.standard_normal(50), rng.standard_normal(30) + 2.0
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        root = tmp_path / ("bom" if bom else "plain")
+        (root / "out").mkdir(parents=True)
+        write_series(root / "train", train)
+        write_series(root / "stream", stream)
+        (root / "gen").write_text(TestGenerateCommand.CONFIG)
+        (root / "sim").write_text(SIM_CONFIG)
+        (root / "records").write_text(
+            "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,5,6,0.1,0.2,0.3\n"
+            "1,7,9,0.4,0.9,0.8\n2,4,5,-0.2,0.0,-0.1\n")
+        (root / source).write_bytes(bom + (root / source).read_bytes())
+        paths = {name: str(root / name) for name in
+                 ("train", "stream", "gen", "sim", "records", "out")}
+        code, out, err = run_cli(capsys, *(arg.format(**paths)
+                                           for arg in BOM_CASES[source]))
+        assert (code, err) == (0, "")
+        files = {name: (root / "out" / name).read_bytes()
+                 for name in sorted(os.listdir(root / "out"))}
+        results.append((out.replace(str(root), ""), files))
+    assert results[0][1]
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("argv, flag, source", [
+    (["monitor", "--train", "{train}", "--stream", "{stream}",
+      "--critical-value", "1.5", "--trace", "{train}"], "trace", "train"),
+    (["monitor", "--train", "{train}", "--stream", "{stream}",
+      "--critical-value", "1.5", "--trace", "{dot}/stream"], "trace",
+     "stream"),
+    (["generate", "--spec", "{gen}", "--out", "{gen}"], "out", "spec")],
+    ids=["trace-is-train", "trace-is-stream", "out-is-spec"])
+def test_an_output_that_is_an_input_exits_2_and_keeps_it(capsys, tmp_path,
+                                                         argv, flag, source):
+    rng = np.random.default_rng(12)
+    write_series(tmp_path / "train", rng.standard_normal(50))
+    write_series(tmp_path / "stream", rng.standard_normal(30))
+    (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    paths = {name: str(tmp_path / name)
+             for name in ("train", "stream", "gen")}
+    argv = [arg.format(dot=f"{tmp_path}/.", **paths) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    target = argv[argv.index(f"--{flag}") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: --{flag} names the --{source} input " \
+        "file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def _monitor_json(result):
     return json.dumps({"stopped": result.stopped, "tau": result.tau,
                        "stat_at_tau": result.stat,

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       experiments)
+                       experiments, wiener)
+from pagecusum.rng import BOOTSTRAP_STREAM
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
@@ -64,3 +65,23 @@ def test_traced_size_run_records_generation_and_boundary_spans():
         assert tracer.select(name), name
     # the training block, then at least the first chunk of the stream
     assert len(tracer.select("datagen.generate_garch11_batch")) >= 2
+
+
+def test_traced_estimate_records_simulation_and_stream_spans():
+    # the tracer wraps simulate_functional_values and rng_stream only as
+    # wiener globals, so the critvals layer times (wiener.simulate_s,
+    # rng.stream_us, wiener.paths_drawn) exist only if the estimate and its
+    # fan-out call them there: one stream per path, then the bootstrap's
+    reps, seed = 100, 4
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        wiener.estimate_critical_value(0.25, 0.1, "one_sided", "page",
+                                       reps=reps, T=32, seed=seed)
+    finally:
+        tracer.uninstall()
+    assert len(tracer.select("wiener.estimate_critical_value")) == 1
+    assert tracer.select("wiener.simulate_functional_values")
+    tags = [span[7] for span in tracer.select("rng.rng_stream")]
+    assert sorted(tags) == [[seed, i] for i in range(reps)] + \
+        [[seed, BOOTSTRAP_STREAM]]

@@ -153,7 +153,8 @@ def test_one_pass_kernel_matches_batch_oracle_bitwise(T, n_rows, gamma, side,
     w = offset + 10.0 ** log_scale * np.cumsum(z, axis=1)
     for detector in ("ordinary", "page"):
         want = functional_batch_oracle(w, gamma, side, detector)
-        got = wiener._functional_values(iter(w), T, gamma, side, detector)
+        got = wiener._functional_values(iter(w), len(w), T, gamma, side,
+                                        detector)
         assert got.tobytes() == want.tobytes()
     for row in w:
         path = np.concatenate([[0.0], row])
@@ -203,7 +204,7 @@ def adversarial_rows(kind, T, n_rows, seed):
 def test_page_block_scan_matches_unpruned_scan_bitwise(T, n_rows, kind, gamma,
                                                        side, seed):
     w = adversarial_rows(kind, T, n_rows, seed)
-    got = wiener._functional_values(iter(w), T, gamma, side, "page")
+    got = wiener._functional_values(iter(w), len(w), T, gamma, side, "page")
     want = functional_batch_oracle(w, gamma, side, "page")
     # a zero supremum takes its sign from the order in which a max reduction
     # meets tied zeros, which neither scan pins; + 0.0 maps -0.0 to 0.0 and
@@ -314,7 +315,7 @@ class TestCache:
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", "0.25"), ("c", math.nan), ("c", math.inf), ("c", "9.99"),
-        ("reps", 2000.0), ("seed", True), ("detector", None),
+        ("reps", 2000.0), ("seed", True), ("detector", None), ("reps", 999),
     ])
     def test_wrong_typed_or_non_finite_field_is_skipped(self, tmp_path,
                                                          field, value):
