@@ -6,8 +6,9 @@ sample results are written as CSV. Exit codes: 0 success, 2 validation
 error or a path that does not exist or names a directory where a file is
 wanted (one-line diagnostic on stderr), 1 runtime failure. Every output
 path is checked before the command does any work, so a bad one, or one that
-is also an input file of the command, fails at once and leaves nothing
-written. Input files are read as UTF-8, with or without a byte-order mark.
+is also an input file of the command (for an output directory, a file the
+command writes in it), fails at once and leaves nothing written. Input
+files are read as UTF-8, with or without a byte-order mark.
 
 monitor reads its training file whole and its stream one line at a time, up
 to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
@@ -130,15 +131,25 @@ def _check_output(path, directory: bool) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _check_not_input(args, name) -> None:
-    """Raise, naming both flags, when output --name is an existing regular
-    file that is also one of the command's input files (args.in_files), so
-    writing it would overwrite data the command reads."""
+def _check_not_input(args, name, directory: bool) -> None:
+    """Raise, naming both flags, when output --name, or for a directory one
+    of the files the command writes in it (the experiments tuple that
+    args.dir_files names), is an existing regular file that is also one of
+    the command's input files (args.in_files), so writing it would
+    overwrite data the command reads."""
     path = getattr(args, name)
-    if os.path.isfile(path):
-        for source in getattr(args, "in_files", ()):
-            _require(not os.path.samefile(path, getattr(args, source)),
-                     f"{path}: --{name} names the --{source} input file")
+    targets, verb = [path], "names"
+    if directory:
+        from . import experiments
+        targets = [os.path.join(path, filename)
+                   for filename in getattr(experiments, args.dir_files)]
+        verb = "would write over"
+    for target in targets:
+        if os.path.isfile(target):
+            for source in getattr(args, "in_files", ()):
+                _require(not os.path.samefile(target, getattr(args, source)),
+                         f"{target}: --{name} {verb} the --{source} input "
+                         "file")
 
 
 def _cmd_critvals(args) -> int:
@@ -390,13 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None,
                    help="directory of critvals JSON files")
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate, out_dirs=("out",))
+    p.set_defaults(func=_cmd_simulate, out_dirs=("out",),
+                   dir_files="STUDY_FILES", in_files=("config",))
 
     p = sub.add_parser("density", help="re-run KDE on an existing records.csv")
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--points", type=int, default=401)
-    p.set_defaults(func=_cmd_density, out_dirs=("out",))
+    p.set_defaults(func=_cmd_density, out_dirs=("out",),
+                   dir_files="DENSITY_FILES", in_files=("records",))
 
     p = sub.add_parser("monitor", help="run one monitoring pass over CSV data")
     p.add_argument("--train", required=True)
@@ -437,7 +450,7 @@ def dispatch(argv) -> int:
             for name in names:
                 if getattr(args, name) is not None:
                     _check_output(getattr(args, name), directory)
-                    _check_not_input(args, name)
+                    _check_not_input(args, name, directory)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,22 @@ least fl(s * min of g over the chunk) for s = sigma_hat * c > 0. A path
 whose bound is below that product cannot cross in the chunk, so the exact
 scan skips it there; the other paths are scanned exactly as before, and
 no stopping time changes by a bit.
+
+Monitor.feed skips a block's thresholds by a bound of the same kind. On
+entering the indices k0+1 .. k0+n it computes
+
+    lo = fl(fl(s * g~(k0 + 1)) * (1 - 2**-40)) - 2**-1000,
+
+with g~ the boundary _boundary evaluates on Python floats. g~ and g', the
+one it evaluates on numpy arrays for the thresholds (their pow may round
+apart), are each within about ten rounding errors (a relative 2e-15) of
+the exact g, which is strictly increasing, so g'(k) >= g~(k0 + 1) * (1 -
+4e-15) for every k in the block. While s * g~(k0 + 1) is a normal float,
+every threshold fl(s * g'(k)) of the block is thus at least lo: the factor
+1 - 2**-40 leaves a margin of thousands of rounding errors. Below the
+normal range lo is negative, and every threshold is >= 0. A statistic
+below lo cannot reach its threshold, so the block's thresholds are formed
+only once a statistic reaches lo, and no stopping time changes by a bit.
 """
 
 import itertools
@@ -142,7 +158,8 @@ def _row_summaries(pieces):
 
 
 def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:
-    """g(m, k) on a float array of indices, without boundary_g's checks."""
+    """g(m, k) on a float or a float array of indices, without boundary_g's
+    checks."""
     return math.sqrt(m) * (1.0 + k / m) * (k / (k + m)) ** gamma
 
 
@@ -305,20 +322,43 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
     return taus
 
 
+# the padding of Monitor's lower bound lo (module docstring), and a
+# threshold below which no rounding of g can overflow
+_SLACK = 1.0 - 2.0 ** -40
+_FLOOR = 2.0 ** -1000
+_HUGE = 2.0 ** 1023
+
+
 def _thresholds(scale: float, params: MonitoringParams, k0: int,
                 n: int) -> np.ndarray:
     """scale * g(m, k) for k = k0+1 .. k0+n, where scale = sigma_hat * c
     (so the product is (sigma_hat * c) * g); g is elementwise, so any split
     of the indices gives the same bits. MonitoringParams has checked m and
     gamma and the indices start at 1, so the unchecked kernel suffices.
-    Raises ValidationError when the last threshold, the largest, is
-    non-finite, before numpy would warn of the overflow."""
+    Monitor._open has checked that the last threshold, the largest, is
+    finite."""
     g = _boundary(params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float),
                   params.gamma)
-    # a product of Python floats rounds as numpy's does
-    if not math.isfinite(scale * float(g[-1])):
-        raise ValidationError(f"threshold is non-finite at k = {k0 + n}")
     return scale * g
+
+
+def _number(x, k: int) -> float:
+    """Stream value k as a finite float; ValidationError naming k if it is
+    not a number or not finite."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"stream value {k} is not a number: {x!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"stream value {k} is not finite: {x}")
+    return x
+
+
+def _block(scale: float, params: MonitoringParams, base: int,
+           end: int) -> list:
+    """The thresholds at k = base .. end as a list, block[k - base]."""
+    return _thresholds(scale, params, base - 1, end - base + 1).tolist()
 
 
 class Monitor:
@@ -333,13 +373,22 @@ class Monitor:
     indices at a time, so a Monitor gives first_stops' bits on the same
     stream however it is split between feed and update calls.
 
+    The indices come in blocks k0+1 .. k0+CHUNK, the last one cut at the
+    horizon. The value that opens a block evaluates g on Python floats at
+    the block's two ends only: the last threshold must be finite, and the
+    first gives the padded lower bound lo of the module docstring. The
+    block's thresholds are formed only once a statistic reaches lo, or
+    when a call ends in the block, for self.threshold. So a feed of a
+    stream that stays below its boundary forms one block, and update (one
+    observation per call) forms each block once, as the eager schedule
+    did.
+
     training is the raw training sample (length params.m) or a
     TrainingSummary. At most params.horizon observations can be fed.
     """
 
     __slots__ = ("training", "params", "c", "k", "q", "q_min", "q_max",
-                 "stat", "threshold", "_mean", "_horizon", "_scale", "_page",
-                 "_two_sided", "_block")
+                 "stat", "threshold", "_setup", "_run")
 
     def __init__(self, training, params: MonitoringParams, c: float):
         _require(0.0 < c < math.inf,
@@ -353,12 +402,13 @@ class Monitor:
         self.k = 0
         self.q = self.q_min = self.q_max = 0.0
         self.stat = self.threshold = None
-        self._mean = training.mean
-        self._horizon = params.horizon
-        self._scale = training.sigma_hat * c
-        self._page = params.detector == "page"
-        self._two_sided = params.side == "two_sided"
-        self._block = None
+        # one tuple each, as feed reads them on every call
+        self._setup = (training.mean, training.sigma_hat * c,
+                       params.detector == "page", params.side == "two_sided")
+        # the block of k, as _open gives it, with its thresholds once they
+        # are formed; k == end asks the next value to open a block, and
+        # before the first one the block [None] gives threshold None
+        self._run = (0, 0, None, [None])
 
     def feed(self, values) -> bool:
         """Advance over values up to and including the first observation
@@ -368,31 +418,21 @@ class Monitor:
         finite number or once params.horizon observations have been fed;
         the state then stays at the last value accepted. Also raises when
         a threshold, or Q(m, k) at the end of the call, is non-finite (an
-        overflow could pass for a stop or hide one)."""
+        overflow could pass for a stop or hide one). Per observation, one
+        test k == end finds the value that opens the next block."""
         k, q, q_min, q_max = self.k, self.q, self.q_min, self.q_max
-        stat, thresh, block = self.stat, self.threshold, self._block
-        mean, horizon = self._mean, self._horizon
-        page, two_sided = self._page, self._two_sided
-        isfinite = math.isfinite
+        stat, run = self.stat, self._run
+        end, base, lo, block = run
+        mean, scale, page, two_sided = self._setup
         stopped = False
         try:
             for x in values:
-                if k >= horizon:
-                    raise ValidationError(
-                        f"the horizon of {horizon} observations is reached")
-                try:
-                    x = float(x)
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"stream value {k + 1} is not a number: {x!r}"
-                    ) from None
-                if not isfinite(x):
-                    raise ValidationError(
-                        f"stream value {k + 1} is not finite: {x}")
-                i = k % CHUNK
-                if i == 0:
-                    block = _thresholds(self._scale, self.params, k,
-                                        min(CHUNK, horizon - k)).tolist()
+                if k == end:
+                    run = self._open(k, x)
+                    end, base, lo, block = run
+                # x - x is 0.0 for a finite float and NaN otherwise
+                if type(x) is not float or x - x != 0.0:
+                    x = _number(x, k + 1)
                 k += 1
                 q += x - mean
                 if q < q_min:
@@ -406,17 +446,50 @@ class Monitor:
                         stat = q_max - q
                 else:
                     stat = abs(q) if two_sided else q
-                thresh = block[i]
-                if stat >= thresh:
-                    stopped = True
-                    break
+                if stat >= lo:
+                    if block is None:
+                        block = _block(scale, self.params, base, end)
+                        run = end, base, lo, block
+                    if stat >= block[k - base]:
+                        stopped = True
+                        break
             # a non-finite Q(m, k) stays so: one check per call finds it
-            if not isfinite(q):
+            if q - q != 0.0:
                 raise ValidationError(f"Q(m, k) is non-finite at k = {k}")
             return stopped
         finally:
+            # the threshold at k, from the block of run, formed once a call
+            # ends in it
+            if block is None:
+                block = _block(scale, self.params, base, end)
+                run = end, base, lo, block
+            thresh = block[k - base]
             self.k, self.q, self.q_min, self.q_max = k, q, q_min, q_max
-            self.stat, self.threshold, self._block = stat, thresh, block
+            self.stat, self.threshold = stat, thresh
+            self._run = run
+
+    def _open(self, k: int, x) -> tuple:
+        """(end, base, lo, None) of the block that value k + 1, x, opens:
+        its last and first index and the lower bound of the module
+        docstring. Raises, in this order, once the horizon is reached, when
+        x is not a finite number and when the block's last threshold, its
+        largest, is non-finite."""
+        m, gamma, horizon = (self.params.m, self.params.gamma,
+                             self.params.horizon)
+        if k == horizon:
+            raise ValidationError(
+                f"the horizon of {horizon} observations is reached")
+        _number(x, k + 1)
+        end = min(k + CHUNK, horizon)
+        scale = self._setup[1]
+        # g on Python floats is within a few ulps of numpy's (whose pow may
+        # round apart), so numpy's own bits decide only near overflow
+        if not scale * _boundary(m, float(end), gamma) < _HUGE:
+            g = _boundary(m, np.array([end], dtype=float), gamma)
+            _require(math.isfinite(scale * float(g[0])),
+                     f"threshold is non-finite at k = {end}")
+        lo = scale * _boundary(m, k + 1.0, gamma) * _SLACK - _FLOOR
+        return end, k + 1, lo, None
 
     def update(self, x) -> bool:
         """Advance by one observation; True when the statistic reaches the

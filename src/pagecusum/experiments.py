@@ -366,6 +366,10 @@ def write_density_csv(est: DensityEstimate, path) -> None:
 
 _DENSITY_FILES = {"nu_page": "density_page.csv", "nu_q": "density_q.csv",
                   "nu_tilde": "density_tilde.csv"}
+# the files simulate_to_dir writes in its directory; density writes, or
+# removes, the density files alone
+DENSITY_FILES = tuple(_DENSITY_FILES.values())
+STUDY_FILES = ("records.csv", "meta.json") + DENSITY_FILES
 
 
 def write_densities(densities, out_dir) -> None:

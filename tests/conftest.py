@@ -6,7 +6,7 @@ from pagecusum import detectors
 
 @pytest.fixture
 def boundary_calls(monkeypatch):
-    """Sizes of the index arrays passed to detectors._boundary."""
+    """Sizes of the indices passed to detectors._boundary (1 for a scalar)."""
     calls = []
 
     kernel = detectors._boundary

@@ -402,6 +402,9 @@ SIM_CONFIG = ("m = 60\ngamma = 0.0\nalpha = 0.1\nside = one_sided\n"
               "seed = 9\nomega = 0.5\nalpha_garch = 0.2\nbeta_garch = 0.3\n"
               "burn_in = 100\n")
 
+RECORDS = ("rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,5,6,0.1,0.2,0.3\n"
+           "1,7,9,0.4,0.9,0.8\n2,4,5,-0.2,0.0,-0.1\n")
+
 
 class TestSimulateCommand:
     def test_outputs_and_determinism(self, capsys, tmp_path):
@@ -896,9 +899,7 @@ def test_an_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path,
         write_series(root / "stream", stream)
         (root / "gen").write_text(TestGenerateCommand.CONFIG)
         (root / "sim").write_text(SIM_CONFIG)
-        (root / "records").write_text(
-            "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,5,6,0.1,0.2,0.3\n"
-            "1,7,9,0.4,0.9,0.8\n2,4,5,-0.2,0.0,-0.1\n")
+        (root / "records").write_text(RECORDS)
         (root / source).write_bytes(bom + (root / source).read_bytes())
         paths = {name: str(root / name) for name in
                  ("train", "stream", "gen", "sim", "records", "out")}
@@ -936,6 +937,36 @@ def test_an_output_that_is_an_input_exits_2_and_keeps_it(capsys, tmp_path,
     assert err == f"error: {target}: --{flag} names the --{source} input " \
         "file\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, written, source", [
+    (["density", "--records", "{d}/density_page.csv", "--out", "{d}"],
+     "density_page.csv", "records"),
+    (["simulate", "--config", "{d}/meta.json", "--out", "{d}"], "meta.json",
+     "config")], ids=["density-over-records", "simulate-over-config"])
+def test_an_output_directory_over_an_input_exits_2_and_keeps_it(
+        capsys, tmp_path, argv, written, source):
+    # a directory output is compared by the names the command writes in it
+    (tmp_path / "density_page.csv").write_text(RECORDS)
+    (tmp_path / "meta.json").write_text(SIM_CONFIG)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run_cli(capsys, *(arg.format(d=tmp_path)
+                                       for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / written}: --out would write over " \
+        f"the --{source} input file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_density_writes_beside_the_records_it_reads(capsys, tmp_path):
+    # density writes no records.csv, so a study directory is a valid --out
+    (tmp_path / "records.csv").write_text(RECORDS)
+    code, _, err = run_cli(capsys, "density", "--records",
+                           str(tmp_path / "records.csv"), "--out",
+                           str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "records.csv").read_text() == RECORDS
+    assert (tmp_path / "density_page.csv").exists()
 
 
 def _monitor_json(result):

@@ -38,8 +38,9 @@ def kernel_statistic(x, mean, side, detector):
 def scan_oracle(train, stream, params, c):
     """(tau, stat, threshold) of the first crossing, or Nones: the many-path
     kernel and _thresholds on one row holding the stream up to the horizon,
-    located by first_crossings."""
-    training = summarize_training(train)
+    located by first_crossings. train may be a TrainingSummary."""
+    training = (train if isinstance(train, TrainingSummary)
+                else summarize_training(train))
     x = np.asarray(stream, dtype=float)[:params.horizon]
     stat = kernel_statistic(x, training.mean, params.side, params.detector)
     thresh = detectors._thresholds(training.sigma_hat * c, params, 0, x.size)
@@ -47,6 +48,46 @@ def scan_oracle(train, stream, params, c):
     if j < 0:
         return None, None, None
     return j + 1, float(stat[0, j]), float(thresh[j])
+
+
+def eager_states(training, stream, params, c):
+    """(want, crossed): want[k] is the state (k, q, q_min, q_max, stat,
+    threshold) after k values of the stream, from the many-path kernel and
+    the whole _thresholds schedule, and crossed[k - 1] whether step k
+    reaches its threshold."""
+    stat = kernel_statistic(stream, training.mean, params.side,
+                            params.detector)
+    thresh = detectors._thresholds(training.sigma_hat * c, params, 0,
+                                   len(stream))
+    q = np.cumsum(np.asarray(stream) - training.mean)
+    want = [(0, 0.0, 0.0, 0.0, None, None)] + list(zip(
+        range(1, len(stream) + 1), q.tolist(),
+        np.minimum.accumulate(np.minimum(q, 0.0)).tolist(),
+        np.maximum.accumulate(np.maximum(q, 0.0)).tolist(),
+        stat[0].tolist(), thresh.tolist()))
+    return want, (stat[0] >= thresh).tolist()
+
+
+def state(mon):
+    return (mon.k, mon.q, mon.q_min, mon.q_max, mon.stat, mon.threshold)
+
+
+def first_stops_tau(training, stream, params, c):
+    """first_stops' stopping time of one path holding the stream, fed in
+    CHUNK-wide pieces; 0 when it does not stop."""
+    x = np.asarray(stream, dtype=float)
+
+    def pieces():
+        keep = yield
+        for k0 in range(0, x.size, CHUNK):
+            keep = yield x[None, k0:k0 + CHUNK][keep].copy()
+
+    chunks = pieces()
+    next(chunks)
+    rules = [(params.detector, np.array([training.sigma_hat * c]))]
+    (tau,) = detectors.first_stops(chunks, np.array([training.mean]), rules,
+                                   params, np.ones(1, dtype=bool), 0)
+    return int(tau[0])
 
 
 def feed(stream, training):
@@ -348,8 +389,11 @@ class TestRunMonitor:
         stream = rng_stream(15, 1).standard_normal(params.horizon)
         res = run_monitor(train, iter(stream.tolist()), params, c=100.0)
         assert not res.stopped
-        assert len(boundary_calls) <= math.ceil(params.horizon / CHUNK)
-        assert sum(boundary_calls) == params.horizon
+        # each block evaluates g at its two ends; no statistic reaches the
+        # lower bound, so only the last block's thresholds are formed
+        blocks = math.ceil(params.horizon / CHUNK)
+        assert boundary_calls == [1, 1] * blocks + [
+            params.horizon - (blocks - 1) * CHUNK]
 
     def test_materialized_stream_computes_thresholds_up_to_tau_only(
             self, boundary_calls):
@@ -358,7 +402,30 @@ class TestRunMonitor:
         stream = rng_stream(15, 1).standard_normal(params.horizon) + 1e6
         res = run_monitor(train, stream, params, c=1.7)
         assert params.horizon == 1500 and res.tau == 1
-        assert boundary_calls == [CHUNK]
+        assert boundary_calls == [1, 1, CHUNK]
+
+    def test_a_stream_below_its_bound_forms_only_the_block_it_ends_in(
+            self, boundary_calls):
+        # no statistic reaches a block's lower bound: one feed evaluates g
+        # at the two ends of each block and forms only the block it ends
+        # in, for Monitor.threshold; update forms each block it enters
+        train, _ = self.make_data(15)
+        params = MonitoringParams(m=50, horizon_factor=30.0)
+        stream = rng_stream(15, 1).standard_normal(1200).tolist()
+        last = params.horizon - 2 * CHUNK
+        sigma_hat = summarize_training(train).sigma_hat
+        thresh = detectors._thresholds(sigma_hat * 100.0, params, 0, 1200)
+        boundary_calls.clear()
+        mon = Monitor(train, params, 100.0)
+        assert not mon.feed(iter(stream))
+        assert boundary_calls == [1, 1] * 3 + [last]
+        assert mon.threshold == thresh[-1]
+        boundary_calls.clear()
+        mon = Monitor(train, params, 100.0)
+        for x in stream:
+            assert not mon.update(x)
+        assert boundary_calls == [1, 1, CHUNK, 1, 1, CHUNK, 1, 1, last]
+        assert mon.threshold == thresh[-1]
 
     def test_generator_consumed_lazily_up_to_horizon(self):
         train, _ = self.make_data(9)
@@ -713,19 +780,7 @@ def test_feed_and_update_in_any_split_match_the_array_kernel(
     params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
                               horizon_factor=n / m + 1.0)
     training = summarize_training(train)
-    stat = kernel_statistic(stream, training.mean, side, detector)
-    thresh = detectors._thresholds(training.sigma_hat * c, params, 0, n)
-    q = np.cumsum(stream - training.mean)
-    want = [(0, 0.0, 0.0, 0.0, None, None)] + list(zip(
-        range(1, n + 1), q.tolist(),
-        np.minimum.accumulate(np.minimum(q, 0.0)).tolist(),
-        np.maximum.accumulate(np.maximum(q, 0.0)).tolist(),
-        stat[0].tolist(), thresh.tolist()))
-    crossed = (stat[0] >= thresh).tolist()
-
-    def state(mon):
-        return (mon.k, mon.q, mon.q_min, mon.q_max, mon.stat, mon.threshold)
-
+    want, crossed = eager_states(training, stream, params, c)
     values = stream.tolist()
     mon = Monitor(training, params, c)
     for _ in range(data.draw(st.integers(0, 12))):
@@ -793,3 +848,116 @@ def test_adding_a_constant_keeps_tau_without_near_ties(
     moved = stream + offset
     for s in (moved, iter(moved.tolist())):
         assert run_monitor(train + offset, s, params, 1.7).tau == res.tau
+
+
+# a spike's distance below its threshold in ulps, and its sign
+SPIKE = st.tuples(st.integers(0, 3), st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 60),
+       sigma_hat=st.sampled_from([1.0, 0.37, 1e-3, 1e250, 2.0 ** -1060]),
+       c=st.sampled_from([0.3, 1.7, 100.0]),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]),
+       odd=st.booleans(),
+       spikes=st.dictionaries(st.integers(0, CHUNK + 20), SPIKE,
+                              min_size=1, max_size=8),
+       edge_spikes=st.lists(SPIKE, max_size=2))
+def test_ties_and_near_misses_stop_as_the_eager_schedule_does(
+        m, sigma_hat, c, gamma, detector, side, odd, spikes, edge_spikes):
+    """Q(m, k) jumps from 0 to the threshold at k, or a few ulps below it,
+    and back to 0, at odd or even k, block edges among them: a tie stops
+    and a near miss does not, so Monitor's lazy thresholds give the eager
+    schedule's tau, statistic and threshold, and first_stops' tau, even
+    where the thresholds are subnormal."""
+    n = 2 * CHUNK + 44
+    training = TrainingSummary(m=m, mean=0.0, sigma_hat=sigma_hat)
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=n / m + 1.0)
+    thresh = detectors._thresholds(sigma_hat * c, params, 0, n).tolist()
+    # k = CHUNK and 2 * CHUNK end a block (odd), the next k opens one
+    spikes.update({i * CHUNK // 2 - odd: spike
+                   for i, spike in enumerate(edge_spikes, start=1)})
+    stream = [0.0] * n
+    for j, (ulps, up) in spikes.items():
+        k = 2 * j + 1 + odd  # the spike is value k; value k + 1 undoes it
+        v = thresh[k - 1]
+        for _ in range(ulps):
+            v = math.nextafter(v, 0.0)
+        # a one-sided statistic is then Q(m, k) itself
+        up = up or side == "one_sided"
+        stream[k - 1], stream[k] = (v, -v) if up else (-v, v)
+    want = scan_oracle(training, stream, params, c)
+    if side == "one_sided":
+        ties = [2 * j + 1 + odd for j, (ulps, _) in spikes.items()
+                if ulps == 0]
+        assert want[0] == min(ties, default=None)
+    res = run_monitor(training, stream, params, c)
+    assert (res.tau, res.stat, res.threshold) == want
+    assert first_stops_tau(training, stream, params, c) == (want[0] or 0)
+    path = trace(training, stream, params, c)
+    assert path[-1] == ((want[0], want[1], want[2]) if want[0] else
+                        (n, path[-1][1], thresh[-1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4, 8, 32]),
+       horizon=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,
+                                2 * CHUNK + 37]),
+       c=st.sampled_from([0.3, 1.7, 100.0]), shift=st.floats(0.0, 3.0),
+       kstar=st.integers(1, 2 * CHUNK),
+       gamma=st.sampled_from([0.0, 0.25, 0.45]),
+       detector=st.sampled_from(["page", "ordinary"]),
+       side=st.sampled_from(["one_sided", "two_sided"]), data=st.data())
+def test_calls_split_at_block_edges_keep_the_eager_state_to_the_horizon(
+        seed, m, horizon, c, shift, kstar, gamma, detector, side, data):
+    """Calls cut at, just before and just after block edges, up to exactly
+    the horizon, leave the Monitor in the eager schedule's state after
+    every call, resuming after each stop. A value that opens a block but
+    is not finite raises and keeps the state, and so does any value past
+    the horizon, before it is read."""
+    rng = rng_stream(seed, 0)
+    training = summarize_training(rng.standard_normal(m))
+    stream = rng.standard_normal(horizon)
+    stream[kstar - 1:] += shift
+    # m is a power of two, so the horizon is exact
+    params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
+                              horizon_factor=horizon / m)
+    assert params.horizon == horizon
+    values = stream.tolist()
+    want, crossed = eager_states(training, values, params, c)
+    cuts = {j * CHUNK + e for j in range(1, horizon // CHUNK + 1)
+            for e in (-1, 0, 1)}
+    cuts |= set(data.draw(st.lists(st.integers(1, horizon), max_size=3)))
+    cuts = sorted(k for k in cuts if 0 < k < horizon) + [horizon]
+    mon = Monitor(training, params, c)
+    for cut in cuts:
+        if mon.k % CHUNK == 0 and data.draw(st.booleans()):
+            with pytest.raises(ValidationError,
+                               match=f"value {mon.k + 1} is not finite"):
+                mon.feed([math.nan, 0.0])
+            assert state(mon) == want[mon.k]
+        kind = data.draw(st.sampled_from(["list", "iter", "update"]))
+        while mon.k < cut:
+            k = mon.k
+            if kind == "update":
+                assert mon.update(values[k]) == crossed[k]
+            else:
+                piece = values[k:cut]
+                it = iter(piece)
+                first = next((j for j in range(cut - k) if crossed[k + j]),
+                             None)
+                assert mon.feed(piece if kind == "list" else it) == (
+                    first is not None)
+                assert mon.k == (cut if first is None else k + first + 1)
+                if kind == "iter":
+                    assert len(list(it)) == cut - mon.k
+            assert state(mon) == want[mon.k]
+    for extra in ([0.0], iter([math.nan, 1.0]), ["not a number"]):
+        with pytest.raises(ValidationError,
+                           match=f"horizon of {horizon} observations"):
+            mon.feed(extra)
+        assert state(mon) == want[horizon]
+    assert mon.feed([]) is False and state(mon) == want[horizon]
