@@ -104,8 +104,9 @@ def _read_series_csv(path):
             except ValueError:
                 raise ValidationError(f"{path}:{reader.line_num}: "
                                       f"non-numeric value '{cell}'") from None
-            _require(math.isfinite(value),
-                     f"{path}:{reader.line_num}: non-finite value '{cell}'")
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: non-finite value '{cell}'")
             yield value
     _require(value is not None, f"{path}: no data values")
 

@@ -20,41 +20,36 @@ crossing, and whose update(x) feeds one observation. run_monitor feeds every
 stream, materialized or lazy, to Monitor.feed.
 
 The many-path studies scan every path a chunk at a time with first_stops,
-calibrated as a Monitor is (_row_summaries gives sigma_hat and _boundary
-g(m, k) a block of indices at a time); partial_sums adds in Monitor's order,
-over each chunk's own array, and chunk_statistic forms the statistics, so both
-give the same tau, statistic and threshold bits. Most chunks of a path cannot
-cross, and first_stops proves it cheaply: from the chunk's extremes lo = min Q
-and hi = max Q and the running extremes q_min and q_max after it, each
-statistic is at most
+calibrated as a Monitor is (_row_summaries gives sigma_hat and _thresholds
+sigma_hat * c * g(m, k) a block of indices at a time); partial_sums adds in
+Monitor's order, over each chunk's own array, and chunk_statistic forms the
+statistics, so both give the same tau, statistic and threshold bits.
 
-    ordinary one-sided   hi
-    ordinary two-sided   max(hi, -lo)
-    page one-sided       hi - q_min
-    page two-sided       max(hi - q_min, q_max - lo)
+Both skip the thresholds of indices k0+1 .. k0+n that no statistic can
+reach. With s = sigma_hat * c, the floor of such a block is
 
-in exact arithmetic. Rounding is monotone, so the rounded statistic is at
-most the rounded bound, and the rounded threshold fl(s * g(m, k)) is at
-least fl(s * min of g over the chunk) for s = sigma_hat * c > 0. A path
-whose bound is below that product cannot cross in the chunk, so the exact
-scan skips it there; the other paths are scanned exactly as before, and
-no stopping time changes by a bit.
-
-Monitor.feed skips a block's thresholds by a bound of the same kind. On
-entering the indices k0+1 .. k0+n it computes
-
-    lo = fl(fl(s * g~(k0 + 1)) * (1 - 2**-40)) - 2**-1000,
+    floor = fl(fl(s * g~(k0 + 1)) * (1 - 2**-40)) - 2**-1000,
 
 with g~ the boundary _boundary evaluates on Python floats. g~ and g', the
 one it evaluates on numpy arrays for the thresholds (their pow may round
 apart), are each within about ten rounding errors (a relative 2e-15) of
 the exact g, which is strictly increasing, so g'(k) >= g~(k0 + 1) * (1 -
 4e-15) for every k in the block. While s * g~(k0 + 1) is a normal float,
-every threshold fl(s * g'(k)) of the block is thus at least lo: the factor
-1 - 2**-40 leaves a margin of thousands of rounding errors. Below the
-normal range lo is negative, and every threshold is >= 0. A statistic
-below lo cannot reach its threshold, so the block's thresholds are formed
-only once a statistic reaches lo, and no stopping time changes by a bit.
+every threshold fl(s * g'(k)) of the block is thus at least floor: the
+factor 1 - 2**-40 leaves a margin of thousands of rounding errors. Below
+the normal range floor is negative, and every threshold is >= 0. A
+statistic below floor cannot reach its threshold, so Monitor.feed forms a
+block's thresholds only once a statistic reaches floor.
+
+first_stops bounds a path's statistics over a chunk by chunk_statistic
+itself, on the two values [hi, lo], the chunk's largest and smallest
+Q(m, k), with the running extremes q_min <= lo and q_max >= hi after the
+chunk; the bound is the larger of the two results. Each statistic of the
+chunk is Q, |Q|, Q - a or b - Q with Q in [lo, hi], a >= q_min and b <=
+q_max, and rounding is monotone, so none exceeds the bound: the ordinary
+ones are at most hi and max(|hi|, |lo|), the page ones at most hi - q_min
+and q_max - lo. A path is scanned exactly unless its bound is below its
+floor (a NaN bound is scanned), so no stopping time changes by a bit.
 """
 
 import itertools
@@ -277,27 +272,23 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
         # min and max round nothing, so the extremes after the chunk equal
         # the last column of its running minimum and maximum
         lo, hi = q.min(axis=1), q.max(axis=1)
+        ends = np.stack([hi, lo], axis=1)
         before_min, before_max = q_min, q_max
         q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
-        g_chunk = _boundary(params.m, np.arange(k0 + 1, k0 + length + 1,
-                                                dtype=float), params.gamma)
-        g_min = g_chunk.min()
         open_ = np.zeros(idx.size, dtype=bool)
         for (detector, _), scale, tau in zip(rules, scales, taus):
-            if detector == "ordinary":
-                bound = np.maximum(hi, -lo) if side == "two_sided" else hi
-            else:
-                bound = hi - q_min
-                if side == "two_sided":
-                    np.maximum(bound, q_max - lo, out=bound)
+            bound = chunk_statistic(ends, q_min, q_max, side,
+                                    detector).max(axis=1)
             wait = tau[idx] == 0
-            # a path whose bound is below its lowest threshold in the chunk,
-            # scale * g_min, cannot cross in it
-            rows = np.flatnonzero(wait & (bound >= scale * g_min))
+            # a path whose bound is below its floor cannot cross in the
+            # chunk; a NaN bound is scanned
+            rows = np.flatnonzero(
+                wait & ~(bound < _floor(scale, params, k0)))
             if rows.size:
                 stat = chunk_statistic(q[rows], before_min[rows],
                                        before_max[rows], side, detector)
-                j = first_crossings(stat, scale[rows, None] * g_chunk)
+                j = first_crossings(stat, _thresholds(scale[rows, None],
+                                                      params, k0, length))
                 crossed = j >= 0
                 tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
                 wait[rows[crossed]] = False
@@ -322,24 +313,29 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
     return taus
 
 
-# the padding of Monitor's lower bound lo (module docstring), and a
-# threshold below which no rounding of g can overflow
+# the padding of the floor (module docstring)
 _SLACK = 1.0 - 2.0 ** -40
 _FLOOR = 2.0 ** -1000
-_HUGE = 2.0 ** 1023
 
 
-def _thresholds(scale: float, params: MonitoringParams, k0: int,
+def _thresholds(scale, params: MonitoringParams, k0: int,
                 n: int) -> np.ndarray:
     """scale * g(m, k) for k = k0+1 .. k0+n, where scale = sigma_hat * c
-    (so the product is (sigma_hat * c) * g); g is elementwise, so any split
-    of the indices gives the same bits. MonitoringParams has checked m and
-    gamma and the indices start at 1, so the unchecked kernel suffices.
-    Monitor._open has checked that the last threshold, the largest, is
-    finite."""
+    (so the product is (sigma_hat * c) * g), a float or a (rows, 1) array;
+    g is elementwise, so any split of the indices gives the same bits.
+    MonitoringParams has checked m and gamma and the indices start at 1, so
+    the unchecked kernel suffices. A study and a Monitor have checked that
+    the threshold at the horizon, the largest, is finite."""
     g = _boundary(params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float),
                   params.gamma)
     return scale * g
+
+
+def _floor(scale, params: MonitoringParams, k0: int):
+    """The floor (module docstring) of the thresholds scale * g(m, k) for
+    k > k0, on a float scale or an array of them."""
+    g = _boundary(params.m, k0 + 1.0, params.gamma)
+    return scale * g * _SLACK - _FLOOR
 
 
 def _number(x, k: int) -> float:
@@ -374,17 +370,18 @@ class Monitor:
     stream however it is split between feed and update calls.
 
     The indices come in blocks k0+1 .. k0+CHUNK, the last one cut at the
-    horizon. The value that opens a block evaluates g on Python floats at
-    the block's two ends only: the last threshold must be finite, and the
-    first gives the padded lower bound lo of the module docstring. The
-    block's thresholds are formed only once a statistic reaches lo, or
-    when a call ends in the block, for self.threshold. So a feed of a
-    stream that stays below its boundary forms one block, and update (one
-    observation per call) forms each block once, as the eager schedule
-    did.
+    horizon. The value that opens a block evaluates g on a Python float at
+    the block's first index only, for the floor of the module docstring.
+    The block's thresholds are formed only once a statistic reaches the
+    floor, or when a call ends in the block, for self.threshold. So a feed
+    of a stream that stays below its boundary forms one block, and update
+    (one observation per call) forms each block once, as the eager
+    schedule did.
 
     training is the raw training sample (length params.m) or a
-    TrainingSummary. At most params.horizon observations can be fed.
+    TrainingSummary. At most params.horizon observations can be fed. As a
+    study does, the constructor raises ValidationError when the threshold
+    at the horizon, the largest, is non-finite.
     """
 
     __slots__ = ("training", "params", "c", "k", "q", "q_min", "q_max",
@@ -398,12 +395,16 @@ class Monitor:
         _require(training.m == params.m,
                  f"training length {training.m} does not match params.m "
                  f"{params.m}")
+        scale = training.sigma_hat * c
+        _require(math.isfinite(scale * boundary_g(params.m, params.horizon,
+                                                  params.gamma)),
+                 f"threshold is non-finite at k = {params.horizon}")
         self.training, self.params, self.c = training, params, c
         self.k = 0
         self.q = self.q_min = self.q_max = 0.0
         self.stat = self.threshold = None
         # one tuple each, as feed reads them on every call
-        self._setup = (training.mean, training.sigma_hat * c,
+        self._setup = (training.mean, scale,
                        params.detector == "page", params.side == "two_sided")
         # the block of k, as _open gives it, with its thresholds once they
         # are formed; k == end asks the next value to open a block, and
@@ -417,19 +418,19 @@ class Monitor:
         continues the run. Raises ValidationError on a value that is not a
         finite number or once params.horizon observations have been fed;
         the state then stays at the last value accepted. Also raises when
-        a threshold, or Q(m, k) at the end of the call, is non-finite (an
-        overflow could pass for a stop or hide one). Per observation, one
-        test k == end finds the value that opens the next block."""
+        Q(m, k) at the end of the call is non-finite (an overflow could
+        pass for a stop or hide one). Per observation, one test k == end
+        finds the value that opens the next block."""
         k, q, q_min, q_max = self.k, self.q, self.q_min, self.q_max
         stat, run = self.stat, self._run
-        end, base, lo, block = run
+        end, base, floor, block = run
         mean, scale, page, two_sided = self._setup
         stopped = False
         try:
             for x in values:
                 if k == end:
                     run = self._open(k, x)
-                    end, base, lo, block = run
+                    end, base, floor, block = run
                 # x - x is 0.0 for a finite float and NaN otherwise
                 if type(x) is not float or x - x != 0.0:
                     x = _number(x, k + 1)
@@ -446,10 +447,10 @@ class Monitor:
                         stat = q_max - q
                 else:
                     stat = abs(q) if two_sided else q
-                if stat >= lo:
+                if stat >= floor:
                     if block is None:
                         block = _block(scale, self.params, base, end)
-                        run = end, base, lo, block
+                        run = end, base, floor, block
                     if stat >= block[k - base]:
                         stopped = True
                         break
@@ -462,34 +463,24 @@ class Monitor:
             # ends in it
             if block is None:
                 block = _block(scale, self.params, base, end)
-                run = end, base, lo, block
+                run = end, base, floor, block
             thresh = block[k - base]
             self.k, self.q, self.q_min, self.q_max = k, q, q_min, q_max
             self.stat, self.threshold = stat, thresh
             self._run = run
 
     def _open(self, k: int, x) -> tuple:
-        """(end, base, lo, None) of the block that value k + 1, x, opens:
-        its last and first index and the lower bound of the module
-        docstring. Raises, in this order, once the horizon is reached, when
-        x is not a finite number and when the block's last threshold, its
-        largest, is non-finite."""
-        m, gamma, horizon = (self.params.m, self.params.gamma,
-                             self.params.horizon)
+        """(end, base, floor, None) of the block that value k + 1, x, opens:
+        its last and first index and the floor of the module docstring.
+        Raises, in this order, once the horizon is reached and when x is
+        not a finite number."""
+        horizon = self.params.horizon
         if k == horizon:
             raise ValidationError(
                 f"the horizon of {horizon} observations is reached")
         _number(x, k + 1)
-        end = min(k + CHUNK, horizon)
-        scale = self._setup[1]
-        # g on Python floats is within a few ulps of numpy's (whose pow may
-        # round apart), so numpy's own bits decide only near overflow
-        if not scale * _boundary(m, float(end), gamma) < _HUGE:
-            g = _boundary(m, np.array([end], dtype=float), gamma)
-            _require(math.isfinite(scale * float(g[0])),
-                     f"threshold is non-finite at k = {end}")
-        lo = scale * _boundary(m, k + 1.0, gamma) * _SLACK - _FLOOR
-        return end, k + 1, lo, None
+        return (min(k + CHUNK, horizon), k + 1,
+                _floor(self._setup[1], self.params, k), None)
 
     def update(self, x) -> bool:
         """Advance by one observation; True when the statistic reaches the

@@ -319,14 +319,9 @@ def load_estimate(path) -> CriticalValueEstimate:
     return CriticalValueEstimate(**values)
 
 
-def resolve_critical_value(gamma: float, alpha: float, side: str,
-                           detector: str, cache_dir=None) -> float:
-    """Look up c(gamma, alpha) from a cache of critvals JSON files.
-
-    Falls back to REFERENCE_CRITICAL_VALUES; raises ValidationError when the
-    combination is unknown (run the critvals command to fill the cache) or
-    when a cache_dir is given that is not a directory.
-    """
+def _known_critical_values(cache_dir):
+    """((gamma, alpha, side, detector), c) of each readable critvals JSON
+    file in cache_dir, in name order, then of REFERENCE_CRITICAL_VALUES."""
     if cache_dir is not None:
         _require(os.path.isdir(cache_dir),
                  f"cache_dir {cache_dir!r} is not a directory")
@@ -337,10 +332,19 @@ def resolve_critical_value(gamma: float, alpha: float, side: str,
                 est = load_estimate(os.path.join(cache_dir, name))
             except (KeyError, ValueError, OSError):
                 continue
-            if (abs(est.gamma - gamma) < 1e-9 and abs(est.alpha - alpha) < 1e-9
-                    and est.side == side and est.detector == detector):
-                return est.c
-    for (g, a, s, d), c in REFERENCE_CRITICAL_VALUES.items():
+            yield (est.gamma, est.alpha, est.side, est.detector), est.c
+    yield from REFERENCE_CRITICAL_VALUES.items()
+
+
+def resolve_critical_value(gamma: float, alpha: float, side: str,
+                           detector: str, cache_dir=None) -> float:
+    """Look up c(gamma, alpha) from a cache of critvals JSON files.
+
+    Falls back to REFERENCE_CRITICAL_VALUES; raises ValidationError when the
+    combination is unknown (run the critvals command to fill the cache) or
+    when a cache_dir is given that is not a directory.
+    """
+    for (g, a, s, d), c in _known_critical_values(cache_dir):
         if abs(g - gamma) < 1e-9 and abs(a - alpha) < 1e-9 and s == side \
                 and d == detector:
             return c

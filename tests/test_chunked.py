@@ -20,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from garch_loop import generate_garch11
-from pagecusum import (ChangeScenario, Garch11Spec, MonitoringParams,
-                       ValidationError, boundary_g, empirical_size,
-                       experiments, location_paths, rng_stream, run_monitor,
-                       run_replications)
+from pagecusum import (ChangeScenario, Garch11Spec, Monitor,
+                       MonitoringParams, ValidationError, boundary_g,
+                       empirical_size, experiments, location_paths,
+                       rng_stream, run_monitor, run_replications)
 from pagecusum.datagen import CHUNK, GarchCarry, generate_garch11_batch
 from pagecusum.detectors import (chunk_statistic, first_crossings, first_stops,
                                  partial_sums)
@@ -148,6 +148,59 @@ def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
         assert np.array_equal(got, want)
 
 
+def oracle_bound(lo, hi, q_min, q_max, side, detector):
+    """The chunk bound written out for each detector and side."""
+    if detector == "ordinary":
+        return np.maximum(hi, -lo) if side == "two_sided" else hi
+    bound = hi - q_min
+    return np.maximum(bound, q_max - lo) if side == "two_sided" else bound
+
+
+q_values = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf]),
+    st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.lists(q_values, min_size=1, max_size=6),
+                               q_values, q_values), min_size=1, max_size=5),
+       side=st.sampled_from(["one_sided", "two_sided"]),
+       detector=st.sampled_from(["page", "ordinary"]))
+def test_chunk_bound_is_the_statistic_at_the_chunk_extremes(rows, side,
+                                                            detector):
+    # first_stops' bound: chunk_statistic on [hi, lo] with the running
+    # extremes after the chunk. It equals the written-out bound on finite
+    # extremes (up to the sign of a zero, which no comparison sees) and is
+    # never below a statistic of the chunk
+    width = max(len(q) for q, _, _ in rows)
+    q = np.array([q + q[-1:] * (width - len(q)) for q, _, _ in rows])
+    before_min = np.array([min(a, 0.0) for _, a, _ in rows])
+    before_max = np.array([max(b, 0.0) for _, _, b in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = q.min(axis=1), q.max(axis=1)
+        q_min, q_max = np.minimum(before_min, lo), np.maximum(before_max, hi)
+        bound = chunk_statistic(np.stack([hi, lo], axis=1), q_min, q_max,
+                                side, detector).max(axis=1)
+        want = oracle_bound(lo, hi, q_min, q_max, side, detector)
+        stat = chunk_statistic(q, before_min, before_max, side, detector)
+    finite = np.isfinite(np.stack([lo, hi, q_min, q_max])).all(axis=0)
+    assert np.array_equal(bound[finite], want[finite])
+    assert not (bound[:, None] < stat).any()
+
+
+@pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+@pytest.mark.parametrize("detector", ["page", "ordinary"])
+def test_a_nan_bound_is_scanned_not_skipped(detector, side):
+    # Q(m, k) is 5, -1.7e308, -inf: the page bounds take -inf - -inf, a
+    # NaN, yet the path crosses at k = 1, before Q(m, k) turns non-finite
+    y = np.array([[5.0, -1.7e308, -1.7e308]])
+    params = MonitoringParams(m=2, side=side, detector=detector)
+    [tau] = first_stops(sent_pieces(y, [3]), np.zeros(1),
+                        [(detector, np.ones(1))], params,
+                        np.ones(1, dtype=bool), 0)
+    assert tau.tolist() == [1]
+
+
 def test_scan_draws_no_chunk_after_every_path_stops():
     # every live path crosses on its first step, so one chunk decides them
     # all; a path that may not stop is never drawn, and does not keep the
@@ -205,14 +258,16 @@ M = 40
 
 
 def test_study_computes_g_only_on_the_chunks_it_scans(boundary_calls):
-    # every path stops at k = 1, so g(m, k) is evaluated on the first chunk
-    # and on the top index of the up-front check, never on the whole horizon
+    # every path stops at k = 1, so g(m, k) is evaluated on the top index of
+    # the up-front check and, for each rule, on the first index of the first
+    # chunk for its floor and on that chunk for its thresholds, never on the
+    # whole horizon
     params = MonitoringParams(m=M, gamma=0.25, horizon_factor=40.0)
     assert params.horizon > 3 * CHUNK
     recs = run_replications(params, ChangeScenario.at_kstar(50.0, 1), GARCH,
                             8, 1.9, 1.8, seed=2)
     assert all(r.tau_page == r.tau_q == 1 for r in recs)
-    assert sorted(boundary_calls) == [1, CHUNK]
+    assert sorted(boundary_calls) == [1, 1, 1, CHUNK, CHUNK]
 
 
 @st.composite
@@ -407,7 +462,7 @@ def test_tie_on_the_first_step_of_a_chunk_stops(side):
     # Q(m, k) is 0 up to the chunk edge, equals the threshold exactly on the
     # next step, where the threshold is the chunk's lowest, and is 0 again
     # after it, so the bound of each rule equals its lowest threshold in
-    # the chunk: a strict comparison would skip the path and miss the tie
+    # the chunk, and the tie is a stop
     m, c, k = 50, 1.5, CHUNK + 1
     params = MonitoringParams(m=m, gamma=0.25, side=side,
                               horizon_factor=25.0)
@@ -427,6 +482,34 @@ def test_tie_on_the_first_step_of_a_chunk_stops(side):
 
 
 OVERFLOWING = Garch11Spec(omega=1e306, alpha_g=0.5, beta_g=0.45, burn_in=50)
+
+
+def test_monitor_rejects_the_thresholds_a_study_rejects():
+    # c a few ulps either side of where sd * c * g(m, horizon) overflows:
+    # a Monitor on replication 0's training raises where the study does
+    params = MonitoringParams(m=40, horizon_factor=5.0)
+    train = next(location_paths(GARCH, 0.0, None, params.m, params.horizon,
+                                5))[0]
+    sd = train.std(ddof=1)
+    c = np.finfo(float).max / (sd * boundary_g(params.m, params.horizon,
+                                               params.gamma))
+    for _ in range(8):
+        c = np.nextafter(c, 0.0)
+    raised = []
+    for _ in range(16):
+        try:
+            empirical_size(params, GARCH, 1, float(c), seed=5)
+        except ValidationError as exc:
+            assert "threshold is non-finite" in str(exc)
+            raised.append(True)
+            with pytest.raises(ValidationError, match="threshold is "
+                               f"non-finite at k = {params.horizon}$"):
+                Monitor(train, params, float(c))
+        else:
+            raised.append(False)
+            Monitor(train, params, float(c))
+        c = np.nextafter(c, np.inf)
+    assert False in raised and True in raised
 
 
 def test_overflowing_training_is_rejected_not_read_as_no_stop():

@@ -389,10 +389,11 @@ class TestRunMonitor:
         stream = rng_stream(15, 1).standard_normal(params.horizon)
         res = run_monitor(train, iter(stream.tolist()), params, c=100.0)
         assert not res.stopped
-        # each block evaluates g at its two ends; no statistic reaches the
-        # lower bound, so only the last block's thresholds are formed
+        # the constructor evaluates g at the horizon and each block at its
+        # first index; no statistic reaches the floor, so only the last
+        # block's thresholds are formed
         blocks = math.ceil(params.horizon / CHUNK)
-        assert boundary_calls == [1, 1] * blocks + [
+        assert boundary_calls == [1] * (1 + blocks) + [
             params.horizon - (blocks - 1) * CHUNK]
 
     def test_materialized_stream_computes_thresholds_up_to_tau_only(
@@ -406,9 +407,10 @@ class TestRunMonitor:
 
     def test_a_stream_below_its_bound_forms_only_the_block_it_ends_in(
             self, boundary_calls):
-        # no statistic reaches a block's lower bound: one feed evaluates g
-        # at the two ends of each block and forms only the block it ends
-        # in, for Monitor.threshold; update forms each block it enters
+        # no statistic reaches a block's floor: after the constructor's g at
+        # the horizon, one feed evaluates g at the first index of each block
+        # and forms only the block it ends in, for Monitor.threshold;
+        # update forms each block it enters
         train, _ = self.make_data(15)
         params = MonitoringParams(m=50, horizon_factor=30.0)
         stream = rng_stream(15, 1).standard_normal(1200).tolist()
@@ -418,13 +420,13 @@ class TestRunMonitor:
         boundary_calls.clear()
         mon = Monitor(train, params, 100.0)
         assert not mon.feed(iter(stream))
-        assert boundary_calls == [1, 1] * 3 + [last]
+        assert boundary_calls == [1] * 4 + [last]
         assert mon.threshold == thresh[-1]
         boundary_calls.clear()
         mon = Monitor(train, params, 100.0)
         for x in stream:
             assert not mon.update(x)
-        assert boundary_calls == [1, 1, CHUNK, 1, 1, CHUNK, 1, 1, last]
+        assert boundary_calls == [1, 1, CHUNK, 1, CHUNK, 1, last]
         assert mon.threshold == thresh[-1]
 
     def test_generator_consumed_lazily_up_to_horizon(self):
@@ -613,16 +615,15 @@ class TestMonitor:
             Monitor([1.0] * 10, MonitoringParams(m=10), 1.7)
 
     def test_overflowing_threshold_is_rejected(self):
-        # sigma_hat * c * g(m, k) overflows at k = 1, as a study's would
+        # sigma_hat * c * g(m, k) overflows at k = 1; as a study does, the
+        # constructor checks the threshold at the horizon, the largest
         train = rng_stream(33, 0).standard_normal(10)
         params = MonitoringParams(m=10)
-        msg = f"threshold is non-finite at k = {min(CHUNK, params.horizon)}$"
+        msg = f"threshold is non-finite at k = {params.horizon}$"
         with pytest.raises(ValidationError, match=msg):
             run_monitor(train, [0.0], params, 1e308)
-        mon = Monitor(train, params, 1e308)
         with pytest.raises(ValidationError, match=msg):
-            mon.update(0.0)
-        assert mon.k == 0 and mon.threshold is None
+            Monitor(train, params, 1e308)
 
     @pytest.mark.parametrize("stream, detector, first", [
         # Q(m, 1) overflows to +inf, which would read as a stop at k = 1
