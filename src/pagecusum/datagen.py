@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _require, _require_count
+from .model import ValidationError, _require, _require_count
 from .rng import rng_stream
 
 
@@ -63,25 +63,26 @@ CHUNK = 512
 
 
 class GarchCarry:
-    """Where a batch of GARCH(1,1) paths stopped: one generator per path
-    and the last (sig2, z) of each. Empty until the first
+    """Where a batch of GARCH(1,1) paths stopped: one generator per path,
+    its stream index and the last (sig2, z) of each. Empty until the first
     generate_garch11_batch call that is given it. keep(rows) narrows it to
     some of its paths, so the next call continues those alone."""
 
-    __slots__ = ("rngs", "sig2", "z_prev")
+    __slots__ = ("rngs", "streams", "sig2", "z_prev")
 
     def __init__(self):
-        self.rngs = None
-        self.sig2 = None
-        self.z_prev = None
+        self.rngs = self.streams = self.sig2 = self.z_prev = None
 
     def keep(self, rows) -> None:
         """Keep only the paths at the ascending positions rows."""
         self.rngs = [self.rngs[i] for i in rows]
+        self.streams = self.streams[rows]
         self.sig2 = self.sig2[rows]
         self.z_prev = self.z_prev[rows]
 
 
+# an overflow is found once per piece, not warned of at each step
+@np.errstate(over="ignore", invalid="ignore")
 def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
                            first_stream: int = 0,
                            carry: GarchCarry | None = None) -> np.ndarray:
@@ -104,6 +105,10 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     GarchCarry.keep has narrowed the carry, n_paths is the count it kept,
     and only those rows are drawn and stepped, each as it would be in the
     whole batch.
+
+    Raises ValidationError naming replication first_stream + i when path
+    i's variance overflows to a non-finite number, which would make its
+    values infinite or NaN.
     """
     _require_count(n, "n", 1)
     _require_count(n_paths, "n_paths", 1)
@@ -114,6 +119,7 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     else:
         carry.rngs = [rng_stream(seed, first_stream + i)
                       for i in range(n_paths)]
+        carry.streams = np.arange(first_stream, first_stream + n_paths)
         carry.sig2 = np.full(n_paths, spec.unconditional_variance)
         carry.z_prev = np.zeros(n_paths)
     _require(len(carry.rngs) == n_paths, "carry holds a different path count")
@@ -148,6 +154,13 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
             sig2 = row
         carry.sig2 = sig2 = sig2.copy()
         carry.z_prev = z_prev = piece[:, -1].copy()
+        # a non-finite variance stays so (inf * a is inf or NaN), so each
+        # path's last one tells whether it overflowed in the piece
+        finite = np.isfinite(sig2)
+        if not finite.all():
+            raise ValidationError(
+                f"replication {carry.streams[np.argmin(finite)]}: the GARCH "
+                "variance overflows to a non-finite number")
         # eps_t = sqrt(sig2_t)*z_t over the whole piece
         np.sqrt(rows, rows)
         multiply(piece, rows.T, piece)

@@ -20,8 +20,9 @@ crossing, and whose update(x) feeds one observation. run_monitor feeds every
 stream, materialized or lazy, to Monitor.feed.
 
 The many-path studies scan every path a chunk at a time with first_stops,
-calibrated as a Monitor is (_row_summaries gives sigma_hat and _thresholds
-sigma_hat * c * g(m, k) a block of indices at a time); partial_sums adds in
+calibrated as a Monitor is: _row_summaries gives sigma_hat, and _boundary
+g(m, k) a block of indices at a time, formed once per chunk for all rules,
+each multiplying it by its own sigma_hat * c. partial_sums adds in
 Monitor's order, over each chunk's own array, and chunk_statistic forms the
 statistics, so both give the same tau, statistic and threshold bits.
 
@@ -254,7 +255,7 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
     bound of the module docstring cannot settle are scanned exactly.
     Raises ValidationError naming replication first + i when path i's
     Q(m, k) turns non-finite before it has stopped under every rule."""
-    side = params.side
+    m, gamma, side = params.m, params.gamma, params.side
     taus = [np.zeros(mean.size, dtype=np.int64) for _ in rules]
     # idx: the open paths, as indices of mean; keep: their positions among
     # the rows of the last chunk
@@ -276,19 +277,23 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
         before_min, before_max = q_min, q_max
         q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
         open_ = np.zeros(idx.size, dtype=bool)
+        # the chunk's g, shared by the rules: at its first index for the
+        # floors, over the chunk once a rule has rows to scan
+        g_first, g = _boundary(m, k0 + 1.0, gamma), None
         for (detector, _), scale, tau in zip(rules, scales, taus):
             bound = chunk_statistic(ends, q_min, q_max, side,
                                     detector).max(axis=1)
             wait = tau[idx] == 0
             # a path whose bound is below its floor cannot cross in the
             # chunk; a NaN bound is scanned
-            rows = np.flatnonzero(
-                wait & ~(bound < _floor(scale, params, k0)))
+            rows = np.flatnonzero(wait & ~(bound < _floor(scale, g_first)))
             if rows.size:
+                if g is None:
+                    g = _boundary(m, np.arange(k0 + 1, k0 + length + 1,
+                                               dtype=float), gamma)
                 stat = chunk_statistic(q[rows], before_min[rows],
                                        before_max[rows], side, detector)
-                j = first_crossings(stat, _thresholds(scale[rows, None],
-                                                      params, k0, length))
+                j = first_crossings(stat, scale[rows, None] * g)
                 crossed = j >= 0
                 tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
                 wait[rows[crossed]] = False
@@ -318,23 +323,10 @@ _SLACK = 1.0 - 2.0 ** -40
 _FLOOR = 2.0 ** -1000
 
 
-def _thresholds(scale, params: MonitoringParams, k0: int,
-                n: int) -> np.ndarray:
-    """scale * g(m, k) for k = k0+1 .. k0+n, where scale = sigma_hat * c
-    (so the product is (sigma_hat * c) * g), a float or a (rows, 1) array;
-    g is elementwise, so any split of the indices gives the same bits.
-    MonitoringParams has checked m and gamma and the indices start at 1, so
-    the unchecked kernel suffices. A study and a Monitor have checked that
-    the threshold at the horizon, the largest, is finite."""
-    g = _boundary(params.m, np.arange(k0 + 1, k0 + n + 1, dtype=float),
-                  params.gamma)
-    return scale * g
-
-
-def _floor(scale, params: MonitoringParams, k0: int):
+def _floor(scale, g: float):
     """The floor (module docstring) of the thresholds scale * g(m, k) for
-    k > k0, on a float scale or an array of them."""
-    g = _boundary(params.m, k0 + 1.0, params.gamma)
+    k > k0, on a float scale or an array of them, from g = g(m, k0 + 1)
+    on a Python float."""
     return scale * g * _SLACK - _FLOOR
 
 
@@ -353,8 +345,13 @@ def _number(x, k: int) -> float:
 
 def _block(scale: float, params: MonitoringParams, base: int,
            end: int) -> list:
-    """The thresholds at k = base .. end as a list, block[k - base]."""
-    return _thresholds(scale, params, base - 1, end - base + 1).tolist()
+    """The thresholds scale * g(m, k) at k = base .. end as a list,
+    block[k - base], in the bits of first_stops' at the same k (g is
+    elementwise). MonitoringParams has checked m and gamma, so the
+    unchecked kernel suffices."""
+    g = _boundary(params.m, np.arange(base, end + 1, dtype=float),
+                  params.gamma)
+    return (scale * g).tolist()
 
 
 class Monitor:
@@ -365,7 +362,7 @@ class Monitor:
     q_min <= 0 <= q_max); stat and threshold are the statistic and
     sigma_hat * c * g(m, k) at k (None before the first observation). All
     are plain floats. q adds the centered observations in the order of
-    partial_sums' cumsum, and the thresholds come from _thresholds CHUNK
+    partial_sums' cumsum, and the thresholds come from _block CHUNK
     indices at a time, so a Monitor gives first_stops' bits on the same
     stream however it is split between feed and update calls.
 
@@ -396,8 +393,11 @@ class Monitor:
                  f"training length {training.m} does not match params.m "
                  f"{params.m}")
         scale = training.sigma_hat * c
-        _require(math.isfinite(scale * boundary_g(params.m, params.horizon,
-                                                  params.gamma)),
+        # g at the horizon in the bits of a block's array; the product on
+        # floats overflows without a numpy warning
+        g = _boundary(params.m, np.array([params.horizon], dtype=float),
+                      params.gamma)
+        _require(math.isfinite(scale * float(g[0])),
                  f"threshold is non-finite at k = {params.horizon}")
         self.training, self.params, self.c = training, params, c
         self.k = 0
@@ -479,8 +479,8 @@ class Monitor:
             raise ValidationError(
                 f"the horizon of {horizon} observations is reached")
         _number(x, k + 1)
-        return (min(k + CHUNK, horizon), k + 1,
-                _floor(self._setup[1], self.params, k), None)
+        g = _boundary(self.params.m, k + 1.0, self.params.gamma)
+        return min(k + CHUNK, horizon), k + 1, _floor(self._setup[1], g), None
 
     def update(self, x) -> bool:
         """Advance by one observation; True when the statistic reaches the

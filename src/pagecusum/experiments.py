@@ -97,7 +97,9 @@ def location_paths(garch: Garch11Spec, mu: float,
     piece just yielded, of the paths to go on with, and the pieces from
     then on hold those rows alone, in that order. Each path is drawn and
     stepped as it is in the whole block, so its values keep their bits.
-    A plain next(), or a for loop, keeps every row.
+    A plain next(), or a for loop, keeps every row. Raises
+    ValidationError naming the replication whose GARCH variance overflows
+    in the piece being drawn.
     """
     _require_count(m, "m", 2)
     _require_count(length, "length", 1)
@@ -113,7 +115,9 @@ def location_paths(garch: Garch11Spec, mu: float,
         if keep is not None and len(keep) < count:
             carry.keep(keep)
             count = len(keep)
-        garch, first = replace(garch, burn_in=0), first + n
+        if garch.burn_in:  # the pieces after the first continue the carry
+            garch = replace(garch, burn_in=0)
+        first += n
 
 
 # overflow only makes values non-finite, and each one that matters is

@@ -133,7 +133,12 @@ class ChangeScenario:
     @classmethod
     def at_kstar(cls, delta: float, kstar: int,
                  sigma: float = 1.0) -> "ChangeScenario":
-        """Scenario with a fixed change time (beta = 0, theta = kstar)."""
+        """Scenario with a fixed change time (beta = 0, theta = kstar).
+
+        A fixed kstar has no growth rate in m, so classify_case labels it
+        with beta = 0: at_kstar(1.0, 177) is regime I at gamma = 0.25 and
+        m = 1000, where from_exponent(1.0, 1.0, 0.75, 1000) gives the same
+        kstar in regime III. a_m and b_m depend on kstar alone and agree."""
         return cls(delta=delta, kstar=kstar, sigma=sigma,
                    theta=float(kstar), beta=0.0)
 

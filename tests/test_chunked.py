@@ -257,17 +257,37 @@ def test_a_study_holds_one_training_piece_at_a_time():
 M = 40
 
 
+def study_boundary_calls(calls, c_page, c_q, horizon_factor):
+    """Sorted sizes of the g(m, k) evaluations of a study in which every
+    path stops at k = 1 under a c below 2 and no statistic reaches its
+    floor under c = 1e6; each rule's taus are checked."""
+    params = MonitoringParams(m=M, gamma=0.25, horizon_factor=horizon_factor)
+    recs = run_replications(params, ChangeScenario.at_kstar(50.0, 1), GARCH,
+                            8, c_page, c_q, seed=2)
+    for r in recs:
+        assert (r.tau_page, r.tau_q) == (1 if c_page < 2 else None,
+                                         1 if c_q < 2 else None)
+    return sorted(calls)
+
+
 def test_study_computes_g_only_on_the_chunks_it_scans(boundary_calls):
     # every path stops at k = 1, so g(m, k) is evaluated on the top index of
-    # the up-front check and, for each rule, on the first index of the first
-    # chunk for its floor and on that chunk for its thresholds, never on the
-    # whole horizon
-    params = MonitoringParams(m=M, gamma=0.25, horizon_factor=40.0)
-    assert params.horizon > 3 * CHUNK
-    recs = run_replications(params, ChangeScenario.at_kstar(50.0, 1), GARCH,
-                            8, 1.9, 1.8, seed=2)
-    assert all(r.tau_page == r.tau_q == 1 for r in recs)
-    assert sorted(boundary_calls) == [1, 1, 1, CHUNK, CHUNK]
+    # the up-front check, once on the first index of the first chunk for the
+    # floors of both rules and once on that chunk for the thresholds of
+    # both, never on the whole horizon
+    assert MonitoringParams(m=M, horizon_factor=40.0).horizon > 3 * CHUNK
+    assert study_boundary_calls(boundary_calls, 1.9, 1.8, 40.0) == \
+        [1, 1, CHUNK]
+
+
+@pytest.mark.parametrize("c_page, c_q", [(1e6, 1.8), (1.9, 1e6)])
+def test_a_chunk_that_one_rule_scans_forms_g_once(boundary_calls, c_page,
+                                                  c_q):
+    # the rule with c = 1e6 never scans, and the horizon of 400 ends the
+    # study in the first chunk: one floor g and one chunk g, whichever of
+    # the two rules scans
+    assert study_boundary_calls(boundary_calls, c_page, c_q, 10.0) == \
+        [1, 1, 400]
 
 
 @st.composite
@@ -340,7 +360,7 @@ class PresetData:
     def __call__(self, spec, n, n_paths, seed, first_stream=0, carry=None):
         if carry.rngs is None:
             carry.rngs = list(range(n_paths))
-            carry.sig2 = carry.z_prev = np.zeros(n_paths)
+            carry.streams = carry.sig2 = carry.z_prev = np.zeros(n_paths)
         assert n_paths == len(carry.rngs)
         self.calls.append((n_paths, n))
         out = self.data[carry.rngs, self.pos:self.pos + n]
@@ -513,12 +533,61 @@ def test_monitor_rejects_the_thresholds_a_study_rejects():
 
 
 def test_overflowing_training_is_rejected_not_read_as_no_stop():
+    # the variance of replication 3 overflows in its training
+    assert_study_rejects(OVERFLOWING,
+                         "replication 3: the GARCH variance overflows")
+
+
+def test_training_whose_squares_overflow_is_rejected():
+    # finite i.i.d. values whose sum of squared deviations overflows
+    assert_study_rejects(Garch11Spec(omega=1e307, burn_in=0),
+                         "replication 0: training")
+
+
+def assert_study_rejects(garch, message):
+    """Both studies on garch raise ValidationError matching message."""
     params = MonitoringParams(m=200, horizon_factor=5.0)
-    with pytest.raises(ValidationError, match="replication 0: training"):
+    with pytest.raises(ValidationError, match=message):
         run_replications(params, ChangeScenario.at_kstar(1.0, 10),
-                         OVERFLOWING, 20, 2.0, 2.0, seed=1)
-    with pytest.raises(ValidationError, match="replication 0: training"):
-        empirical_size(params, OVERFLOWING, 20, 2.0, seed=1)
+                         garch, 20, 2.0, 2.0, seed=1)
+    with pytest.raises(ValidationError, match=message):
+        empirical_size(params, garch, 20, 2.0, seed=1)
+
+
+def test_an_overflowing_variance_is_named_not_returned():
+    # with seed 36 the variances of streams 10, 13, 12 and 11 overflow at
+    # steps 242, 1127, 1772 and 2563, all in the stream pieces after a
+    # training of 200 values; the generators raise, naming the first
+    # replication to overflow, where they would return infinities (the
+    # suite turns a RuntimeWarning into an error, so none is warned of)
+    spec = replace(OVERFLOWING, burn_in=0)
+    with pytest.raises(ValidationError, match="^replication 10: the GARCH "
+                       "variance overflows to a non-finite number$"):
+        generate_garch11_batch(spec, 3200, 4, 36, first_stream=10)
+
+    def paths():
+        return location_paths(spec, 0.0, None, 200, 3000, 36, 10, 4)
+    whole = paths()
+    assert next(whole).shape == (4, 200)
+    with pytest.raises(ValidationError, match="^replication 10: "):
+        next(whole)
+    # with path 0 narrowed away, path 3 (now at position 2) overflows in
+    # the second stream piece
+    narrowed = paths()
+    next(narrowed)
+    assert narrowed.send([1, 2, 3]).shape == (3, CHUNK)
+    with pytest.raises(ValidationError, match="^replication 13: "):
+        next(narrowed)
+
+
+def test_the_pieces_after_the_first_share_one_spec(monkeypatch):
+    # location_paths forms the burn-in-free spec of its later pieces once
+    specs = []
+    monkeypatch.setattr(experiments, "replace",
+                        lambda spec, **kw: specs.append(kw) or
+                        replace(spec, **kw))
+    pieces = list(location_paths(GARCH, 0.0, None, 600, 1100, 4, 0, 2))
+    assert len(pieces) == 5 and specs == [{"burn_in": 0}]
 
 
 BAD_PARAMS = MonitoringParams(m=M, horizon_factor=40.0)  # three chunks

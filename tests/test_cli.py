@@ -384,17 +384,32 @@ class TestGenerateCommand:
         assert os.listdir(tmp_path) == ["gen.cfg"]
 
     def test_overflow_exits_2_and_writes_no_file(self, capsys, tmp_path):
-        # the GARCH variance overflows to -inf at value 53 with seed 2; the
-        # suite turns a RuntimeWarning into an error, which would exit 1
+        # the GARCH variance overflows at value 53 with seed 2; the suite
+        # turns a RuntimeWarning into an error, which would exit 1
+        self.assert_exits_2(capsys, tmp_path, {
+            "omega = 0.5": "omega = 1e306", "alpha = 0.2": "alpha = 0.5",
+            "beta = 0.3": "beta = 0.45"},
+            "replication 0: the GARCH variance overflows")
+
+    def test_a_shift_that_overflows_exits_2(self, capsys, tmp_path):
+        # mu + delta overflows from the change at value m + 1 on
+        self.assert_exits_2(capsys, tmp_path, {
+            "mu = 0.0": "mu = 1e308", "delta = 1.0": "delta = 1e308"},
+            "value 41 of the series overflows")
+
+    def assert_exits_2(self, capsys, tmp_path, edits, message):
+        """generate on CONFIG with edits exits 2 with message and writes
+        no file."""
+        config = self.CONFIG
+        for old, new in edits.items():
+            config = config.replace(old, new)
         spec = tmp_path / "gen.cfg"
-        spec.write_text(self.CONFIG.replace("omega = 0.5", "omega = 1e306")
-                        .replace("alpha = 0.2", "alpha = 0.5")
-                        .replace("beta = 0.3", "beta = 0.45"))
+        spec.write_text(config)
         code, out, err = run_cli(capsys, "generate", "--spec", str(spec),
                                  "--seed", "2", "--out",
                                  str(tmp_path / "x.csv"))
         assert code == 2 and out == ""
-        assert "value 53 of the series overflows" in err
+        assert message in err
         assert os.listdir(tmp_path) == ["gen.cfg"]
 
 SIM_CONFIG = ("m = 60\ngamma = 0.0\nalpha = 0.1\nside = one_sided\n"

@@ -26,6 +26,12 @@ def snapshot(mon):
     return Snapshot(mon.k, mon.q, mon.q_min, mon.q_max)
 
 
+def thresholds(scale, params, n):
+    """The eager schedule: scale * g(m, k) for k = 1 .. n, in the bits of
+    the thresholds of first_stops and Monitor (g is elementwise)."""
+    return scale * boundary_g(params.m, np.arange(1, n + 1), params.gamma)
+
+
 def kernel_statistic(x, mean, side, detector):
     """The many-path kernel's (1, n) statistic over the whole stream x:
     partial_sums and chunk_statistic on one row, as one chunk."""
@@ -37,13 +43,13 @@ def kernel_statistic(x, mean, side, detector):
 
 def scan_oracle(train, stream, params, c):
     """(tau, stat, threshold) of the first crossing, or Nones: the many-path
-    kernel and _thresholds on one row holding the stream up to the horizon,
+    kernel and the thresholds on one row holding the stream up to the horizon,
     located by first_crossings. train may be a TrainingSummary."""
     training = (train if isinstance(train, TrainingSummary)
                 else summarize_training(train))
     x = np.asarray(stream, dtype=float)[:params.horizon]
     stat = kernel_statistic(x, training.mean, params.side, params.detector)
-    thresh = detectors._thresholds(training.sigma_hat * c, params, 0, x.size)
+    thresh = thresholds(training.sigma_hat * c, params, x.size)
     j = int(detectors.first_crossings(stat, thresh[None, :])[0])
     if j < 0:
         return None, None, None
@@ -53,12 +59,11 @@ def scan_oracle(train, stream, params, c):
 def eager_states(training, stream, params, c):
     """(want, crossed): want[k] is the state (k, q, q_min, q_max, stat,
     threshold) after k values of the stream, from the many-path kernel and
-    the whole _thresholds schedule, and crossed[k - 1] whether step k
+    the whole threshold schedule, and crossed[k - 1] whether step k
     reaches its threshold."""
     stat = kernel_statistic(stream, training.mean, params.side,
                             params.detector)
-    thresh = detectors._thresholds(training.sigma_hat * c, params, 0,
-                                   len(stream))
+    thresh = thresholds(training.sigma_hat * c, params, len(stream))
     q = np.cumsum(np.asarray(stream) - training.mean)
     want = [(0, 0.0, 0.0, 0.0, None, None)] + list(zip(
         range(1, len(stream) + 1), q.tolist(),
@@ -416,7 +421,7 @@ class TestRunMonitor:
         stream = rng_stream(15, 1).standard_normal(1200).tolist()
         last = params.horizon - 2 * CHUNK
         sigma_hat = summarize_training(train).sigma_hat
-        thresh = detectors._thresholds(sigma_hat * 100.0, params, 0, 1200)
+        thresh = thresholds(sigma_hat * 100.0, params, 1200)
         boundary_calls.clear()
         mon = Monitor(train, params, 100.0)
         assert not mon.feed(iter(stream))
@@ -553,7 +558,7 @@ class TestRunMonitor:
 def test_array_and_lazy_paths_agree_bitwise(seed, m, offset, scale, shift,
                                             kstar, gamma, detector, side):
     """run_monitor on an ndarray, a list and an iterator adds Q(m, k) in
-    partial_sums' order and shares _thresholds' schedule, so each stops at
+    partial_sums' order and shares the threshold schedule, so each stops at
     the many-path kernel's tau with the same stat and threshold bits,
     whatever the offset and scale."""
     rng = rng_stream(seed, 0)
@@ -625,6 +630,25 @@ class TestMonitor:
         with pytest.raises(ValidationError, match=msg):
             Monitor(train, params, 1e308)
 
+    def test_a_summary_calibrates_without_the_public_boundary(
+            self, monkeypatch):
+        # MonitoringParams has checked m and gamma, so neither the horizon
+        # check nor a block of thresholds calls the checking boundary_g
+        params = MonitoringParams(m=40, horizon_factor=30.0)
+        stream = rng_stream(34, 0).standard_normal(CHUNK + 5).tolist()
+        want = thresholds(1.7, params, len(stream)).tolist()
+
+        def refused(*args):
+            raise AssertionError("boundary_g was called")
+        monkeypatch.setattr(detectors, "boundary_g", refused)
+        mon = Monitor(TrainingSummary(m=40, mean=0.0, sigma_hat=1.0),
+                      params, 1.7)
+        got = []
+        for x in stream:
+            mon.update(x)
+            got.append(mon.threshold)
+        assert got == want
+
     @pytest.mark.parametrize("stream, detector, first", [
         # Q(m, 1) overflows to +inf, which would read as a stop at k = 1
         ([1e308], "ordinary", 1),
@@ -678,7 +702,7 @@ class TestMonitor:
          kstar=CHUNK, gamma=0.45, detector="page", side="two_sided")
 def test_monitor_matches_the_array_kernel_at_every_step(
         seed, m, n, offset, scale, shift, kstar, gamma, detector, side):
-    """Monitor.update gives the kernel's statistic and _thresholds' threshold
+    """Monitor.update gives the kernel's statistic and the eager threshold
     at every k, bit for bit, across CHUNK edges and at any offset or scale."""
     rng = rng_stream(seed, 0)
     train = offset + scale * rng.standard_normal(m)
@@ -688,7 +712,7 @@ def test_monitor_matches_the_array_kernel_at_every_step(
                               horizon_factor=n / m + 1.0)
     training = summarize_training(train)
     stat = kernel_statistic(stream, training.mean, side, detector)
-    thresh = detectors._thresholds(training.sigma_hat * 1.7, params, 0, n)
+    thresh = thresholds(training.sigma_hat * 1.7, params, n)
     mon = Monitor(training, params, 1.7)
     got_stat, got_thresh = [], []
     for x in stream.tolist():
@@ -770,7 +794,7 @@ def test_feed_and_update_in_any_split_match_the_array_kernel(
         seed, m, n, c, shift, kstar, gamma, detector, side, data):
     """A stream split at random points between feed calls (on lists and on
     iterators) and single update calls leaves the Monitor, after every call,
-    in the kernel's and _thresholds' state at its k, bit for bit. Each feed
+    in the kernel's and the eager schedule's state at its k, bit for bit. Each feed
     stops right after the first crossing and the next call resumes there. A
     non-finite value inside a batch raises with its index and leaves the
     state of the value before it."""
@@ -877,7 +901,7 @@ def test_ties_and_near_misses_stop_as_the_eager_schedule_does(
     training = TrainingSummary(m=m, mean=0.0, sigma_hat=sigma_hat)
     params = MonitoringParams(m=m, gamma=gamma, detector=detector, side=side,
                               horizon_factor=n / m + 1.0)
-    thresh = detectors._thresholds(sigma_hat * c, params, 0, n).tolist()
+    thresh = thresholds(sigma_hat * c, params, n).tolist()
     # k = CHUNK and 2 * CHUNK end a block (odd), the next k opens one
     spikes.update({i * CHUNK // 2 - odd: spike
                    for i, spike in enumerate(edge_spikes, start=1)})
