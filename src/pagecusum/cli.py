@@ -27,8 +27,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import wiener
 from .datagen import Garch11Spec
 from .detectors import Monitor, StoppingResult, run_monitor
@@ -87,6 +85,11 @@ def _read_config(path, schema) -> dict:
     return cfg
 
 
+def _from_config(cls, cfg, **keys):
+    """cls of the fields whose config key keys[field] cfg sets, or default."""
+    return cls(**{field: cfg[key] for field, key in keys.items() if key in cfg})
+
+
 def _read_series_csv(path):
     """Yield a single-column CSV's finite values (optional header 'x')."""
     value = None
@@ -113,9 +116,9 @@ def _read_series_csv(path):
 
 def _check_output(path, directory: bool) -> None:
     """Raise, naming path, the error that writing there would raise, before
-    any work is done: a file must not be a directory, and its parent must
-    exist; a directory, made with its missing parents, must not be an
-    existing non-directory, nor lie under one."""
+    any work is done: a path must not be empty, a file must not be a
+    directory and needs its parent, and a directory, made with its missing
+    parents, must not be an existing non-directory, nor lie under one."""
     parent = path if directory else os.path.dirname(path) or "."
     head = os.path.normpath(parent)  # the nearest existing ancestor
     while not os.path.exists(head) and head != os.path.dirname(head):
@@ -124,7 +127,7 @@ def _check_output(path, directory: bool) -> None:
         code = errno.EISDIR
     elif head and not os.path.isdir(head):
         code = errno.ENOTDIR
-    elif not (directory or os.path.isdir(parent)):
+    elif not (path and (directory or os.path.isdir(parent))):
         code = errno.ENOENT
     else:
         return
@@ -154,13 +157,13 @@ def _check_not_input(args, name, directory: bool) -> None:
 
 
 def _cmd_critvals(args) -> int:
-    _require(not args.out or args.reps >= wiener.MIN_CACHE_REPS,
+    _require(args.out is None or args.reps >= wiener.MIN_CACHE_REPS,
              f"--out needs --reps >= {wiener.MIN_CACHE_REPS}")
     est = wiener.estimate_critical_value(
         gamma=args.gamma, alpha=args.alpha, side=_SIDE_FLAG[args.side],
         detector=args.detector, reps=args.reps, T=args.grid, seed=args.seed,
         threads=args.threads)
-    if args.out:
+    if args.out is not None:
         wiener.save_estimate(est, args.out)
     print(json.dumps(est.to_json_dict()))
     return 0
@@ -208,28 +211,17 @@ def _cmd_generate(args) -> int:
         _require(key in cfg, f"config must set '{key}'")
     length = args.n if args.n is not None else cfg.get("length")
     _require(length is not None, "config must set 'length' (or pass --n)")
-    garch = Garch11Spec(omega=cfg["omega"], alpha_g=cfg.get("alpha", 0.0),
-                        beta_g=cfg.get("beta", 0.0),
-                        burn_in=cfg.get("burn_in", 500))
+    garch = _from_config(Garch11Spec, cfg, omega="omega", alpha_g="alpha",
+                         beta_g="beta", burn_in="burn_in")
     m = cfg["m"]
-    delta = cfg.get("delta", 0.0)
     scenario = None
-    if delta != 0.0:
+    if cfg.get("delta"):  # an unset or zero delta is change-free
         scenario = ChangeScenario.from_exponent(
-            delta, cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
-    # one replication, so each piece is (1, n) and its text one row per
-    # value; an overflow is rejected before the file opens
-    texts, done = ["x"], 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (x,) in experiments.location_paths(
-                garch, cfg.get("mu", 0.0), scenario, m, length, args.seed):
-            finite = np.isfinite(x)
-            if not finite.all():
-                raise ValidationError(
-                    f"value {done + int(np.argmin(finite)) + 1} of the "
-                    "series overflows to a non-finite number")
-            texts.append("\r\n".join(map(repr, x.tolist())))
-            done += x.size
+            cfg["delta"], cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
+    pieces = experiments.location_paths(garch, cfg.get("mu", 0.0), scenario,
+                                        m, length, args.seed)
+    # one replication's (1, n) pieces, all formed before the file opens
+    texts = ["x"] + ["\r\n".join(map(repr, x.tolist())) for (x,) in pieces]
     experiments.write_csv_text(args.out, texts)
     print(f"wrote {m + length} values to {args.out}")
     return 0
@@ -250,22 +242,20 @@ def _cmd_simulate(args) -> int:
     _require(cfg["delta"] != 0.0,
              "simulate needs delta != 0 (use the library empirical_size "
              "helper for null-hypothesis size studies)")
-    m = cfg["m"]
-    params = MonitoringParams(
-        m=m, gamma=cfg.get("gamma", 0.0), alpha=cfg.get("alpha", 0.1),
-        side=cfg.get("side", "one_sided"),
-        horizon_factor=cfg.get("horizon_factor", 20.0))
+    params = _from_config(MonitoringParams, cfg, m="m", gamma="gamma",
+                          alpha="alpha", side="side",
+                          horizon_factor="horizon_factor")
     if "kstar" in cfg:
         _require("theta" not in cfg and "beta_exp" not in cfg,
                  "give either kstar or theta/beta_exp, not both")
         scenario = ChangeScenario.at_kstar(cfg["delta"], cfg["kstar"])
     else:
         scenario = ChangeScenario.from_exponent(
-            cfg["delta"], cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
-    garch = Garch11Spec(omega=cfg["omega"],
-                        alpha_g=cfg.get("alpha_garch", 0.0),
-                        beta_g=cfg.get("beta_garch", 0.0),
-                        burn_in=cfg.get("burn_in", 500))
+            cfg["delta"], cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0),
+            params.m)
+    garch = _from_config(Garch11Spec, cfg, omega="omega",
+                         alpha_g="alpha_garch", beta_g="beta_garch",
+                         burn_in="burn_in")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     reps = cfg.get("reps", 5000)
     c_page, c_q = _resolve_pair(cfg, params.gamma, params.alpha, params.side,
@@ -334,7 +324,7 @@ def _traced_monitor(train, stream, params, c, path) -> StoppingResult:
 
 def _cmd_table1(args) -> int:
     from . import experiments
-    gammas = (0.0, 0.25, 0.45)
+    gammas = sorted({g for *_, gs in experiments.TABLE1_RULES for g in gs})
     pairs = [_resolve_pair({}, g, args.alpha, "one_sided", args.cache)
              for g in gammas]
     c_page, c_q = (dict(zip(gammas, cs)) for cs in zip(*pairs))

@@ -117,14 +117,15 @@ def summarize_training(x) -> TrainingSummary:
     return TrainingSummary(m=m, mean=float(mean[0]), sigma_hat=float(sd[0]))
 
 
-def _row_summaries(pieces):
+def _row_summaries(pieces, m=math.inf):
     """Each row's mean and sd (ddof=1) of the (count, m) training that
     pieces, (count, k) blocks of consecutive columns, split; it consumes
-    each block. A block whose rows are contiguous (a view past leading
-    columns will do) sums each row pairwise along its rows, as a 1-D
-    reduction does (an F-ordered block does not), so numpy's own variance
-    steps, in place, give each row's mean and sum of squared deviations ss
-    in the bits of row.mean() and of the sum that row.var() divides by k.
+    each block up to the one that completes m columns (by default, all).
+    A block whose rows are contiguous (a view past leading columns will
+    do) sums each row pairwise along its rows, as a 1-D reduction does (an
+    F-ordered block does not), so numpy's own variance steps, in place,
+    give each row's mean and sum of squared deviations ss in the bits of
+    row.mean() and of the sum that row.var() divides by k.
     Blocks are combined as they arrive by the pairwise update of Chan,
     Golub and LeVeque (1983), with n values so far:
 
@@ -150,6 +151,8 @@ def _row_summaries(pieces):
             mean = mean + d * (k / (n + k))
             ss = (ss + ss_x) + (d * d) * (n * k / (n + k))
         n += k
+        if n >= m:
+            break
     return mean, np.sqrt(ss / (n - 1))
 
 
@@ -372,8 +375,7 @@ class Monitor:
     The block's thresholds are formed only once a statistic reaches the
     floor, or when a call ends in the block, for self.threshold. So a feed
     of a stream that stays below its boundary forms one block, and update
-    (one observation per call) forms each block once, as the eager
-    schedule did.
+    (one observation per call) forms each block once.
 
     training is the raw training sample (length params.m) or a
     TrainingSummary. At most params.horizon observations can be fed. As a

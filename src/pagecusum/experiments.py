@@ -34,7 +34,6 @@ and regime keys from the fields of ChangeScenario, Garch11Spec and CaseLabel.
 
 import csv
 import functools
-import itertools
 import json
 import math
 import operator
@@ -99,7 +98,8 @@ def location_paths(garch: Garch11Spec, mu: float,
     stepped as it is in the whole block, so its values keep their bits.
     A plain next(), or a for loop, keeps every row. Raises
     ValidationError naming the replication whose GARCH variance overflows
-    in the piece being drawn.
+    in the piece being drawn, or whose value (numbered from 1 in the
+    series) overflows to a non-finite number when mu or delta is added.
     """
     _require_count(m, "m", 2)
     _require_count(length, "length", 1)
@@ -107,9 +107,17 @@ def location_paths(garch: Garch11Spec, mu: float,
     for n in [min(CHUNK, size - k0) for size in (m, length)
               for k0 in range(0, size, CHUNK)]:
         x = generate_garch11_batch(garch, n, count, seed, start, carry)
-        x += mu
-        if scenario is not None:
-            x[:, max(m + scenario.kstar - 1 - first, 0):] += scenario.delta
+        try:  # the sums raise on overflow, after filling in every value
+            with np.errstate(over="raise"):
+                x += mu
+                if scenario is not None:
+                    x[:, max(m + scenario.kstar - 1 - first, 0):] += \
+                        scenario.delta
+        except FloatingPointError:
+            row, col = divmod(int(np.argmin(np.isfinite(x))), n)
+            raise ValidationError(
+                f"replication {carry.streams[row]}: value {first + col + 1} "
+                "of the series overflows to a non-finite number") from None
         keep = yield x
         del x
         if keep is not None and len(keep) < count:
@@ -141,7 +149,7 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
     paths = location_paths(garch, mu, scenario, m, horizon, seed, start,
                            count)
     # the training pieces, one alive at a time; the stream pieces follow
-    mean, sd = _row_summaries(itertools.islice(paths, -(-m // CHUNK)))
+    mean, sd = _row_summaries(paths, m)
     rules = [(detector, sd * c) for detector, c in rules]
     ok = np.isfinite(mean)
     for _, scale in rules:

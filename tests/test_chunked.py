@@ -580,6 +580,28 @@ def test_an_overflowing_variance_is_named_not_returned():
         next(narrowed)
 
 
+def test_a_shift_that_overflows_is_named_not_returned():
+    # mu + delta overflows from the change at stream position 700, value
+    # 710 of the series, in the second stream piece; the sums raise,
+    # naming the first replication to overflow and the value, where they
+    # would return infinities
+    def paths():
+        return location_paths(GARCH, 1e308, ChangeScenario.at_kstar(
+            1e308, 700), 10, 1200, 3, 5, 3)
+    whole = paths()
+    assert next(whole).shape == (3, 10)
+    assert np.isfinite(next(whole)).all()
+    with pytest.raises(ValidationError, match="^replication 5: value 710 of "
+                       "the series overflows to a non-finite number$"):
+        next(whole)
+    # with path 0 narrowed away, path 1 (now at position 0) is named
+    narrowed = paths()
+    next(narrowed)
+    assert narrowed.send([1, 2]).shape == (2, CHUNK)
+    with pytest.raises(ValidationError, match="^replication 6: value 710 "):
+        next(narrowed)
+
+
 def test_the_pieces_after_the_first_share_one_spec(monkeypatch):
     # location_paths forms the burn-in-free spec of its later pieces once
     specs = []

@@ -485,6 +485,35 @@ class TestSimulateCommand:
                                "--out", str(tmp_path / "out"))
         assert code == 2 and "unknown key" in err
 
+    def test_theta_beta_exp_config_equals_its_kstar(self, capsys, tmp_path):
+        # floor(1000**0.75) = 177: the same data and stopping times, and a
+        # meta.json that differs in the scenario's exponent and its regime
+        # (III, against at_kstar's regime I at gamma = 0.25)
+        config = ("m = 1000\ngamma = 0.25\ndelta = 1.5\nkstar = 177\n"
+                  "horizon_factor = 0.5\nreps = 20\nseed = 3\nomega = 0.5\n"
+                  "burn_in = 0\nc_page = 1.8\nc_q = 1.9\n")
+        outs = {}
+        for name, text in (("kstar", config), ("exponent", config.replace(
+                "kstar = 177", "theta = 1\nbeta_exp = 0.75"))):
+            (tmp_path / name).write_text(text)
+            code, _, _ = run_cli(capsys, "simulate", "--config",
+                                 str(tmp_path / name), "--out",
+                                 str(tmp_path / f"{name}-out"))
+            assert code == 0
+            outs[name] = tmp_path / f"{name}-out"
+        for n in ("records.csv", "density_page.csv", "density_q.csv",
+                  "density_tilde.csv"):
+            assert (outs["kstar"] / n).read_bytes() == \
+                (outs["exponent"] / n).read_bytes()
+        kstar, exponent = (json.loads((outs[name] / "meta.json").read_text())
+                           for name in ("kstar", "exponent"))
+        assert {key for key in kstar if kstar[key] != exponent[key]} == \
+            {"theta", "beta", "case"}
+        assert (kstar["theta"], kstar["beta"], kstar["case"]["variant"]) == \
+            (177.0, 0.0, "I")
+        assert (exponent["theta"], exponent["beta"],
+                exponent["case"]["variant"]) == (1.0, 0.75, "III")
+
     def test_delta_zero_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(SIM_CONFIG.replace("delta = 1.5", "delta = 0"))
@@ -595,6 +624,43 @@ def test_non_finite_flag_or_config_value_exits_2(capsys, tmp_path, argv):
         "delta = 1.0", "delta = nan"))
     code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-cdf", "--case", "I", "--x", "abc"],
+    ["monitor", "--train", "{train}", "--stream", "{train}", "--gamma",
+     "abc"],
+    ["simulate", "--config", "{sim}", "--out", "{out}"],
+    ["generate", "--spec", "{gen}", "--out", "{out}"],
+], ids=["limit-cdf", "monitor", "simulate", "generate"])
+def test_a_value_that_is_not_a_number_exits_2(capsys, tmp_path, argv):
+    paths = {name: str(tmp_path / name)
+             for name in ("train", "sim", "gen", "out")}
+    write_series(tmp_path / "train", np.random.default_rng(5)
+                 .standard_normal(50))
+    (tmp_path / "sim").write_text(SIM_CONFIG.replace("gamma = 0.0",
+                                                     "gamma = abc"))
+    (tmp_path / "gen").write_text(TestGenerateCommand.CONFIG.replace(
+        "delta = 1.0", "delta = abc"))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert "not a finite number: 'abc'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, config, lineno", [
+    ("generate", "--spec", TestGenerateCommand.CONFIG + "m 5\n", 11),
+    ("simulate", "--config", "# a study\n\nm: 60\n", 3)],
+    ids=["generate", "simulate"])
+def test_a_config_line_without_equals_exits_2(capsys, tmp_path, command,
+                                              flag, config, lineno):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, command, flag, str(cfg), "--out",
+                             str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:{lineno}: expected key=value\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestStreamReadAsMonitored:
@@ -835,12 +901,15 @@ OUTPUT_COMMANDS = {
                 [("experiments", "read_records_csv"),
                  ("experiments", "densities_from_records")]),
 }
-# (bad path, reason) of a file output and of a directory output
+# (bad path, reason) of a file output and of a directory output; an empty
+# path is given as it is, the others under tmp_path
 BAD_FILE_OUTPUTS = {"a-directory": ("d", "Is a directory"),
                     "missing-parent": ("none/x", "No such file or directory"),
-                    "parent-is-a-file": ("f/x", "Not a directory")}
+                    "parent-is-a-file": ("f/x", "Not a directory"),
+                    "empty": ("", "No such file or directory")}
 BAD_DIR_OUTPUTS = {"a-file": ("f", "Not a directory"),
-                   "under-a-file": ("f/sub", "Not a directory")}
+                   "under-a-file": ("f/sub", "Not a directory"),
+                   "empty": ("", "No such file or directory")}
 
 
 def _bad_output_cases():
@@ -881,10 +950,11 @@ def test_a_bad_output_path_exits_2_before_any_work(capsys, tmp_path,
     before = _tree(tmp_path)
     paths = {name: str(tmp_path / name)
              for name in ("gen", "sim", "records", "train")}
-    code, out, err = run_cli(capsys, *(arg.format(bad=str(tmp_path / bad),
-                                                  **paths) for arg in argv))
+    bad = bad and str(tmp_path / bad)
+    code, out, err = run_cli(capsys, *(arg.format(bad=bad, **paths)
+                                       for arg in argv))
     assert (code, out, calls) == (2, "", [])
-    assert err == f"error: {tmp_path / bad}: {reason}\n"
+    assert err == f"error: {bad}: {reason}\n"
     assert _tree(tmp_path) == before
 
 

@@ -502,8 +502,8 @@ def test_study_sigma_hat_equals_summarize_training(m, count, start, seed, mu):
     seen = []
     real = experiments._row_summaries
 
-    def spy(pieces):
-        seen.append(real(pieces))
+    def spy(*args):
+        seen.append(real(*args))
         return seen[-1]
 
     params = MonitoringParams(m=m, horizon_factor=0.01)

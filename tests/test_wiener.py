@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -334,6 +335,15 @@ class TestCache:
             load_estimate(tmp_path / "cv.json")
         assert resolve_critical_value(0.0, 0.05, "one_sided", "ordinary",
                                       cache_dir=tmp_path) == 1.95996
+
+    def test_a_file_not_named_json_is_skipped(self, tmp_path):
+        save_estimate(self.make_estimate(c=9.99), tmp_path / "cv.txt")
+        assert resolve_critical_value(0.25, 0.1, "one_sided", "page",
+                                      cache_dir=tmp_path) == \
+            REFERENCE_CRITICAL_VALUES[(0.25, 0.10, "one_sided", "page")]
+        os.rename(tmp_path / "cv.txt", tmp_path / "cv.json")
+        assert resolve_critical_value(0.25, 0.1, "one_sided", "page",
+                                      cache_dir=tmp_path) == 9.99
 
     def test_resolution_order(self, tmp_path):
         est = self.make_estimate(c=9.99)
