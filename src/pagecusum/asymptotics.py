@@ -42,9 +42,20 @@ def _check_delta_sigma(delta, sigma):
     _require(0.0 < sigma < math.inf, "sigma must be positive and finite")
 
 
+def _root_power(base: float, gamma: float, what: str) -> float:
+    """base ** (1 / (1 - gamma)) for base >= 0; ValidationError naming what
+    when it overflows, to inf or with the OverflowError a float ** raises."""
+    try:
+        value = base ** (1.0 / (1.0 - gamma))
+    except OverflowError:
+        value = math.inf
+    _require(value < math.inf, f"{what} overflows a float")
+    return value
+
+
 def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
               gamma: float = 0.0) -> float:
-    """Centering sequence a_m(c); always >= kstar.
+    """Centering sequence a_m(c) >= kstar; ValidationError if it overflows.
 
     gamma = 0 has the closed form sigma*c*sqrt(m)/|delta| + kstar. Otherwise
     the fixed point of x -> (K + kstar/x**gamma)**(1/(1-gamma)) with
@@ -57,11 +68,10 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
     _check_common(c, m, kstar, delta, sigma, gamma)
     K = sigma * c * m ** (0.5 - gamma) / abs(delta)
     if gamma == 0.0:
-        return K + kstar
-    p = 1.0 / (1.0 - gamma)
-    x = max(float(kstar), K ** p)
+        return _root_power(K + kstar, gamma, "a_m")
+    x = max(float(kstar), _root_power(K, gamma, "a_m"))
     for _ in range(200):
-        x_next = (K + kstar / x ** gamma) ** p
+        x_next = _root_power(K + kstar / x ** gamma, gamma, "a_m")
         if abs(x_next - x) <= 1e-12 * x_next:
             return x_next
         x = x_next
@@ -137,8 +147,8 @@ def compute_N(m: int, x: float, c: float, kstar: int, delta: float,
     """Deterministic index N(m, x) with P(tau > N(m, x)) -> Psi_bar(x).
 
     Strictly decreasing in x, with N(m, 0) = a_m (at x = 0 the x-term drops
-    and the bracket is exactly a_m**(1-gamma)). Raises when x is not finite
-    or so large that the bracket is nonpositive.
+    and the bracket is exactly a_m**(1-gamma)). Raises when x is not finite,
+    so large that the bracket is nonpositive, or N overflows a float.
     """
     _check_common(c, m, kstar, delta, sigma, gamma)
     _require(math.isfinite(x), "x must be finite")
@@ -151,7 +161,8 @@ def compute_N(m: int, x: float, c: float, kstar: int, delta: float,
     if bracket <= 0.0:
         raise ValidationError(
             f"x = {x} is out of range for this scenario (nonpositive bracket)")
-    return bracket ** (1.0 / (1.0 - gamma))
+    return _root_power(bracket, gamma, f"N(m, x) at x = {x}")
+
 
 
 @dataclass(frozen=True)

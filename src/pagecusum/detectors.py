@@ -20,9 +20,9 @@ crossing, and whose update(x) feeds one observation. run_monitor feeds every
 stream, materialized or lazy, to Monitor.feed.
 
 The many-path studies scan every path a chunk at a time with first_stops,
-calibrated as a Monitor is: _row_summaries gives sigma_hat, and _boundary
-g(m, k) a block of indices at a time, formed once per chunk for all rules,
-each multiplying it by its own sigma_hat * c. partial_sums adds in
+calibrated as a Monitor is, from _row_summaries' mean and sd and c, and
+checked at the horizon on _boundary_at; _boundary gives g(m, k) a block of
+indices at a time, once per chunk for all rules. partial_sums adds in
 Monitor's order, over each chunk's own array, and chunk_statistic forms the
 statistics, so both give the same tau, statistic and threshold bits.
 
@@ -110,13 +110,13 @@ def summarize_training(x) -> TrainingSummary:
     _require(m >= 2, "training period needs at least 2 observations")
     _require(bool(np.isfinite(arr).all()),
              "training data contain a non-finite value")
-    # finite data whose mean or sd overflows fail TrainingSummary's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = _row_summaries(arr[None, k0:k0 + CHUNK].copy()
-                                  for k0 in range(0, m, CHUNK))
+    mean, sd = _row_summaries(arr[None, k0:k0 + CHUNK].copy()
+                              for k0 in range(0, m, CHUNK))
     return TrainingSummary(m=m, mean=float(mean[0]), sigma_hat=float(sd[0]))
 
 
+# a mean or sd that overflows is non-finite, and its callers reject it
+@np.errstate(over="ignore", invalid="ignore")
 def _row_summaries(pieces, m=math.inf):
     """Each row's mean and sd (ddof=1) of the (count, m) training that
     pieces, (count, k) blocks of consecutive columns, split; it consumes
@@ -162,6 +162,11 @@ def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:
     return math.sqrt(m) * (1.0 + k / m) * (k / (k + m)) ** gamma
 
 
+def _boundary_at(m: int, k: float, gamma: float) -> float:
+    """g(m, k) at one k, on a one-element array: 0-d numpy may round apart."""
+    return float(_boundary(m, np.array([k], dtype=float), gamma)[0])
+
+
 def boundary_g(m: int, k, gamma: float):
     """Boundary curve g(m, k) = sqrt(m) * (1 + k/m) * (k/(k+m))**gamma.
 
@@ -173,9 +178,7 @@ def boundary_g(m: int, k, gamma: float):
     karr = np.asarray(k, dtype=float)
     _require(bool(np.all(karr >= 1)), "k must be >= 1")
     if np.isscalar(k):
-        # numpy's 0-d arithmetic can round a scalar k one ulp away from the
-        # same k in an array; a one-element array gives the array's bits
-        return float(_boundary(m, karr.reshape(1), gamma)[0])
+        return _boundary_at(m, karr, gamma)
     return _boundary(m, karr, gamma)
 
 
@@ -239,12 +242,12 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 # overflow only makes Q(m, k) non-finite, and that is rejected on every path
 # up to its stop
 @np.errstate(over="ignore", invalid="ignore")
-def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
-                live: np.ndarray, first: int):
+def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
+                params: MonitoringParams, first: int):
     """Each path's 1-based stopping time under each rule, 0 where it never
-    stops; it overwrites its chunks. mean holds the training means, rules
-    (detector, sigma_hat * c) pairs with a scale per path, params gives m,
-    gamma and the side, and live marks the paths that may stop.
+    stops; it overwrites its chunks. mean and sd hold the training means
+    and sds, rules (detector, c) pairs, params m, gamma, side and horizon.
+    A path is live if its sd is above 0; a dead one never stops.
 
     chunks is a generator paused before the stream, as location_paths is
     after its training. Each block of the next observations is asked for
@@ -257,13 +260,18 @@ def first_stops(chunks, mean: np.ndarray, rules, params: MonitoringParams,
     scales are kept for the open paths only. Only the open paths that the
     bound of the module docstring cannot settle are scanned exactly.
     Raises ValidationError naming replication first + i when path i's
-    Q(m, k) turns non-finite before it has stopped under every rule."""
+    mean, horizon threshold or unsettled Q(m, k) is non-finite."""
     m, gamma, side = params.m, params.gamma, params.side
+    scales = [sd * c for _, c in rules]
+    g_top = _boundary_at(m, params.horizon, gamma)
+    ok = np.isfinite([mean, *np.multiply(scales, g_top)]).all(axis=0)
+    _require(ok.all(), f"replication {first + int(np.argmin(ok))}: "
+             "training mean, sd or threshold is non-finite")
     taus = [np.zeros(mean.size, dtype=np.int64) for _ in rules]
     # idx: the open paths, as indices of mean; keep: their positions among
-    # the rows of the last chunk
-    idx = keep = np.flatnonzero(live)
-    mean, scales = mean[idx], [scale[idx] for _, scale in rules]
+    # the rows of the last chunk; at first, the live paths
+    idx = keep = np.flatnonzero(sd > 0.0)
+    mean, scales = mean[idx], [scale[idx] for scale in scales]
     q_end = q_min = q_max = np.zeros(idx.size)  # none is written in place
     k0 = 0
     while idx.size:
@@ -395,11 +403,8 @@ class Monitor:
                  f"training length {training.m} does not match params.m "
                  f"{params.m}")
         scale = training.sigma_hat * c
-        # g at the horizon in the bits of a block's array; the product on
-        # floats overflows without a numpy warning
-        g = _boundary(params.m, np.array([params.horizon], dtype=float),
-                      params.gamma)
-        _require(math.isfinite(scale * float(g[0])),
+        g_top = _boundary_at(params.m, params.horizon, params.gamma)
+        _require(math.isfinite(scale * g_top),
                  f"threshold is non-finite at k = {params.horizon}")
         self.training, self.params, self.c = training, params, c
         self.k = 0

@@ -44,7 +44,8 @@ import numpy as np
 
 from .asymptotics import compute_b_m, compute_normalization, solve_a_m
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
-from .detectors import _row_summaries, boundary_g, first_stops
+# boundary_g, uncalled, stays a global here for the benchmark's tracer
+from .detectors import _row_summaries, boundary_g, first_stops  # noqa: F401
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
                     _require, _require_count, resolve_kstar, validate_scenario)
 from .rng import _map_blocks
@@ -88,8 +89,8 @@ def location_paths(garch: Garch11Spec, mu: float,
     multiples of CHUNK from its start, so the last piece of the training
     may be short, and np.concatenate(list(...), axis=1) gives the whole
     series, to be split at column m. A piece is drawn only when asked
-    for, and the generator keeps none it has handed out. Raises
-    ValidationError at the first piece unless m >= 2 and length >= 1.
+    for, and the generator keeps none it has handed out. At the first
+    piece, raises ValidationError on m < 2, length < 1 or a non-finite mu.
 
     A caller that needs only some of the paths narrows the rest away: it
     sends the generator the ascending positions, among the rows of the
@@ -103,6 +104,7 @@ def location_paths(garch: Garch11Spec, mu: float,
     """
     _require_count(m, "m", 2)
     _require_count(length, "length", 1)
+    _require(math.isfinite(mu), "mu must be finite")
     carry, first = GarchCarry(), 0  # first: 0-based index of a piece's start
     for n in [min(CHUNK, size - k0) for size in (m, length)
               for k0 in range(0, size, CHUNK)]:
@@ -128,38 +130,19 @@ def location_paths(garch: Garch11Spec, mu: float,
         first += n
 
 
-# overflow only makes values non-finite, and each one that matters is
-# rejected, here or by first_stops
-@np.errstate(over="ignore", invalid="ignore")
 def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
                 seed: int, start: int, count: int, rules, scenario=None):
     """First crossings of each (detector, c) rule on the location_paths
     replications [start, start + count), under scenario or, with None,
     change-free: one int array per rule of each path's 1-based stopping
     time, 0 when the path did not stop or its training sample is
-    constant. detectors.first_stops narrows the block to the live paths
-    before the first stream piece and to the open ones after each, so a
-    path is drawn only up to the piece where it has stopped under every
-    rule. Raises ValidationError naming the first replication whose
-    training mean, sd or threshold is non-finite, or whose Q(m, k) turns
-    non-finite before the path has stopped under every rule.
-    """
-    m, horizon = params.m, params.horizon
-    g_top = boundary_g(m, horizon, params.gamma)
-    paths = location_paths(garch, mu, scenario, m, horizon, seed, start,
-                           count)
+    constant. detectors.first_stops narrows the block as paths settle.
+    Raises ValidationError as location_paths and first_stops do."""
+    paths = location_paths(garch, mu, scenario, params.m, params.horizon,
+                           seed, start, count)
     # the training pieces, one alive at a time; the stream pieces follow
-    mean, sd = _row_summaries(paths, m)
-    rules = [(detector, sd * c) for detector, c in rules]
-    ok = np.isfinite(mean)
-    for _, scale in rules:
-        ok &= np.isfinite(scale * g_top)
-    if not ok.all():
-        raise ValidationError(
-            f"replication {start + int(np.argmin(ok))}: training mean, sd or "
-            "threshold is non-finite")
-    # a constant training sample never stops
-    return first_stops(paths, mean, rules, params, sd > 0.0, start)
+    return first_stops(paths, *_row_summaries(paths, params.m), rules,
+                       params, start)
 
 
 def run_replications(params: MonitoringParams, scenario: ChangeScenario,
@@ -172,7 +155,6 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
     so the result is identical for any thread count or block size.
     """
     _require_count(reps, "reps", 1)
-    _require(math.isfinite(mu), "mu must be finite")
     validate_scenario(scenario, params.m)
     norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
     norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
@@ -206,7 +188,6 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
     """
     _require_count(reps, "reps", 1)
     _require(0.0 < c < math.inf, "critical value must be positive and finite")
-    _require(math.isfinite(mu), "mu must be finite")
     fn = functools.partial(_block_taus, params, garch, mu, seed,
                            rules=((params.detector, c),))
     parts = _map_blocks(fn, reps, _BLOCK, threads)
@@ -344,7 +325,7 @@ def write_records_csv(records, path) -> None:
 def read_records_csv(path) -> list[ReplicationRecord]:
     """Records of a write_records_csv file; an empty field reads as None.
     Raises ValidationError naming the row (1 is the first after the header)
-    and column of a field that does not parse."""
+    and column of a field that does not parse, or of a non-finite nu."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, rows = next(reader, None), list(reader)
@@ -356,11 +337,14 @@ def read_records_csv(path) -> list[ReplicationRecord]:
     def parse(i, name, v):
         kind = float if name.startswith("nu_") else int
         try:
-            return kind(v) if v else None
+            x = kind(v) if v else None
+            if kind is int or x is None or math.isfinite(x):
+                return x
+            what = "finite"
         except ValueError:
-            raise ValidationError(
-                f"records row {i}, column {name}: {v!r} is not "
-                f"{'a number' if kind is float else 'an integer'}") from None
+            what = "a number" if kind is float else "an integer"
+        raise ValidationError(
+            f"records row {i}, column {name}: {v!r} is not {what}")
 
     return [ReplicationRecord(*(parse(i, name, v)
                                 for name, v in zip(header, row)))

@@ -214,6 +214,27 @@ class TestNonFiniteInputs:
             compute_N(100, bad, 1.645, 1, 1.0, 1.0, 0.0, a)
 
 
+class TestOverflow:
+    """A finite c, delta or x whose a_m or N(m, x) lies past the largest
+    float raises, not OverflowError, ZeroDivisionError or inf."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.45])
+    @pytest.mark.parametrize("c, delta", [(1e300, 1e-300), (1e307, 1.0)])
+    def test_solve_a_m(self, gamma, c, delta):
+        with pytest.raises(ValidationError, match="^a_m overflows a float"):
+            solve_a_m(c, 1000, 1, delta, 1.0, gamma)
+        with pytest.raises(ValidationError, match="^a_m overflows a float"):
+            compute_normalization(c, 1000, ChangeScenario.at_kstar(delta, 1),
+                                  gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.45])
+    def test_compute_N(self, gamma):
+        a = solve_a_m(2.0, 1000, 1, 1.0, 1.0, gamma)
+        with pytest.raises(ValidationError, match=r"^N\(m, x\) at x = "
+                           r"-1e\+308 overflows a float$"):
+            compute_N(1000, -1e308, 2.0, 1, 1.0, 1.0, gamma, a)
+
+
 class TestComputeN:
     def test_center_at_zero(self):
         for gamma in (0.0, 0.25, 0.45):

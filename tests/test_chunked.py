@@ -129,21 +129,20 @@ def sent_pieces(y, widths, drawn=None):
        side=st.sampled_from(["one_sided", "two_sided"]))
 def test_chunked_scan_equals_one_chunk(data, mean, cuts, side):
     y = np.array(data)[None, :]
-    mean = np.array([mean])
+    mean, sd = np.array([mean]), np.ones(1)
     # critical values from "most steps cross" to "none does"
-    rules = [(d, np.array([c])) for d in ("page", "ordinary")
+    rules = [(d, c) for d in ("page", "ordinary")
              for c in (1e-3, 0.5, 5.0, 50.0, 1e4)]
     params = MonitoringParams(m=10, gamma=0.25, side=side)
-    live = np.ones(1, dtype=bool)
-    whole = first_stops(sent_pieces(y, [y.shape[1]]), mean, rules, params,
-                        live, 0)
+    whole = first_stops(sent_pieces(y, [y.shape[1]]), mean, sd, rules,
+                        params, 0)
     widths, k = [], 0
     for n in cuts + [y.shape[1]]:
         if k >= y.shape[1]:
             break
         widths.append(min(n, y.shape[1] - k))
         k += n
-    parts = first_stops(sent_pieces(y, widths), mean, rules, params, live, 0)
+    parts = first_stops(sent_pieces(y, widths), mean, sd, rules, params, 0)
     for got, want in zip(parts, whole):
         assert np.array_equal(got, want)
 
@@ -195,25 +194,43 @@ def test_a_nan_bound_is_scanned_not_skipped(detector, side):
     # NaN, yet the path crosses at k = 1, before Q(m, k) turns non-finite
     y = np.array([[5.0, -1.7e308, -1.7e308]])
     params = MonitoringParams(m=2, side=side, detector=detector)
-    [tau] = first_stops(sent_pieces(y, [3]), np.zeros(1),
-                        [(detector, np.ones(1))], params,
-                        np.ones(1, dtype=bool), 0)
+    [tau] = first_stops(sent_pieces(y, [3]), np.zeros(1), np.ones(1),
+                        [(detector, 1.0)], params, 0)
     assert tau.tolist() == [1]
 
 
 def test_scan_draws_no_chunk_after_every_path_stops():
     # every live path crosses on its first step, so one chunk decides them
-    # all; a path that may not stop is never drawn, and does not keep the
-    # scan drawing
+    # all; a dead path (sd 0) is never drawn, and does not keep the scan
+    # drawing
     drawn = []
-    rules = [(d, np.ones(3)) for d in ("page", "ordinary")]
-    live = np.array([True, False, True])
+    rules = [(d, 1.0) for d in ("page", "ordinary")]
+    sd = np.array([1.0, 0.0, 1.0])
     taus = first_stops(sent_pieces(np.full((3, 4 * CHUNK), 1e3), [CHUNK] * 4,
                                    drawn),
-                       np.zeros(3), rules, MonitoringParams(m=50), live, 0)
+                       np.zeros(3), sd, rules, MonitoringParams(m=50), 0)
     assert drawn == [(0, [0, 2])]
     for tau in taus:
         assert tau.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("mean, sd, bad", [
+    ([0.0, np.nan, 0.0], [0.0, 1.0, 1.0], 1),
+    ([0.0, 0.0, -np.inf], [0.0, 1.0, 1.0], 2),
+    # sd * c * g(m, horizon) overflows, with g(50, 1000) about 148
+    ([0.0, 0.0, 0.0], [0.0, 1.0, 1e307], 2),
+])
+def test_a_non_finite_mean_or_horizon_threshold_is_named(mean, sd, bad):
+    # path 0 is dead (sd 0), and the error names the bad path, first + bad,
+    # before any chunk is drawn
+    drawn = []
+    chunks = sent_pieces(np.zeros((3, CHUNK)), [CHUNK], drawn)
+    with pytest.raises(ValidationError, match=f"^replication {7 + bad}: "
+                       "training mean, sd or threshold is non-finite$"):
+        first_stops(chunks, np.array(mean), np.array(sd),
+                    [("page", 1.0), ("ordinary", 1.0)],
+                    MonitoringParams(m=50), 7)
+    assert drawn == []
 
 
 GARCH = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=20)

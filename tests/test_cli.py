@@ -127,6 +127,20 @@ class TestAsymptoticsCommand:
         assert payload["d1"] == pytest.approx(0.2763, abs=1e-3)
         assert payload["N"] < payload["a_m"]
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--gamma", "0.45", "--delta", "1", "--c", "1e200"], "a_m"),
+        (["--gamma", "0.25", "--delta", "1e-300", "--c", "1e300"], "a_m"),
+        (["--gamma", "0", "--delta", "1e-300", "--c", "1e300"], "a_m"),
+        (["--gamma", "0.45", "--delta", "1", "--c", "2", "--x=-1e200"],
+         "N(m, x) at x = -1e+200"),
+        (["--gamma", "0", "--delta", "1", "--c", "2", "--x=-1e308"],
+         "N(m, x) at x = -1e+308")])
+    def test_an_overflow_exits_2(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, "asymptotics", "--m", "1000",
+                                 "--kstar", "1", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} overflows a float\n"
+
     def test_kstar_and_theta_are_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "asymptotics", "--m", "100", "--gamma",
                                "0", "--kstar", "1", "--theta", "1", "--beta",
@@ -555,6 +569,21 @@ class TestDensityCommand:
         assert f"records row 2, column {column}: {value!r} is not {kind}" \
             in err
         assert not (tmp_path / "dens").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_nu_exits_2_and_keeps_the_density_files(
+            self, capsys, tmp_path, value):
+        # a NaN sd would skip the column, and the stale file be removed
+        path = tmp_path / "records.csv"
+        path.write_text(RECORDS.replace("0.1", value, 1))
+        kept = tmp_path / "density_page.csv"
+        kept.write_text("x,density\n0.0,1.0\n")
+        code, out, err = run_cli(capsys, "density", "--records", str(path),
+                                 "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"records row 1, column nu_page: {value!r} is not finite" \
+            in err
+        assert kept.read_text() == "x,density\n0.0,1.0\n"
 
 
 class TestTable1Command:

@@ -217,6 +217,13 @@ class TestGenerateStream:
                 3 * CHUNK, seed=2, count=3), maxlen=0)
         assert alive == [[False] * i for i in range(4)]
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected_at_the_first_piece(self, mu):
+        # mu + eps would be all NaN or all inf, with no overflow to flag it
+        with pytest.raises(ValidationError, match="^mu must be finite$"):
+            next(location_paths(Garch11Spec(omega=1.0, burn_in=0), mu, None,
+                                3, 2, seed=0))
+
     def test_post_change_mean_shift(self):
         delta = 0.75
         _, stream = np.split(series(STUDY_GARCH, 0.2,

@@ -89,9 +89,9 @@ def first_stops_tau(training, stream, params, c):
 
     chunks = pieces()
     next(chunks)
-    rules = [(params.detector, np.array([training.sigma_hat * c]))]
-    (tau,) = detectors.first_stops(chunks, np.array([training.mean]), rules,
-                                   params, np.ones(1, dtype=bool), 0)
+    (tau,) = detectors.first_stops(chunks, np.array([training.mean]),
+                                   np.array([training.sigma_hat]),
+                                   [(params.detector, c)], params, 0)
     return int(tau[0])
 
 

@@ -314,6 +314,9 @@ class TestRecordsIo:
         "rep,tau_page,tau_q,nu_page,nu_q\n",
         "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,0.5\n",
         "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,0.5,0.5,9\n",
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,nan,0.5,0.5\n",
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,-inf,0.5\n",
+        "rep,tau_page,tau_q,nu_page,nu_q,nu_tilde\n0,1,1,0.5,0.5,inf\n",
     ])
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "records.csv"

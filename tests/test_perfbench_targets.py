@@ -46,11 +46,10 @@ def test_traced_study_records_its_layer_spans(tmp_path):
     assert len(tracer.select("experiments.write_density_csv")) == 3
 
 
-def test_traced_size_run_records_generation_and_boundary_spans():
-    # the tracer wraps generate_garch11_batch and boundary_g only as
-    # experiments globals and names a span after the defining module, so
-    # these spans exist only if location_paths and _block_taus call the
-    # globals; without them
+def test_traced_size_run_records_generation_spans():
+    # the tracer wraps generate_garch11_batch only as an experiments global
+    # and names a span after the defining module, so this span exists only
+    # if location_paths calls the global; without it
     # datagen.garch_batch_ns and datagen.samples_generated read 0
     params = MonitoringParams(m=50, horizon_factor=12.0)
     garch = Garch11Spec(omega=0.5, alpha_g=0.2, beta_g=0.3, burn_in=10)
@@ -61,7 +60,7 @@ def test_traced_size_run_records_generation_and_boundary_spans():
     finally:
         tracer.uninstall()
     for name in ("experiments.empirical_size",
-                 "datagen.generate_garch11_batch", "detectors.boundary_g"):
+                 "datagen.generate_garch11_batch"):
         assert tracer.select(name), name
     # the training block, then at least the first chunk of the stream
     assert len(tracer.select("datagen.generate_garch11_batch")) >= 2
