@@ -169,21 +169,23 @@ def _cmd_critvals(args) -> int:
     return 0
 
 
-def _scenario_from_args(args) -> ChangeScenario:
-    if args.kstar is not None:
-        _require(args.theta is None and args.beta is None,
-                 "give either --kstar or --theta/--beta, not both")
-        return ChangeScenario.at_kstar(args.delta, args.kstar,
-                                       sigma=args.sigma)
-    _require(args.theta is not None and args.beta is not None,
-             "need --kstar or both --theta and --beta")
-    return ChangeScenario.from_exponent(args.delta, args.theta, args.beta,
-                                        args.m, sigma=args.sigma)
+def _scenario(delta, m, kstar, theta, beta, sigma) -> ChangeScenario:
+    """The shift delta at kstar, or at floor(theta * m**beta) with theta 1
+    and beta 0 unless set; kstar together with theta or beta is an error."""
+    if kstar is None:
+        return ChangeScenario.from_exponent(
+            delta, 1.0 if theta is None else theta,
+            0.0 if beta is None else beta, m, sigma=sigma)
+    _require(theta is None and beta is None,
+             "give either kstar or theta/beta (beta_exp in a config), "
+             "not both")
+    return ChangeScenario.at_kstar(delta, kstar, sigma=sigma)
 
 
 def _cmd_asymptotics(args) -> int:
     from . import asymptotics as asym
-    scenario = _scenario_from_args(args)
+    scenario = _scenario(args.delta, args.m, args.kstar, args.theta,
+                         args.beta, args.sigma)
     norm = asym.compute_normalization(args.c, args.m, scenario, args.gamma)
     payload = {"a_m": norm.a_m, "b_m": norm.b_m, "case": norm.case.variant}
     if norm.case.d1 is not None:
@@ -216,8 +218,9 @@ def _cmd_generate(args) -> int:
     m = cfg["m"]
     scenario = None
     if cfg.get("delta"):  # an unset or zero delta is change-free
-        scenario = ChangeScenario.from_exponent(
-            cfg["delta"], cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0), m)
+        scenario = _scenario(cfg["delta"], m, None, cfg.get("theta"),
+                             cfg.get("beta_exp"),
+                             math.sqrt(garch.unconditional_variance))
     pieces = experiments.location_paths(garch, cfg.get("mu", 0.0), scenario,
                                         m, length, args.seed)
     # one replication's (1, n) pieces, all formed before the file opens
@@ -245,17 +248,12 @@ def _cmd_simulate(args) -> int:
     params = _from_config(MonitoringParams, cfg, m="m", gamma="gamma",
                           alpha="alpha", side="side",
                           horizon_factor="horizon_factor")
-    if "kstar" in cfg:
-        _require("theta" not in cfg and "beta_exp" not in cfg,
-                 "give either kstar or theta/beta_exp, not both")
-        scenario = ChangeScenario.at_kstar(cfg["delta"], cfg["kstar"])
-    else:
-        scenario = ChangeScenario.from_exponent(
-            cfg["delta"], cfg.get("theta", 1.0), cfg.get("beta_exp", 0.0),
-            params.m)
     garch = _from_config(Garch11Spec, cfg, omega="omega",
                          alpha_g="alpha_garch", beta_g="beta_garch",
                          burn_in="burn_in")
+    scenario = _scenario(cfg["delta"], params.m, cfg.get("kstar"),
+                         cfg.get("theta"), cfg.get("beta_exp"),
+                         math.sqrt(garch.unconditional_variance))
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     reps = cfg.get("reps", 5000)
     c_page, c_q = _resolve_pair(cfg, params.gamma, params.alpha, params.side,

@@ -153,6 +153,8 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
 
     Deterministic given seed: replication r always uses RNG stream (seed, r),
     so the result is identical for any thread count or block size.
+    scenario.sigma is the sigma of the normalizations a_m and b_m; for these
+    errors it is sqrt(garch.unconditional_variance), and it moves no tau.
     """
     _require_count(reps, "reps", 1)
     validate_scenario(scenario, params.m)

@@ -24,6 +24,9 @@ DETECTORS = ("ordinary", "page")
 # |eta| below this is treated as the knife-edge regime II
 ETA_TOL = 1e-12
 
+# the largest count: a float holds every integer up to 2**53 exactly
+MAX_COUNT = 2 ** 53
+
 
 class ValidationError(ValueError):
     """A parameter violates its documented domain."""
@@ -35,10 +38,12 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _require_count(value, name: str, least: int) -> None:
-    """value must be an integer (not a bool, not a float) >= least."""
+    """value must be an integer (not a bool, not a float) >= least and at
+    most MAX_COUNT."""
     _require(isinstance(value, numbers.Integral)
              and not isinstance(value, bool) and value >= least,
              f"{name} must be an integer >= {least}")
+    _require(value <= MAX_COUNT, f"{name} must be at most 2**53")
 
 
 def _require_gamma(gamma: float) -> None:
@@ -76,6 +81,8 @@ class MonitoringParams:
         _require(self.detector in DETECTORS, f"detector must be one of {DETECTORS}")
         _require(0.0 < self.horizon_factor < math.inf,
                  "horizon_factor must be positive and finite")
+        _require(self.horizon_factor * self.m <= MAX_COUNT,
+                 "the horizon, horizon_factor * m, must be at most 2**53")
 
     @property
     def horizon(self) -> int:
@@ -91,7 +98,9 @@ def resolve_kstar(theta: float, beta: float, m: int) -> int:
     _require(0.0 < theta < math.inf, "theta must be positive and finite")
     _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
     _require_count(m, "m", 1)
-    kstar = math.floor(theta * m ** beta)
+    value = theta * m ** beta
+    _require(value <= MAX_COUNT, "theta * m**beta must be at most 2**53")
+    kstar = math.floor(value)
     _require_count(kstar, "floor(theta * m**beta)", 1)
     return kstar
 
@@ -139,6 +148,7 @@ class ChangeScenario:
         with beta = 0: at_kstar(1.0, 177) is regime I at gamma = 0.25 and
         m = 1000, where from_exponent(1.0, 1.0, 0.75, 1000) gives the same
         kstar in regime III. a_m and b_m depend on kstar alone and agree."""
+        _require_count(kstar, "kstar", 1)  # before float(kstar) can overflow
         return cls(delta=delta, kstar=kstar, sigma=sigma,
                    theta=float(kstar), beta=0.0)
 
@@ -147,14 +157,15 @@ def validate_scenario(scenario: ChangeScenario, m: int) -> None:
     """Warn when the shift is too weak for the delay asymptotics at this m.
 
     The theory needs sqrt(m)*|delta| to diverge; that cannot be checked for a
-    single m, so a finite-sample proxy threshold of 3 triggers a warning
-    rather than a rejection.
+    single m, so a finite-sample proxy threshold of 3 on the scale-free
+    sqrt(m)*|delta|/sigma triggers a warning rather than a rejection.
     """
-    snr = math.sqrt(m) * abs(scenario.delta)
+    snr = math.sqrt(m) * abs(scenario.delta) / scenario.sigma
     if snr < 3.0:
         warnings.warn(
-            f"sqrt(m)*|delta| = {snr:.3g} < 3: shift too weak for reliable "
-            "delay asymptotics at this training length", stacklevel=2)
+            f"sqrt(m)*|delta|/sigma = {snr:.3g} < 3: shift too weak for "
+            "reliable delay asymptotics at this training length",
+            stacklevel=2)
 
 
 def compute_eta(gamma: float, beta: float) -> float:

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pagecusum
-from pagecusum import MonitoringParams, ValidationError, run_monitor
+from pagecusum import (ChangeScenario, MonitoringParams, ValidationError,
+                       compute_normalization, run_monitor)
 from pagecusum.cli import build_parser, dispatch
 from pagecusum.wiener import CriticalValueEstimate, save_estimate
 
@@ -140,6 +141,20 @@ class TestAsymptoticsCommand:
                                  "--kstar", "1", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {what} overflows a float\n"
+
+    def test_no_change_time_flag_means_kstar_1(self, capsys):
+        # theta 1 and beta 0 unless set: floor(1 * m**0) = 1
+        argv = ["asymptotics", "--m", "1000", "--gamma", "0.25", "--delta",
+                "1", "--c", "2", "--x", "0.5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--kstar", "1") == (0, out, "")
+
+    def test_kstar_and_beta_are_exclusive(self, capsys):
+        code, out, err = run_cli(capsys, "asymptotics", "--m", "1000",
+                                 "--gamma", "0.25", "--kstar", "5", "--beta",
+                                 "0.5", "--delta", "1", "--c", "2")
+        assert (code, out) == (2, "") and "either" in err
 
     def test_kstar_and_theta_are_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "asymptotics", "--m", "100", "--gamma",
@@ -455,6 +470,22 @@ class TestSimulateCommand:
         for n in names:
             assert (out_dir / n).read_bytes() == blobs[n]
 
+    def test_normalizes_with_the_garch_sigma(self, capsys, tmp_path):
+        # omega / (1 - 0.2 - 0.3) = 4, so sigma = 2, which moves a_m, b_m
+        # and every nu, and no stopping time
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("m = 1000\ndelta = 1\nkstar = 1\nomega = 2\n"
+                       "alpha_garch = 0.2\nbeta_garch = 0.3\nreps = 300\n"
+                       "seed = 5\n")
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["sigma"] == 2.0
+        scenario = ChangeScenario.at_kstar(1.0, 1, sigma=2.0)
+        norm = compute_normalization(meta["c_q"], 1000, scenario, 0.0)
+        assert (meta["a_q"], meta["b_q"]) == (norm.a_m, norm.b_m)
+
     def test_threads_flag_keeps_outputs_identical(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(SIM_CONFIG)
@@ -629,6 +660,8 @@ class TestDispatch:
 
 
 ASYM = ["asymptotics", "--m", "100", "--kstar", "1", "--c", "1.9"]
+ASYM_1000 = ["asymptotics", "--m", "1000", "--gamma", "0.25", "--delta", "1",
+             "--c", "2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -653,6 +686,108 @@ def test_non_finite_flag_or_config_value_exits_2(capsys, tmp_path, argv):
         "delta = 1.0", "delta = nan"))
     code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
+
+
+HUGE = str(10 ** 309)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (ASYM_1000 + ["--kstar", HUGE], None, "kstar must be at most 2**53"),
+    (["asymptotics", "--m", HUGE, "--gamma", "0.25", "--kstar", "5",
+      "--delta", "1", "--c", "2"], None, "m must be at most 2**53"),
+    (ASYM_1000 + ["--theta", "1e308", "--beta", "0.9"], None,
+     "theta * m**beta must be at most 2**53"),
+    (["monitor", "--train", "{train}", "--stream", "{train}",
+      "--horizon-factor", "1e308"], None, "horizon_factor * m"),
+    (["monitor", "--train", "{train}", "--stream", "{train}",
+      "--horizon-factor", "1e20"], None, "horizon_factor * m"),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     SIM_CONFIG.replace("kstar = 2", f"kstar = {HUGE}"),
+     "kstar must be at most 2**53"),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     SIM_CONFIG.replace("m = 60", f"m = {HUGE}"), "m must be at most 2**53"),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     SIM_CONFIG.replace("horizon_factor = 4", "horizon_factor = 1e308"),
+     "horizon_factor * m"),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     SIM_CONFIG.replace("kstar = 2", "theta = 1e308\nbeta_exp = 0.9"),
+     "theta * m**beta must be at most 2**53"),
+    (["generate", "--spec", "{cfg}", "--out", "{out}"],
+     TestGenerateCommand.CONFIG.replace("theta = 1.0", "theta = 1e308")
+     .replace("beta_exp = 0.0", "beta_exp = 0.9"),
+     "theta * m**beta must be at most 2**53"),
+], ids=["asymptotics-kstar", "asymptotics-m", "asymptotics-theta",
+        "monitor-1e308", "monitor-1e20", "simulate-kstar", "simulate-m",
+        "simulate-horizon", "simulate-theta", "generate-theta"])
+def test_a_count_past_2_53_exits_2_before_any_work(capsys, tmp_path, argv,
+                                                   config, message):
+    # a float holds every integer up to 2**53; a count, the horizon or
+    # theta * m**beta above it fails validation, where it failed with an
+    # OverflowError on its first float operation
+    paths = {name: str(tmp_path / name) for name in ("train", "cfg", "out")}
+    write_series(tmp_path / "train", [0.5, -1.0, 2.0])
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+# flag values at and past the ends of the float and count ranges
+EDGE_FLOAT = (st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
+              | st.floats(allow_nan=False, allow_infinity=False))
+EDGE_COUNT = (st.sampled_from([0, 2 ** 53, 2 ** 53 + 1, 10 ** 309,
+                               -10 ** 309])
+              | st.integers(-10 ** 309, 10 ** 309))
+
+# flag -> (its ordinary values, its edge values); None leaves the flag out
+ASYMPTOTICS_FLAGS = {
+    "m": (st.sampled_from([1, 100, 1000, 10 ** 5]), EDGE_COUNT),
+    "gamma": (st.sampled_from([0.0, 0.25, 0.45]), EDGE_FLOAT),
+    "delta": (st.sampled_from([1.0, -0.5, 3.0]), EDGE_FLOAT),
+    "c": (st.floats(0.5, 5.0), EDGE_FLOAT),
+    "kstar": (st.none() | st.integers(1, 10 ** 4), EDGE_COUNT),
+    "theta": (st.none() | st.floats(0.5, 10.0), EDGE_FLOAT),
+    "beta": (st.none() | st.sampled_from([0.0, 1 / 3, 0.5, 0.75]),
+             EDGE_FLOAT),
+    "sigma": (st.none() | st.floats(0.5, 3.0), EDGE_FLOAT),
+    "x": (st.none() | st.floats(-3.0, 3.0), EDGE_FLOAT),
+}
+LIMIT_CDF_FLAGS = {
+    "case": (st.sampled_from(["I", "II", "III"]),) * 2,
+    "d1": (st.none() | st.floats(0.01, 0.99), EDGE_FLOAT),
+    "x": (st.floats(-5.0, 5.0), EDGE_FLOAT),
+}
+
+
+def _command_line(command, flags, edges, data):
+    """command with each flag of flags drawn from its edge values when it
+    is in edges, else from its ordinary ones; --name=value, so a negative
+    value is passed as a value and not as a flag."""
+    values = {name: data.draw(pair[name in edges], label=name)
+              for name, pair in flags.items()}
+    return [command] + [f"--{name}={value}" for name, value in values.items()
+                        if value is not None]
+
+
+@pytest.mark.parametrize("command, flags, examples", [
+    ("asymptotics", ASYMPTOTICS_FLAGS, 400),
+    ("limit-cdf", LIMIT_CDF_FLAGS, 150)], ids=["asymptotics", "limit-cdf"])
+def test_bad_flag_values_exit_2_never_1(command, flags, examples):
+    # the exit-code contract: a run succeeds or fails validation, and no
+    # value of a flag ends in a runtime failure
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(edges=st.sets(st.sampled_from(sorted(flags)), max_size=3),
+           data=st.data())
+    def check(edges, data):
+        argv = _command_line(command, flags, edges, data)
+        code, _, err = _dispatch_quietly(argv)
+        assert code in (0, 2), (argv, err)
+
+    check()
 
 
 @pytest.mark.parametrize("argv", [

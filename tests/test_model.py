@@ -48,6 +48,29 @@ def test_counts_must_be_integers(call):
         call()
 
 
+@pytest.mark.parametrize("count", [2 ** 53 + 1, 10 ** 309],
+                         ids=["2**53+1", "10**309"])
+@pytest.mark.parametrize("call", [
+    lambda n: MonitoringParams(m=n),
+    lambda n: ChangeScenario.at_kstar(1.0, n),
+    lambda n: ChangeScenario(delta=1.0, kstar=n),
+    lambda n: resolve_kstar(1.0, 0.5, n),
+    lambda n: solve_a_m(1.7, n, 3, 1.0),
+    lambda n: next(location_paths(GARCH, 0.0, None, 20, n, seed=0)),
+], ids=["m", "at_kstar", "kstar", "resolve_kstar", "solve_a_m",
+        "stream_length"])
+def test_counts_are_bounded_at_2_53(call, count):
+    # a float holds every integer up to 2**53 exactly; past it a count
+    # fails validation instead of overflowing a float later on
+    with pytest.raises(ValidationError, match=r"must be at most 2\*\*53"):
+        call(count)
+
+
+def test_a_count_of_2_53_is_accepted():
+    assert ChangeScenario.at_kstar(1.0, 2 ** 53).theta == 2.0 ** 53
+    assert MonitoringParams(m=2 ** 53, horizon_factor=1.0).horizon == 2 ** 53
+
+
 class TestMonitoringParams:
     def test_defaults_and_horizon(self):
         p = MonitoringParams(m=100)
@@ -69,6 +92,15 @@ class TestMonitoringParams:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):
             MonitoringParams(**kwargs)
+
+    @pytest.mark.parametrize("m, factor", [(100, 1e308), (100, 1e20),
+                                           (2 ** 52, 2.0 + 2 ** -51)])
+    def test_horizon_is_bounded_at_2_53(self, m, factor):
+        # checked before ceil(horizon_factor * m) is formed
+        with pytest.raises(ValidationError, match="horizon_factor \\* m"):
+            MonitoringParams(m=m, horizon_factor=factor)
+        assert MonitoringParams(m=2 ** 52, horizon_factor=2.0).horizon == (
+            2 ** 53)
 
     def test_gamma_half_is_rejected_with_named_constraint(self):
         with pytest.raises(ValidationError, match=r"\[0, 0.5\)"):
@@ -108,6 +140,14 @@ class TestResolveKstar:
     def test_must_be_at_least_one(self):
         with pytest.raises(ValidationError):
             resolve_kstar(0.5, 0.0, 100)
+
+    @pytest.mark.parametrize("theta, beta, m", [(1e308, 0.9, 1000),
+                                                (2.0 ** 53, 0.5, 4)])
+    def test_bounded_at_2_53_before_the_floor(self, theta, beta, m):
+        with pytest.raises(ValidationError,
+                           match=r"theta \* m\*\*beta must be at most"):
+            resolve_kstar(theta, beta, m)
+        assert resolve_kstar(2.0 ** 53, 0.0, m) == 2 ** 53
 
     def test_nondecreasing_in_m(self):
         for theta, beta in [(1.0, 0.45), (2.5, 0.3), (1.0, 0.75)]:
@@ -151,6 +191,15 @@ class TestChangeScenario:
         s = ChangeScenario.at_kstar(0.05, 1)
         with pytest.warns(UserWarning, match="too weak"):
             validate_scenario(s, 100)
+
+    def test_weak_shift_is_weighed_against_sigma(self, recwarn):
+        # sqrt(1000)*0.1 = 3.16 clears the proxy at sigma 1; at sigma 2 the
+        # scale-free ratio is 1.58
+        validate_scenario(ChangeScenario.at_kstar(0.1, 1), 1000)
+        assert len(recwarn) == 0
+        with pytest.warns(UserWarning, match=r"/sigma = 1.58 < 3.*too weak"):
+            validate_scenario(ChangeScenario.at_kstar(0.1, 1, sigma=2.0),
+                              1000)
 
     def test_strong_shift_does_not_warn(self, recwarn):
         validate_scenario(ChangeScenario.at_kstar(1.0, 1), 100)
