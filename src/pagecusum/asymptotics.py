@@ -57,18 +57,16 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
               gamma: float = 0.0) -> float:
     """Centering sequence a_m(c) >= kstar; ValidationError if it overflows.
 
-    gamma = 0 has the closed form sigma*c*sqrt(m)/|delta| + kstar. Otherwise
-    the fixed point of x -> (K + kstar/x**gamma)**(1/(1-gamma)) with
+    The fixed point of x -> (K + kstar/x**gamma)**(1/(1-gamma)) with
     K = sigma*c*m**(1/2-gamma)/|delta| is iterated from
     x0 = max(kstar, K**(1/(1-gamma))); the map is a contraction near the root
     (derivative magnitude (gamma/(1-gamma)) * kstar/a < 1), but slowly when
     gamma nears 1/2 and K is small, as in solve_a_m(1.0, 1000, 1, 100.0, 1.0,
     0.48); Newton on x**(1-gamma) - K - kstar*x**(-gamma) then finishes.
+    At gamma = 0 the map is constant, so a_m = K + kstar to the bit.
     """
     _check_common(c, m, kstar, delta, sigma, gamma)
     K = sigma * c * m ** (0.5 - gamma) / abs(delta)
-    if gamma == 0.0:
-        return _root_power(K + kstar, gamma, "a_m")
     x = max(float(kstar), _root_power(K, gamma, "a_m"))
     for _ in range(200):
         x_next = _root_power(K + kstar / x ** gamma, gamma, "a_m")

@@ -153,10 +153,16 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
 
     Deterministic given seed: replication r always uses RNG stream (seed, r),
     so the result is identical for any thread count or block size.
-    scenario.sigma is the sigma of the normalizations a_m and b_m; for these
-    errors it is sqrt(garch.unconditional_variance), and it moves no tau.
+    scenario.sigma is the sigma of the normalizations a_m and b_m, and it
+    moves no tau. It must be the errors' long-run sd
+    sqrt(garch.unconditional_variance), to a relative 1e-12, or
+    ValidationError is raised before any normalization or draw.
     """
     _require_count(reps, "reps", 1)
+    sd = math.sqrt(garch.unconditional_variance)
+    _require(math.isfinite(sd) and abs(scenario.sigma - sd) <= 1e-12 * sd,
+             f"scenario sigma {scenario.sigma} is not the long-run sd {sd} "
+             "of the GARCH errors")
     validate_scenario(scenario, params.m)
     norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
     norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
@@ -246,16 +252,16 @@ def kde(samples, grid_lo: float, grid_hi: float,
                            n=int(x.size))
 
 
-# canonical layout of the normalization table: change-time rule, how kstar is
-# derived from m, and the gamma values the rule is reported at
+# canonical layout of the normalization table: change-time rule, its (theta,
+# beta) in kstar = floor(theta * m**beta), and the gammas it is reported at
 TABLE1_RULES = (
-    ("1", "fixed", 1.0, (0.0, 0.25, 0.45)),
-    ("100", "fixed", 100.0, (0.0, 0.25, 0.45)),
-    ("m^0.45", "power", 0.45, (0.0, 0.25, 0.45)),
-    ("m^0.5", "power", 0.5, (0.0,)),
-    ("m^(1/3)", "power", 1.0 / 3.0, (0.25,)),
-    ("m^(1/11)", "power", 1.0 / 11.0, (0.45,)),
-    ("m^0.75", "power", 0.75, (0.0, 0.25, 0.45)),
+    ("1", 1.0, 0.0, (0.0, 0.25, 0.45)),
+    ("100", 100.0, 0.0, (0.0, 0.25, 0.45)),
+    ("m^0.45", 1.0, 0.45, (0.0, 0.25, 0.45)),
+    ("m^0.5", 1.0, 0.5, (0.0,)),
+    ("m^(1/3)", 1.0, 1.0 / 3.0, (0.25,)),
+    ("m^(1/11)", 1.0, 1.0 / 11.0, (0.45,)),
+    ("m^0.75", 1.0, 0.75, (0.0, 0.25, 0.45)),
 )
 
 TABLE1_COLUMNS = ("rule", "gamma", "m", "kstar", "a_page", "b_page",
@@ -268,20 +274,19 @@ def emit_table1(c_page_by_gamma: dict, c_q_by_gamma: dict, m_values,
     and unit noise scale (delta = sigma = 1).
 
     The two dicts map gamma to the critical value of each rule and must
-    have the same keys. Rows are emitted for each TABLE1_RULES rule (kind
-    "fixed": kstar = value; kind "power": kstar = floor(m**value)), each of
-    its gammas that is a key of the dicts, and each m.
+    have the same keys. Rows are emitted for each TABLE1_RULES rule, with
+    kstar = resolve_kstar(theta, beta, m), each of its gammas that is a key
+    of the dicts, and each m.
     """
     _require(c_page_by_gamma.keys() == c_q_by_gamma.keys(),
              "c_page_by_gamma and c_q_by_gamma need the same gammas")
     rows = []
-    for label, kind, value, rule_gammas in TABLE1_RULES:
+    for label, theta, beta, rule_gammas in TABLE1_RULES:
         for gamma in rule_gammas:
             if gamma not in c_page_by_gamma:
                 continue
             for m in m_values:
-                kstar = int(value) if kind == "fixed" \
-                    else resolve_kstar(1.0, value, m)
+                kstar = resolve_kstar(theta, beta, m)
                 row = {"rule": label, "gamma": gamma, "m": int(m),
                        "kstar": kstar}
                 for tag, c in (("page", c_page_by_gamma[gamma]),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 from pagecusum import (ChangeScenario, LimitLaw, ValidationError, compute_N,
@@ -57,10 +59,20 @@ def psi_bar_by_quadrature(x, d1):
 KNIFE_EDGE_D1 = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
 
 
+SCALES = st.floats(1e-50, 1e50)  # K stays finite over every count
+
+
 class TestSolveAm:
-    def test_closed_form_at_gamma_zero(self):
-        assert solve_a_m(1.645, 100, 1, 1.0) == pytest.approx(17.45, abs=1e-12)
-        assert solve_a_m(2.0, 100, 7, 2.0) == pytest.approx(17.0, abs=1e-12)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(c=SCALES, m=st.integers(1, 2 ** 53), kstar=st.integers(1, 2 ** 53),
+           delta=SCALES, sign=st.sampled_from([1.0, -1.0]), sigma=SCALES)
+    @example(c=1.645, m=100, kstar=1, delta=1.0, sign=1.0, sigma=1.0)
+    @example(c=2.0, m=100, kstar=7, delta=2.0, sign=-1.0, sigma=1.0)
+    def test_closed_form_at_gamma_zero(self, c, m, kstar, delta, sign, sigma):
+        d = sign * delta
+        assert solve_a_m(c, m, kstar, d, sigma, 0.0) == \
+            sigma * c * m ** 0.5 / abs(d) + kstar
 
     def test_published_value_gamma_quarter(self):
         assert solve_a_m(1.810, 1000, 1, 1.0, 1.0, 0.25) == \

@@ -10,6 +10,7 @@ exactly up to its stop, and that non-finite training or stream values
 raise where they would otherwise read as a path that never stops.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -564,9 +565,10 @@ def test_training_whose_squares_overflow_is_rejected():
 def assert_study_rejects(garch, message):
     """Both studies on garch raise ValidationError matching message."""
     params = MonitoringParams(m=200, horizon_factor=5.0)
+    scenario = ChangeScenario.at_kstar(
+        1.0, 10, sigma=math.sqrt(garch.unconditional_variance))
     with pytest.raises(ValidationError, match=message):
-        run_replications(params, ChangeScenario.at_kstar(1.0, 10),
-                         garch, 20, 2.0, 2.0, seed=1)
+        run_replications(params, scenario, garch, 20, 2.0, 2.0, seed=1)
     with pytest.raises(ValidationError, match=message):
         empirical_size(params, garch, 20, 2.0, seed=1)
 

@@ -45,6 +45,31 @@ class TestRunReplications:
             run_replications(params, scenario, GARCH, 20, 1.69, 1.64, seed=1,
                              mu=mu)
 
+    def test_sigma_other_than_the_garch_sd_rejected(self, tmp_path):
+        # these errors have long-run sd 2, so normalizing with the default
+        # sigma of 1 would print delays far too late; nothing is drawn
+        params = MonitoringParams(m=1000, gamma=0.0)
+        garch = Garch11Spec(omega=2.0, alpha_g=0.2, beta_g=0.3)
+        args = (params, ChangeScenario.at_kstar(1.0, 1), garch, 300, 1.69236,
+                1.64485, 5)
+        message = ("^scenario sigma 1.0 is not the long-run sd 2.0 of the "
+                   "GARCH errors$")
+        with mock.patch.object(experiments, "generate_garch11_batch") as gen:
+            with pytest.raises(ValidationError, match=message):
+                run_replications(*args)
+            with pytest.raises(ValidationError, match=message):
+                simulate_to_dir(*args, tmp_path / "study")
+        gen.assert_not_called()
+        assert not (tmp_path / "study").exists()
+        for sigma in (2.0 * (1.0 + 2e-13), 2.0 * (1.0 - 2e-13)):
+            scenario = ChangeScenario.at_kstar(1.0, 1, sigma=sigma)
+            assert len(run_replications(params, scenario, garch, 3, 1.69236,
+                                        1.64485, 5)) == 3
+        for sigma in (2.0 * (1.0 + 2e-12), 2.0 * (1.0 - 2e-12)):
+            with pytest.raises(ValidationError, match="^scenario sigma "):
+                run_replications(params, ChangeScenario.at_kstar(
+                    1.0, 1, sigma=sigma), garch, 3, 1.69236, 1.64485, 5)
+
     def test_huge_shift_stops_at_one(self):
         params, scenario = small_setup(delta=1e6)
         recs = run_replications(params, scenario, GARCH, 10, 1.69, 1.64,
