@@ -53,6 +53,11 @@ def _root_power(base: float, gamma: float, what: str) -> float:
     return value
 
 
+def _coefficient(c, m, delta, sigma, gamma) -> float:
+    """K = sigma*c*m**(1/2-gamma)/|delta| of a = K*a**gamma + kstar."""
+    return sigma * c * m ** (0.5 - gamma) / abs(delta)
+
+
 def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
               gamma: float = 0.0) -> float:
     """Centering sequence a_m(c) >= kstar; ValidationError if it overflows.
@@ -66,7 +71,7 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
     At gamma = 0 the map is constant, so a_m = K + kstar to the bit.
     """
     _check_common(c, m, kstar, delta, sigma, gamma)
-    K = sigma * c * m ** (0.5 - gamma) / abs(delta)
+    K = _coefficient(c, m, delta, sigma, gamma)
     x = max(float(kstar), _root_power(K, gamma, "a_m"))
     for _ in range(200):
         x_next = _root_power(K + kstar / x ** gamma, gamma, "a_m")
@@ -88,8 +93,8 @@ def solve_a_m(c: float, m: int, kstar: int, delta: float, sigma: float = 1.0,
 def a_m_residual(a: float, c: float, m: int, kstar: int, delta: float,
                  sigma: float = 1.0, gamma: float = 0.0) -> float:
     """Defect |a - (K*a**gamma + kstar)| of a candidate centering value."""
-    K = sigma * c * m ** (0.5 - gamma) / abs(delta)
-    return abs(a - (K * a ** gamma + kstar))
+    return abs(a - (_coefficient(c, m, delta, sigma, gamma) * a ** gamma
+                    + kstar))
 
 
 def compute_b_m(a_m: float, delta: float, sigma: float, gamma: float,
@@ -152,7 +157,7 @@ def compute_N(m: int, x: float, c: float, kstar: int, delta: float,
     _require(math.isfinite(x), "x must be finite")
     if x == 0.0:
         return a_m
-    K = sigma * c * m ** (0.5 - gamma) / abs(delta)
+    K = _coefficient(c, m, delta, sigma, gamma)
     u = (1.0 - gamma) / (1.0 - gamma * (1.0 - kstar / a_m))
     bracket = K + kstar / a_m ** gamma \
         - sigma * x * a_m ** (0.5 - gamma) * u / abs(delta)
@@ -160,7 +165,6 @@ def compute_N(m: int, x: float, c: float, kstar: int, delta: float,
         raise ValidationError(
             f"x = {x} is out of range for this scenario (nonpositive bracket)")
     return _root_power(bracket, gamma, f"N(m, x) at x = {x}")
-
 
 
 @dataclass(frozen=True)

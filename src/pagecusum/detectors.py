@@ -244,10 +244,11 @@ def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
                 params: MonitoringParams, first: int):
-    """Each path's 1-based stopping time under each rule, 0 where it never
-    stops; it overwrites its chunks. mean and sd hold the training means
-    and sds, rules (detector, c) pairs, params m, gamma, side and horizon.
-    A path is live if its sd is above 0; a dead one never stops.
+    """The (len(rules), paths) int64 array of each path's 1-based stopping
+    time under each rule, 0 where it never stops; it overwrites its
+    chunks. mean and sd hold the training means and sds, rules (detector,
+    c) pairs, params m, gamma, side and horizon. A path is live if its sd
+    is above 0; a dead one never stops.
 
     chunks is a generator paused before the stream, as location_paths is
     after its training. Each block of the next observations is asked for
@@ -262,16 +263,16 @@ def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
     Raises ValidationError naming replication first + i when path i's
     mean, horizon threshold or unsettled Q(m, k) is non-finite."""
     m, gamma, side = params.m, params.gamma, params.side
-    scales = [sd * c for _, c in rules]
+    scales = np.multiply.outer([c for _, c in rules], sd)
     g_top = _boundary_at(m, params.horizon, gamma)
-    ok = np.isfinite([mean, *np.multiply(scales, g_top)]).all(axis=0)
+    ok = np.isfinite(mean) & np.isfinite(scales * g_top).all(axis=0)
     _require(ok.all(), f"replication {first + int(np.argmin(ok))}: "
              "training mean, sd or threshold is non-finite")
-    taus = [np.zeros(mean.size, dtype=np.int64) for _ in rules]
+    taus = np.zeros(scales.shape, dtype=np.int64)
     # idx: the open paths, as indices of mean; keep: their positions among
     # the rows of the last chunk; at first, the live paths
     idx = keep = np.flatnonzero(sd > 0.0)
-    mean, scales = mean[idx], [scale[idx] for scale in scales]
+    mean, scales = mean[idx], scales[:, idx]
     q_end = q_min = q_max = np.zeros(idx.size)  # none is written in place
     k0 = 0
     while idx.size:
@@ -287,17 +288,16 @@ def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
         ends = np.stack([hi, lo], axis=1)
         before_min, before_max = q_min, q_max
         q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
-        open_ = np.zeros(idx.size, dtype=bool)
         # the chunk's g, shared by the rules: at its first index for the
         # floors, over the chunk once a rule has rows to scan
         g_first, g = _boundary(m, k0 + 1.0, gamma), None
         for (detector, _), scale, tau in zip(rules, scales, taus):
             bound = chunk_statistic(ends, q_min, q_max, side,
                                     detector).max(axis=1)
-            wait = tau[idx] == 0
             # a path whose bound is below its floor cannot cross in the
             # chunk; a NaN bound is scanned
-            rows = np.flatnonzero(wait & ~(bound < _floor(scale, g_first)))
+            rows = np.flatnonzero((tau[idx] == 0)
+                                  & ~(bound < _floor(scale, g_first)))
             if rows.size:
                 if g is None:
                     g = _boundary(m, np.arange(k0 + 1, k0 + length + 1,
@@ -307,24 +307,20 @@ def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
                 j = first_crossings(stat, scale[rows, None] * g)
                 crossed = j >= 0
                 tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
-                wait[rows[crossed]] = False
-            open_ |= wait
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
         if bad.size:
             k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
-            unsettled = np.zeros(bad.size, dtype=bool)
-            for tau in taus:
-                t = tau[idx[bad]]
-                unsettled |= (t == 0) | (t >= k_bad)
+            t = taus[:, idx[bad]]
+            unsettled = ((t == 0) | (t >= k_bad)).any(axis=0)
             if unsettled.any():
                 i = int(np.argmax(unsettled))
                 raise ValidationError(
                     f"replication {first + int(idx[bad[i]])}: Q(m, k) is "
                     f"non-finite at k = {int(k_bad[i])}")
-        keep = np.flatnonzero(open_)
+        keep = np.flatnonzero((taus[:, idx] == 0).any(axis=0))
         idx, mean, q_end = idx[keep], mean[keep], q[keep, -1]
         q_min, q_max = q_min[keep], q_max[keep]
-        scales = [scale[keep] for scale in scales]
+        scales = scales[:, keep]
         k0 += length
     return taus
 

@@ -134,10 +134,10 @@ def _block_taus(params: MonitoringParams, garch: Garch11Spec, mu: float,
                 seed: int, start: int, count: int, rules, scenario=None):
     """First crossings of each (detector, c) rule on the location_paths
     replications [start, start + count), under scenario or, with None,
-    change-free: one int array per rule of each path's 1-based stopping
-    time, 0 when the path did not stop or its training sample is
-    constant. detectors.first_stops narrows the block as paths settle.
-    Raises ValidationError as location_paths and first_stops do."""
+    change-free: the (len(rules), count) int64 array of each path's
+    1-based stopping time, 0 when the path did not stop or its training
+    sample is constant. detectors.first_stops narrows the block as paths
+    settle. Raises ValidationError as location_paths and first_stops do."""
     paths = location_paths(garch, mu, scenario, params.m, params.horizon,
                            seed, start, count)
     # the training pieces, one alive at a time; the stream pieces follow
@@ -164,25 +164,20 @@ def run_replications(params: MonitoringParams, scenario: ChangeScenario,
              f"scenario sigma {scenario.sigma} is not the long-run sd {sd} "
              "of the GARCH errors")
     validate_scenario(scenario, params.m)
-    norm_page = compute_normalization(c_page, params.m, scenario, params.gamma)
-    norm_q = compute_normalization(c_q, params.m, scenario, params.gamma)
-    a_page, b_page = norm_page.a_m, norm_page.b_m
-    a_q, b_q = norm_q.a_m, norm_q.b_m
+    page = compute_normalization(c_page, params.m, scenario, params.gamma)
+    q = compute_normalization(c_q, params.m, scenario, params.gamma)
     fn = functools.partial(_block_taus, params, garch, mu, seed,
                            rules=(("page", c_page), ("ordinary", c_q)),
                            scenario=scenario)
     parts = _map_blocks(fn, reps, _BLOCK, threads)
-    taus_page = np.concatenate([page for page, _ in parts]).tolist()
-    taus_q = np.concatenate([q for _, q in parts]).tolist()
-    records = []
-    for rep, (tau_page, tau_q) in enumerate(zip(taus_page, taus_q)):
-        tau_page, tau_q = tau_page or None, tau_q or None
-        nu_page = (tau_page - a_page) / b_page if tau_page is not None else None
-        nu_q = (tau_q - a_q) / b_q if tau_q is not None else None
-        nu_tilde = (tau_q - a_page) / b_page if tau_q is not None else None
-        records.append(ReplicationRecord(rep, tau_page, tau_q,
-                                         nu_page, nu_q, nu_tilde))
-    return records
+    taus_page, taus_q = np.concatenate(parts, axis=1).tolist()
+
+    def nu(tau, norm):
+        return (tau - norm.a_m) / norm.b_m if tau else None
+
+    return [ReplicationRecord(rep, t_page or None, t_q or None,
+                              nu(t_page, page), nu(t_q, q), nu(t_q, page))
+            for rep, (t_page, t_q) in enumerate(zip(taus_page, taus_q))]
 
 
 def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
@@ -199,7 +194,7 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
     fn = functools.partial(_block_taus, params, garch, mu, seed,
                            rules=((params.detector, c),))
     parts = _map_blocks(fn, reps, _BLOCK, threads)
-    return sum(int(np.count_nonzero(taus)) for (taus,) in parts) / reps
+    return sum(np.count_nonzero(taus) for taus in parts) / reps
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,12 @@ class MonitoringParams:
     m: length of the change-free training period (>= 2).
     gamma: boundary tuning exponent in [0, 0.5); values near 0.5 speed up
         detection of early changes, values near 0 of late ones.
-    alpha: asymptotic false-alarm probability in (0, 1).
+    alpha: asymptotic false-alarm probability in (0, 1); no computation
+        reads it: the CLI looks c up by it, simulate_to_dir records it.
     side: "one_sided" (upward shifts) or "two_sided".
     detector: "ordinary" (plain CUSUM) or "page" (CUSUM against its running
-        extremes).
+        extremes), read by Monitor and empirical_size; run_replications
+        and simulate_to_dir run both detectors.
     horizon_factor: monitoring is truncated after ceil(horizon_factor * m)
         observations; open-end behaviour is recovered as the factor grows.
     """

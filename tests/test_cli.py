@@ -760,6 +760,28 @@ LIMIT_CDF_FLAGS = {
     "d1": (st.none() | st.floats(0.01, 0.99), EDGE_FLOAT),
     "x": (st.floats(-5.0, 5.0), EDGE_FLOAT),
 }
+MONITOR_FLAGS = {
+    "gamma": (st.sampled_from([0.0, 0.25, 0.45]), EDGE_FLOAT),
+    "alpha": (st.sampled_from([0.1, 0.05]), EDGE_FLOAT),
+    "critical-value": (st.none() | st.floats(0.5, 5.0), EDGE_FLOAT),
+    "horizon-factor": (st.none() | st.floats(0.5, 5.0), EDGE_FLOAT),
+    "side": (st.sampled_from(["one", "two"]), EDGE_FLOAT),
+    "detector": (st.sampled_from(["page", "ordinary"]), EDGE_FLOAT),
+    "trace": (st.none() | st.just("{trace}"),) * 2,
+}
+TABLE1_FLAGS = {"alpha": (st.sampled_from([0.1, 0.05]), EDGE_FLOAT)}
+# --reps and --grid stay small in every example, and --threads is left out,
+# so that no example asks for much memory or many processes
+CRITVALS_FLAGS = {
+    "gamma": (st.sampled_from([0.0, 0.25, 0.45]), EDGE_FLOAT),
+    "alpha": (st.sampled_from([0.1, 0.05]), EDGE_FLOAT),
+    "side": (st.sampled_from(["one", "two"]), EDGE_FLOAT),
+    "detector": (st.sampled_from(["page", "ordinary"]), EDGE_FLOAT),
+    "reps": (st.integers(100, 300), st.integers(-2, 300)),
+    "grid": (st.integers(2, 50), st.integers(-2, 50)),
+    "seed": (st.integers(0, 10), EDGE_COUNT),
+    "out": (st.none() | st.just("{out}"),) * 2,
+}
 
 
 def _command_line(command, flags, edges, data):
@@ -772,18 +794,31 @@ def _command_line(command, flags, edges, data):
                         if value is not None]
 
 
-@pytest.mark.parametrize("command, flags, examples", [
-    ("asymptotics", ASYMPTOTICS_FLAGS, 400),
-    ("limit-cdf", LIMIT_CDF_FLAGS, 150)], ids=["asymptotics", "limit-cdf"])
-def test_bad_flag_values_exit_2_never_1(command, flags, examples):
+@pytest.mark.parametrize("command, flags, examples, files", [
+    ("asymptotics", ASYMPTOTICS_FLAGS, 400, []),
+    ("limit-cdf", LIMIT_CDF_FLAGS, 150, []),
+    ("monitor", MONITOR_FLAGS, 300, ["--train={train}", "--stream={stream}"]),
+    ("table1", TABLE1_FLAGS, 60, ["--out={out}"]),
+    ("critvals", CRITVALS_FLAGS, 100, [])],
+    ids=["asymptotics", "limit-cdf", "monitor", "table1", "critvals"])
+def test_bad_flag_values_exit_2_never_1(tmp_path, command, flags, examples,
+                                        files):
     # the exit-code contract: a run succeeds or fails validation, and no
-    # value of a flag ends in a runtime failure
+    # value of a flag ends in a runtime failure. monitor reads a 20-value
+    # training and a 60-value stream that shifts up after 30 values
+    write_series(tmp_path / "train", np.tile([0.5, -0.5, 1.0, -1.0], 5))
+    write_series(tmp_path / "stream",
+                 np.r_[np.tile([0.3, -0.3], 15), np.full(30, 2.0)])
+    paths = {name: str(tmp_path / name)
+             for name in ("train", "stream", "trace", "out")}
+
     @settings(max_examples=examples, deadline=None, derandomize=True,
               database=None)
     @given(edges=st.sets(st.sampled_from(sorted(flags)), max_size=3),
            data=st.data())
     def check(edges, data):
-        argv = _command_line(command, flags, edges, data)
+        argv = [arg.format(**paths) for arg in
+                _command_line(command, flags, edges, data) + files]
         code, _, err = _dispatch_quietly(argv)
         assert code in (0, 2), (argv, err)
 

@@ -1,6 +1,7 @@
 """The package's modules form one import order: each module imports only
 modules before it, imports inside functions included, so no two modules
-import each other. The package's __init__ and __main__ sit above them all."""
+import each other. The package's __init__ and __main__ sit above them all.
+No module imports a name that it never uses."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import pagecusum
 LAYERS = ("model", "rng", "datagen", "detectors", "asymptotics", "wiener",
           "experiments", "cli")
 PACKAGE = pathlib.Path(pagecusum.__file__).parent
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
 def package_imports(tree: ast.AST) -> set[str]:
@@ -42,3 +44,37 @@ def test_modules_import_only_earlier_layers():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         later = package_imports(tree) - set(LAYERS[:rank])
         assert not later, f"{name} imports {sorted(later)}"
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The (module, name) pairs of perfbench/tracing.py's TARGETS, which the
+    benchmark's tracer looks up on each module with getattr."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]]
+    return set(ast.literal_eval(value))
+
+
+def unused_imports(tree: ast.AST) -> set[str]:
+    """Names that a module's imports bind and its code never loads."""
+    bound, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return bound - loaded
+
+
+def test_modules_use_every_name_they_import():
+    # a name kept only for the benchmark's tracer is the one exception
+    traced = traced_names()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused = {name for name in unused_imports(tree)
+                  if (path.stem, name) not in traced}
+        assert not unused, f"{path.stem} never uses {sorted(unused)}"
