@@ -16,10 +16,10 @@ is evaluated in closed form.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from .model import (CaseLabel, ChangeScenario, ValidationError, _numpy,
+                    _require, _require_count, _require_gamma, classify_case)
 
-from .model import (CaseLabel, ChangeScenario, ValidationError, _require,
-                    _require_count, _require_gamma, classify_case)
+np = _numpy()
 
 # relative residual allowed on the fixed point a = K*a**gamma + kstar
 RESIDUAL_BOUND = 1e-10

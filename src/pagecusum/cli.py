@@ -15,7 +15,8 @@ to the stop or the horizon, so a pipe such as /dev/stdin can be monitored as
 it is written.
 
 asymptotics and experiments are imported by the commands that use them, so
-that monitor and critvals do not load them.
+that monitor and critvals do not load them. numpy loads at the first array
+a command makes, so table1, asymptotics and argument errors load none.
 """
 
 import argparse

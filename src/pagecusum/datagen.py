@@ -19,10 +19,10 @@ operations to a few ulps, and exactly when alpha_g = beta_g = 0.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import ValidationError, _require, _require_count
+from .model import ValidationError, _numpy, _require, _require_count
 from .rng import rng_stream
+
+np = _numpy()
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,9 @@ class GarchCarry:
         self.z_prev = self.z_prev[rows]
 
 
-# an overflow is found once per piece, not warned of at each step
-@np.errstate(over="ignore", invalid="ignore")
 def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
                            first_stream: int = 0,
-                           carry: GarchCarry | None = None) -> np.ndarray:
+                           carry: GarchCarry | None = None) -> "np.ndarray":
     """(n_paths, n) array of independent paths with per-path RNG streams.
 
     The recursion starts at the stationary variance with eps_0 = z_0 = 0; the
@@ -110,58 +108,63 @@ def generate_garch11_batch(spec: Garch11Spec, n: int, n_paths: int, seed: int,
     i's variance overflows to a non-finite number, which would make its
     values infinite or NaN.
     """
-    _require_count(n, "n", 1)
-    _require_count(n_paths, "n_paths", 1)
-    if carry is None:
-        carry = GarchCarry()
-    if carry.rngs is not None:
-        _require(spec.burn_in == 0, "a started carry needs burn_in=0")
-    else:
-        carry.rngs = [rng_stream(seed, first_stream + i)
-                      for i in range(n_paths)]
-        carry.streams = np.arange(first_stream, first_stream + n_paths)
-        carry.sig2 = np.full(n_paths, spec.unconditional_variance)
-        carry.z_prev = np.zeros(n_paths)
-    _require(len(carry.rngs) == n_paths, "carry holds a different path count")
-    # omega as an array: a ufunc on two arrays dispatches faster than on an
-    # array and a Python float, and the sums are the same
-    omega = np.full(n_paths, spec.omega)
-    alpha_g, beta_g = spec.alpha_g, spec.beta_g
-    total = spec.burn_in + n
-    # normals go straight into out's rows, burn-in included. The one scratch
-    # array a is time-major, one row per step: each piece's coefficients
-    # a_t = alpha_g*z_{t-1}^2 + beta_g are written into it from out's rows,
-    # the loop turns them into sig2_t = a_t*sig2_{t-1} + omega in place, and
-    # out's rows are multiplied by their square roots
-    out = np.empty((n_paths, total))
-    a = np.empty((min(CHUNK, total), n_paths))
-    sig2, z_prev = carry.sig2, carry.z_prev
-    # locals and a positional out cut the dispatch of each call: the loop
-    # alone takes about 6 ns per sample at 250 paths, 7 with out= keywords
-    multiply, add, square = np.multiply, np.add, np.square
-    for t0 in range(0, total, CHUNK):
-        piece = out[:, t0:t0 + CHUNK]
-        for i, rng in enumerate(carry.rngs):
-            rng.standard_normal(out=piece[i])
-        rows = a[:piece.shape[1]]
-        square(z_prev, rows[0])
-        square(piece[:, :-1].T, rows[1:])
-        multiply(rows, alpha_g, rows)
-        add(rows, beta_g, rows)
-        for row in rows:
-            multiply(row, sig2, row)
-            add(row, omega, row)
-            sig2 = row
-        carry.sig2 = sig2 = sig2.copy()
-        carry.z_prev = z_prev = piece[:, -1].copy()
-        # a non-finite variance stays so (inf * a is inf or NaN), so each
-        # path's last one tells whether it overflowed in the piece
-        finite = np.isfinite(sig2)
-        if not finite.all():
-            raise ValidationError(
-                f"replication {carry.streams[np.argmin(finite)]}: the GARCH "
-                "variance overflows to a non-finite number")
-        # eps_t = sqrt(sig2_t)*z_t over the whole piece
-        np.sqrt(rows, rows)
-        multiply(piece, rows.T, piece)
-    return out[:, spec.burn_in:]
+    # an overflow is found once per piece, not warned of at each step
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_count(n, "n", 1)
+        _require_count(n_paths, "n_paths", 1)
+        if carry is None:
+            carry = GarchCarry()
+        if carry.rngs is not None:
+            _require(spec.burn_in == 0, "a started carry needs burn_in=0")
+        else:
+            carry.rngs = [rng_stream(seed, first_stream + i)
+                          for i in range(n_paths)]
+            carry.streams = np.arange(first_stream, first_stream + n_paths)
+            carry.sig2 = np.full(n_paths, spec.unconditional_variance)
+            carry.z_prev = np.zeros(n_paths)
+        _require(len(carry.rngs) == n_paths,
+                 "carry holds a different path count")
+        # omega as an array: a ufunc on two arrays dispatches faster than on
+        # an array and a Python float, and the sums are the same
+        omega = np.full(n_paths, spec.omega)
+        alpha_g, beta_g = spec.alpha_g, spec.beta_g
+        total = spec.burn_in + n
+        # normals go straight into out's rows, burn-in included. The one
+        # scratch array a is time-major, one row per step: each piece's
+        # coefficients a_t = alpha_g*z_{t-1}^2 + beta_g are written into it
+        # from out's rows, the loop turns them into sig2_t =
+        # a_t*sig2_{t-1} + omega in place, and out's rows are multiplied by
+        # their square roots
+        out = np.empty((n_paths, total))
+        a = np.empty((min(CHUNK, total), n_paths))
+        sig2, z_prev = carry.sig2, carry.z_prev
+        # locals and a positional out cut the dispatch of each call: the
+        # loop alone takes about 6 ns per sample at 250 paths, 7 with out=
+        # keywords
+        multiply, add, square = np.multiply, np.add, np.square
+        for t0 in range(0, total, CHUNK):
+            piece = out[:, t0:t0 + CHUNK]
+            for i, rng in enumerate(carry.rngs):
+                rng.standard_normal(out=piece[i])
+            rows = a[:piece.shape[1]]
+            square(z_prev, rows[0])
+            square(piece[:, :-1].T, rows[1:])
+            multiply(rows, alpha_g, rows)
+            add(rows, beta_g, rows)
+            for row in rows:
+                multiply(row, sig2, row)
+                add(row, omega, row)
+                sig2 = row
+            carry.sig2 = sig2 = sig2.copy()
+            carry.z_prev = z_prev = piece[:, -1].copy()
+            # a non-finite variance stays so (inf * a is inf or NaN), so
+            # each path's last one tells whether it overflowed in the piece
+            finite = np.isfinite(sig2)
+            if not finite.all():
+                raise ValidationError(
+                    f"replication {carry.streams[np.argmin(finite)]}: the "
+                    "GARCH variance overflows to a non-finite number")
+            # eps_t = sqrt(sig2_t)*z_t over the whole piece
+            np.sqrt(rows, rows)
+            multiply(piece, rows.T, piece)
+        return out[:, spec.burn_in:]

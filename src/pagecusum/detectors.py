@@ -57,11 +57,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .datagen import CHUNK
-from .model import (MonitoringParams, ValidationError, _require,
+from .model import (MonitoringParams, ValidationError, _numpy, _require,
                     _require_count, _require_gamma)
+
+np = _numpy()
 
 
 class DegenerateTrainingError(ValidationError):
@@ -85,7 +85,7 @@ class TrainingSummary:
                 "training data are constant (sigma_hat must be positive)")
 
 
-def _series(x, what: str) -> np.ndarray:
+def _series(x, what: str) -> "np.ndarray":
     """x as a 1-D float array; ValidationError when it is ragged, holds a
     value that is not a number or is not one-dimensional."""
     try:
@@ -115,8 +115,6 @@ def summarize_training(x) -> TrainingSummary:
     return TrainingSummary(m=m, mean=float(mean[0]), sigma_hat=float(sd[0]))
 
 
-# a mean or sd that overflows is non-finite, and its callers reject it
-@np.errstate(over="ignore", invalid="ignore")
 def _row_summaries(pieces, m=math.inf):
     """Each row's mean and sd (ddof=1) of the (count, m) training that
     pieces, (count, k) blocks of consecutive columns, split; it consumes
@@ -135,28 +133,30 @@ def _row_summaries(pieces, m=math.inf):
 
     each ratio rounded once from the exact one; sd = sqrt(ss / (m - 1)).
     One block thus gives the bits of row.mean() and row.std(ddof=1)."""
-    n = 0
-    for x in pieces:
-        k = x.shape[1]
-        mean_x = x.mean(axis=1)
-        x -= mean_x[:, None]
-        np.square(x, out=x)
-        ss_x = x.sum(axis=1)
-        # x would keep this block alive while pieces draws the next one
-        del x
-        if n == 0:
-            mean, ss = mean_x, ss_x
-        else:
-            d = mean_x - mean
-            mean = mean + d * (k / (n + k))
-            ss = (ss + ss_x) + (d * d) * (n * k / (n + k))
-        n += k
-        if n >= m:
-            break
-    return mean, np.sqrt(ss / (n - 1))
+    # a mean or sd that overflows is non-finite, and its callers reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = 0
+        for x in pieces:
+            k = x.shape[1]
+            mean_x = x.mean(axis=1)
+            x -= mean_x[:, None]
+            np.square(x, out=x)
+            ss_x = x.sum(axis=1)
+            # x would keep this block alive while pieces draws the next one
+            del x
+            if n == 0:
+                mean, ss = mean_x, ss_x
+            else:
+                d = mean_x - mean
+                mean = mean + d * (k / (n + k))
+                ss = (ss + ss_x) + (d * d) * (n * k / (n + k))
+            n += k
+            if n >= m:
+                break
+        return mean, np.sqrt(ss / (n - 1))
 
 
-def _boundary(m: int, k: np.ndarray, gamma: float) -> np.ndarray:
+def _boundary(m: int, k: "np.ndarray", gamma: float) -> "np.ndarray":
     """g(m, k) on a float or a float array of indices, without boundary_g's
     checks."""
     return math.sqrt(m) * (1.0 + k / m) * (k / (k + m)) ** gamma
@@ -200,8 +200,8 @@ class StoppingResult:
         return self.tau is not None
 
 
-def partial_sums(x: np.ndarray, mean: np.ndarray,
-                 q0: np.ndarray) -> np.ndarray:
+def partial_sums(x: "np.ndarray", mean: "np.ndarray",
+                 q0: "np.ndarray") -> "np.ndarray":
     """(paths, L) array of Q(m, k) over one chunk, written over x, which
     holds the next L monitored observations of each path; mean holds the
     (paths,) training means and q0 each path's Q(m, k) before the chunk."""
@@ -213,8 +213,8 @@ def partial_sums(x: np.ndarray, mean: np.ndarray,
     return np.cumsum(x, axis=1, out=x)
 
 
-def chunk_statistic(q: np.ndarray, q_min: np.ndarray, q_max: np.ndarray,
-                    side: str, detector: str) -> np.ndarray:
+def chunk_statistic(q: "np.ndarray", q_min: "np.ndarray", q_max: "np.ndarray",
+                    side: str, detector: str) -> "np.ndarray":
     """The detector's statistic over a chunk of some paths: q is their
     (rows, L) partial_sums and q_min / q_max their running extremes before
     the chunk. Each row is computed on its own, so any choice of rows gives
@@ -232,17 +232,14 @@ def chunk_statistic(q: np.ndarray, q_min: np.ndarray, q_max: np.ndarray,
     return stat
 
 
-def first_crossings(stat: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+def first_crossings(stat: "np.ndarray", thresh: "np.ndarray") -> "np.ndarray":
     """Column of the first stat >= thresh in each row, -1 where none."""
     hit = stat >= thresh
     j = hit.argmax(axis=1)
     return np.where(hit[np.arange(hit.shape[0]), j], j, -1)
 
 
-# overflow only makes Q(m, k) non-finite, and that is rejected on every path
-# up to its stop
-@np.errstate(over="ignore", invalid="ignore")
-def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
+def first_stops(chunks, mean: "np.ndarray", sd: "np.ndarray", rules,
                 params: MonitoringParams, first: int):
     """The (len(rules), paths) int64 array of each path's 1-based stopping
     time under each rule, 0 where it never stops; it overwrites its
@@ -262,67 +259,70 @@ def first_stops(chunks, mean: np.ndarray, sd: np.ndarray, rules,
     bound of the module docstring cannot settle are scanned exactly.
     Raises ValidationError naming replication first + i when path i's
     mean, horizon threshold or unsettled Q(m, k) is non-finite."""
-    m, gamma, side = params.m, params.gamma, params.side
-    scales = np.multiply.outer([c for _, c in rules], sd)
-    g_top = _boundary_at(m, params.horizon, gamma)
-    ok = np.isfinite(mean) & np.isfinite(scales * g_top).all(axis=0)
-    _require(ok.all(), f"replication {first + int(np.argmin(ok))}: "
-             "training mean, sd or threshold is non-finite")
-    taus = np.zeros(scales.shape, dtype=np.int64)
-    # idx: the open paths, as indices of mean; keep: their positions among
-    # the rows of the last chunk; at first, the live paths
-    idx = keep = np.flatnonzero(sd > 0.0)
-    mean, scales = mean[idx], scales[:, idx]
-    q_end = q_min = q_max = np.zeros(idx.size)  # none is written in place
-    k0 = 0
-    while idx.size:
-        try:
-            x = chunks.send(keep)
-        except StopIteration:
-            break
-        length = x.shape[1]
-        q = partial_sums(x, mean, q_end)
-        # min and max round nothing, so the extremes after the chunk equal
-        # the last column of its running minimum and maximum
-        lo, hi = q.min(axis=1), q.max(axis=1)
-        ends = np.stack([hi, lo], axis=1)
-        before_min, before_max = q_min, q_max
-        q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
-        # the chunk's g, shared by the rules: at its first index for the
-        # floors, over the chunk once a rule has rows to scan
-        g_first, g = _boundary(m, k0 + 1.0, gamma), None
-        for (detector, _), scale, tau in zip(rules, scales, taus):
-            bound = chunk_statistic(ends, q_min, q_max, side,
-                                    detector).max(axis=1)
-            # a path whose bound is below its floor cannot cross in the
-            # chunk; a NaN bound is scanned
-            rows = np.flatnonzero((tau[idx] == 0)
-                                  & ~(bound < _floor(scale, g_first)))
-            if rows.size:
-                if g is None:
-                    g = _boundary(m, np.arange(k0 + 1, k0 + length + 1,
-                                               dtype=float), gamma)
-                stat = chunk_statistic(q[rows], before_min[rows],
-                                       before_max[rows], side, detector)
-                j = first_crossings(stat, scale[rows, None] * g)
-                crossed = j >= 0
-                tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
-        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
-        if bad.size:
-            k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
-            t = taus[:, idx[bad]]
-            unsettled = ((t == 0) | (t >= k_bad)).any(axis=0)
-            if unsettled.any():
-                i = int(np.argmax(unsettled))
-                raise ValidationError(
-                    f"replication {first + int(idx[bad[i]])}: Q(m, k) is "
-                    f"non-finite at k = {int(k_bad[i])}")
-        keep = np.flatnonzero((taus[:, idx] == 0).any(axis=0))
-        idx, mean, q_end = idx[keep], mean[keep], q[keep, -1]
-        q_min, q_max = q_min[keep], q_max[keep]
-        scales = scales[:, keep]
-        k0 += length
-    return taus
+    # overflow only makes Q(m, k) non-finite, and that is rejected on every
+    # path up to its stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, gamma, side = params.m, params.gamma, params.side
+        scales = np.multiply.outer([c for _, c in rules], sd)
+        g_top = _boundary_at(m, params.horizon, gamma)
+        ok = np.isfinite(mean) & np.isfinite(scales * g_top).all(axis=0)
+        _require(ok.all(), f"replication {first + int(np.argmin(ok))}: "
+                 "training mean, sd or threshold is non-finite")
+        taus = np.zeros(scales.shape, dtype=np.int64)
+        # idx: the open paths, as indices of mean; keep: their positions
+        # among the rows of the last chunk; at first, the live paths
+        idx = keep = np.flatnonzero(sd > 0.0)
+        mean, scales = mean[idx], scales[:, idx]
+        q_end = q_min = q_max = np.zeros(idx.size)  # none is written in place
+        k0 = 0
+        while idx.size:
+            try:
+                x = chunks.send(keep)
+            except StopIteration:
+                break
+            length = x.shape[1]
+            q = partial_sums(x, mean, q_end)
+            # min and max round nothing, so the extremes after the chunk
+            # equal the last column of its running minimum and maximum
+            lo, hi = q.min(axis=1), q.max(axis=1)
+            ends = np.stack([hi, lo], axis=1)
+            before_min, before_max = q_min, q_max
+            q_min, q_max = np.minimum(q_min, lo), np.maximum(q_max, hi)
+            # the chunk's g, shared by the rules: at its first index for the
+            # floors, over the chunk once a rule has rows to scan
+            g_first, g = _boundary(m, k0 + 1.0, gamma), None
+            for (detector, _), scale, tau in zip(rules, scales, taus):
+                bound = chunk_statistic(ends, q_min, q_max, side,
+                                        detector).max(axis=1)
+                # a path whose bound is below its floor cannot cross in the
+                # chunk; a NaN bound is scanned
+                rows = np.flatnonzero((tau[idx] == 0)
+                                      & ~(bound < _floor(scale, g_first)))
+                if rows.size:
+                    if g is None:
+                        g = _boundary(m, np.arange(k0 + 1, k0 + length + 1,
+                                                   dtype=float), gamma)
+                    stat = chunk_statistic(q[rows], before_min[rows],
+                                           before_max[rows], side, detector)
+                    j = first_crossings(stat, scale[rows, None] * g)
+                    crossed = j >= 0
+                    tau[idx[rows[crossed]]] = k0 + 1 + j[crossed]
+            bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+            if bad.size:
+                k_bad = k0 + 1 + np.argmin(np.isfinite(q[bad]), axis=1)
+                t = taus[:, idx[bad]]
+                unsettled = ((t == 0) | (t >= k_bad)).any(axis=0)
+                if unsettled.any():
+                    i = int(np.argmax(unsettled))
+                    raise ValidationError(
+                        f"replication {first + int(idx[bad[i]])}: Q(m, k) is "
+                        f"non-finite at k = {int(k_bad[i])}")
+            keep = np.flatnonzero((taus[:, idx] == 0).any(axis=0))
+            idx, mean, q_end = idx[keep], mean[keep], q[keep, -1]
+            q_min, q_max = q_min[keep], q_max[keep]
+            scales = scales[:, keep]
+            k0 += length
+        return taus
 
 
 # the padding of the floor (module docstring)

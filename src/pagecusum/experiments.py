@@ -40,15 +40,18 @@ import operator
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
-import numpy as np
-
-from .asymptotics import compute_b_m, compute_normalization, solve_a_m
+# solve_a_m and compute_b_m, uncalled, stay globals here for the benchmark's
+# tracer
+from .asymptotics import (compute_b_m, compute_normalization,  # noqa: F401
+                          solve_a_m)
 from .datagen import CHUNK, GarchCarry, Garch11Spec, generate_garch11_batch
 # boundary_g, uncalled, stays a global here for the benchmark's tracer
 from .detectors import _row_summaries, boundary_g, first_stops  # noqa: F401
 from .model import (ChangeScenario, MonitoringParams, ValidationError,
-                    _require, _require_count, resolve_kstar, validate_scenario)
+                    _numpy, _require, _require_count, validate_scenario)
 from .rng import _map_blocks
+
+np = _numpy()
 
 # widest block of replications per work unit. A GARCH time step is two
 # ufunc calls on the whole block, plus a few whole-piece passes: without its
@@ -201,8 +204,8 @@ def empirical_size(params: MonitoringParams, garch: Garch11Spec, reps: int,
 class DensityEstimate:
     """Gaussian-kernel density estimate on a uniform grid."""
 
-    grid: np.ndarray
-    density: np.ndarray
+    grid: "np.ndarray"
+    density: "np.ndarray"
     bandwidth: float
     n: int
 
@@ -270,8 +273,9 @@ def emit_table1(c_page_by_gamma: dict, c_q_by_gamma: dict, m_values,
 
     The two dicts map gamma to the critical value of each rule and must
     have the same keys. Rows are emitted for each TABLE1_RULES rule, with
-    kstar = resolve_kstar(theta, beta, m), each of its gammas that is a key
-    of the dicts, and each m.
+    the scenario ChangeScenario.from_exponent(1.0, theta, beta, m), each of
+    its gammas that is a key of the dicts, and each m; a and b come from
+    compute_normalization, so each a_m passes its residual check.
     """
     _require(c_page_by_gamma.keys() == c_q_by_gamma.keys(),
              "c_page_by_gamma and c_q_by_gamma need the same gammas")
@@ -281,15 +285,14 @@ def emit_table1(c_page_by_gamma: dict, c_q_by_gamma: dict, m_values,
             if gamma not in c_page_by_gamma:
                 continue
             for m in m_values:
-                kstar = resolve_kstar(theta, beta, m)
+                scenario = ChangeScenario.from_exponent(1.0, theta, beta, m)
                 row = {"rule": label, "gamma": gamma, "m": int(m),
-                       "kstar": kstar}
+                       "kstar": scenario.kstar}
                 for tag, c in (("page", c_page_by_gamma[gamma]),
                                ("q", c_q_by_gamma[gamma])):
-                    a = solve_a_m(c, m, kstar, 1.0, 1.0, gamma)
-                    b = compute_b_m(a, 1.0, 1.0, gamma, kstar)
-                    row[f"a_{tag}"] = a
-                    row[f"b_{tag}"] = b
+                    norm = compute_normalization(c, m, scenario, gamma)
+                    row[f"a_{tag}"] = norm.a_m
+                    row[f"b_{tag}"] = norm.b_m
                 rows.append(row)
     if out_path is not None:
         lines = [",".join(TABLE1_COLUMNS)] + [

@@ -13,8 +13,10 @@ d1 also depends on the critical value, so asymptotics.compute_normalization
 solves it; this module imports no other module of the package.
 """
 
+import importlib.util
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +28,22 @@ ETA_TOL = 1e-12
 
 # the largest count: a float holds every integer up to 2**53 exactly
 MAX_COUNT = 2 ** 53
+
+
+def _numpy():
+    """numpy as the package's modules bind it: the loaded module, or, before
+    numpy is imported, one that importlib.util.LazyLoader loads at its first
+    attribute lookup, so a command that makes no array loads no numpy.
+    Python 3.11's LazyLoader is not thread-safe at that first lookup; the
+    package starts no threads."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class ValidationError(ValueError):

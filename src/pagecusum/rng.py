@@ -4,9 +4,9 @@ import functools
 import operator
 import os
 
-import numpy as np
+from .model import _numpy, _require_count
 
-from .model import _require_count
+np = _numpy()
 
 _UINT64 = 1 << 64
 
@@ -41,8 +41,8 @@ def _philox():
     return Philox
 
 
-# Generator annotations are quoted here and in datagen and wiener, so that
-# numpy.random loads at the first stream drawn, not at import
+# numpy annotations are quoted here and in the other modules, so that numpy,
+# and numpy.random with it, loads at the first array or stream, not at import
 def rng_stream(seed: int, index: int) -> "np.random.Generator":
     """Independent generator for stream `index` under master `seed`.
 

@@ -28,11 +28,11 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .model import (DETECTORS, SIDES, ValidationError, _require,
+from .model import (DETECTORS, SIDES, ValidationError, _numpy, _require,
                     _require_count, _require_gamma)
 from .rng import BOOTSTRAP_STREAM, _map_blocks, rng_stream
+
+np = _numpy()
 
 # bootstrap resamples behind a standard error, and the most resample indices
 # drawn at once: the cap keeps a group's index and value arrays under 1 MB
@@ -46,7 +46,7 @@ _PAGE_BLOCK = 128
 _PAGE_SLACK = 2.0 ** -40
 
 
-def _fill_path(rng: "np.random.Generator", row: np.ndarray) -> np.ndarray:
+def _fill_path(rng: "np.random.Generator", row: "np.ndarray") -> "np.ndarray":
     """Overwrite row with W(j/T), j = 1..T, T = row.size: the cumulative sum
     of T independent N(0, 1/T) increments drawn from rng. Returns row."""
     rng.standard_normal(out=row)
@@ -54,7 +54,7 @@ def _fill_path(rng: "np.random.Generator", row: np.ndarray) -> np.ndarray:
     return np.cumsum(row, out=row)
 
 
-def sample_wiener_path(T: int, rng: "np.random.Generator") -> np.ndarray:
+def sample_wiener_path(T: int, rng: "np.random.Generator") -> "np.ndarray":
     """The (T+1,) array of W(j/T), j = 0..T, with W(0) = 0."""
     _require_count(T, "T", 2)
     path = np.zeros(T + 1)
@@ -62,7 +62,7 @@ def sample_wiener_path(T: int, rng: "np.random.Generator") -> np.ndarray:
     return path
 
 
-def refine_wiener_path(path, rng: "np.random.Generator") -> np.ndarray:
+def refine_wiener_path(path, rng: "np.random.Generator") -> "np.ndarray":
     """Brownian-bridge midpoint refinement: same path on a grid of size 2T.
 
     Existing grid values are kept; each midpoint is the endpoint average plus
@@ -77,7 +77,7 @@ def refine_wiener_path(path, rng: "np.random.Generator") -> np.ndarray:
 
 
 def _functional_values(rows, count: int, T: int, gamma: float, side: str,
-                       detector: str) -> np.ndarray:
+                       detector: str) -> "np.ndarray":
     """Grid suprema of the count rows of T values of W at t = 1/T .. 1.
 
     Each row is scored as soon as `rows` yields it, in a few reused scratch
@@ -188,7 +188,7 @@ def functional_page(path, gamma: float, side: str = "one_sided") -> float:
 
 
 def _simulate_block(seed: int, T: int, gamma: float, side: str,
-                    detector: str, start: int, count: int) -> np.ndarray:
+                    detector: str, start: int, count: int) -> "np.ndarray":
     """Functional values for paths [start, start + count); order-stable."""
     w = np.empty(T)
     paths = (_fill_path(rng_stream(seed, start + i), w) for i in range(count))
@@ -197,7 +197,7 @@ def _simulate_block(seed: int, T: int, gamma: float, side: str,
 
 def simulate_functional_values(gamma: float, side: str, detector: str,
                                reps: int, T: int, seed: int,
-                               threads: int = 1) -> np.ndarray:
+                               threads: int = 1) -> "np.ndarray":
     """reps independent functional values, one Philox stream per path.
 
     The result depends only on (seed, reps, T, gamma, side, detector), never

@@ -89,6 +89,49 @@ sys.exit(pagecusum.cli.dispatch(["critvals", "--gamma", "0", "--alpha", "0.1",
     assert json.loads(lines[4])["reps"] == 100  # the two-process study ran
 
 
+def numpy_after(argv, cwd):
+    """Run dispatch(argv) in a fresh interpreter that has not imported
+    numpy; return its exit code and the numpy submodules then loaded."""
+    # the package binds numpy lazily: a bare "numpy" entry stands in
+    # sys.modules before the first array, so only submodules tell
+    script = f"""
+import sys
+from pagecusum.cli import dispatch
+code = dispatch({argv!r})
+print(code, sorted(m for m in sys.modules if m.startswith("numpy.")))
+import numpy
+print(numpy.zeros(1).tolist())
+"""
+    src = os.path.dirname(os.path.dirname(pagecusum.__file__))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    first, second = out.splitlines()[-2:]
+    assert second == "[0.0]"  # numpy still loads, at the first array
+    code, loaded = first.split(" ", 1)
+    return int(code), loaded
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["table1", "--out", "table1.csv"], 0),
+    (["asymptotics", "--m", "1000", "--gamma", "0.25", "--delta", "1",
+      "--c", "1.9", "--x", "0.5"], 0),
+    (["monitor", "--train", "train.csv"], 2),
+], ids=["table1", "asymptotics", "argument-error"])
+def test_math_only_commands_load_no_numpy(tmp_path, argv, exit_code):
+    assert numpy_after(argv, tmp_path) == (exit_code, "[]")
+
+
+def test_monitor_loads_numpy(tmp_path):
+    # the control: a command that makes arrays shows numpy's submodules
+    write_series(tmp_path / "train.csv", [0.1, -0.2, 0.3, 0.0, -0.1])
+    write_series(tmp_path / "stream.csv", [5.0] * 20)
+    code, loaded = numpy_after(
+        ["monitor", "--train", "train.csv", "--stream", "stream.csv",
+         "--critical-value", "1.5"], tmp_path)
+    assert code == 0 and "numpy._core" in loaded
+
+
 class TestLimitCdfCommand:
     def test_case_three_at_zero(self, capsys):
         code, out, _ = run_cli(capsys, "limit-cdf", "--case", "III", "--x", "0")

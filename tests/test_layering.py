@@ -1,7 +1,8 @@
 """The package's modules form one import order: each module imports only
 modules before it, imports inside functions included, so no two modules
 import each other. The package's __init__ and __main__ sit above them all.
-No module imports a name that it never uses."""
+No module imports a name that it never uses, and none imports numpy when
+it is itself imported: each binds it through model._numpy."""
 
 import ast
 import pathlib
@@ -78,3 +79,34 @@ def test_modules_use_every_name_they_import():
         unused = {name for name in unused_imports(tree)
                   if (path.stem, name) not in traced}
         assert not unused, f"{path.stem} never uses {sorted(unused)}"
+
+
+def import_time_nodes(node: ast.AST):
+    """The nodes of a module that run when it is imported: all but those
+    inside its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from import_time_nodes(child)
+
+
+def names_numpy(node: ast.AST) -> bool:
+    """Whether node is an import statement of numpy or a numpy submodule."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name == "numpy" or name.startswith("numpy.")
+               for name in names)
+
+
+def test_numpy_is_bound_only_through_the_helper():
+    # np = model._numpy() loads numpy at the first array, so a command that
+    # makes none loads none; imports inside functions load at the call
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [n.lineno for n in import_time_nodes(tree) if names_numpy(n)]
+        assert not lines, f"{path.stem} imports numpy at line {lines}"
